@@ -26,14 +26,6 @@ static MANIFESTS: Mutex<Vec<RunManifest>> = Mutex::new(Vec::new());
 /// state, so results stay byte-identical with and without it.
 static PROGRESS: AtomicBool = AtomicBool::new(false);
 
-/// The `--lp-jobs` value: [`run_experiment`] installs it on every engine it
-/// drives, switching each cell onto the conservative parallel engine (0 =
-/// serial). Unlike `PROGRESS` this *does* select the result universe —
-/// serial and LP runs are separately deterministic but not mutually
-/// byte-identical — so reference outputs are always quoted with the engine
-/// that produced them.
-static LP_JOBS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
 /// Record a run manifest for inclusion in this binary's manifest file.
 /// [`run_experiment`] records automatically; binaries that drive
 /// [`Experiment`] directly call this with `results.manifest`.
@@ -93,13 +85,6 @@ pub struct HarnessArgs {
     /// Emit a periodic stderr heartbeat from every engine run
     /// (`--progress`).
     pub progress: bool,
-    /// Conservative parallel engine *within* each run (`--lp-jobs N`): 0
-    /// runs the serial engine; N ≥ 1 runs pod/DC logical processes with up
-    /// to N − 1 worker threads. Orthogonal to `--jobs`, which fans out
-    /// across independent cells. Results are identical for every N ≥ 1 but
-    /// form a different deterministic universe from the serial engine, so
-    /// committed reference outputs are pinned to one choice.
-    pub lp_jobs: usize,
 }
 
 impl HarnessArgs {
@@ -109,7 +94,7 @@ impl HarnessArgs {
         let (args, extra) = Self::parse_with_extra();
         if let Some(other) = extra.first() {
             panic!(
-                "unknown flag {other} (use --full/--quick/--seed N/--jobs N/--lp-jobs N/--params/--progress)"
+                "unknown flag {other} (use --full/--quick/--seed N/--jobs N/--params/--progress)"
             );
         }
         args
@@ -120,7 +105,6 @@ impl HarnessArgs {
     pub fn parse_with_extra() -> (Self, Vec<String>) {
         let (args, extra) = Self::parse_from(std::env::args().skip(1));
         PROGRESS.store(args.progress, Ordering::Relaxed);
-        LP_JOBS.store(args.lp_jobs, Ordering::Relaxed);
         (args, extra)
     }
 
@@ -132,7 +116,6 @@ impl HarnessArgs {
             params_only: false,
             jobs: 0,
             progress: false,
-            lp_jobs: 0,
         };
         let mut extra = Vec::new();
         let mut it = args;
@@ -153,12 +136,6 @@ impl HarnessArgs {
                         .next()
                         .and_then(|s| s.parse().ok())
                         .expect("--jobs needs an integer");
-                }
-                "--lp-jobs" => {
-                    parsed.lp_jobs = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--lp-jobs needs an integer");
                 }
                 _ => extra.push(a),
             }
@@ -246,7 +223,6 @@ pub fn run_experiment(
     let mut cfg = ExperimentConfig::quick(scheme, seed);
     cfg.topo = topo;
     cfg.record_progress = record_progress;
-    cfg.lp_jobs = LP_JOBS.load(Ordering::Relaxed);
     let mut exp = Experiment::new(cfg);
     if PROGRESS.load(Ordering::Relaxed) {
         exp.sim.set_heartbeat(Duration::from_secs(1));
@@ -277,10 +253,8 @@ pub fn run_experiment(
 /// `--jobs 1` and `--jobs 8` produce byte-identical per-cell results (the
 /// bench crate's `sweep_determinism` test holds the runner to this).
 ///
-/// By default the simulator itself stays single-threaded and all
-/// parallelism lives here, across independent runs; `--lp-jobs` adds
-/// conservative parallelism *inside* each run on top (useful when one big
-/// cell dominates the wall clock).
+/// The simulator itself stays single-threaded; all parallelism lives here,
+/// across independent runs.
 pub struct SweepRunner {
     pool: rayon::ThreadPool,
 }

@@ -170,10 +170,7 @@ struct Output {
 }
 
 /// Run options that live on the command line rather than in the scenario
-/// file. Most alter only what gets recorded; `--lp-jobs` selects the
-/// engine (serial vs. conservative-parallel), which is a different
-/// deterministic universe — results are stable per seed for any fixed
-/// choice, and identical across every `--lp-jobs` value ≥ 1.
+/// file (they alter what gets recorded, never what gets simulated).
 #[derive(Clone, Copy, Default)]
 struct RunOpts {
     telemetry: bool,
@@ -181,9 +178,6 @@ struct RunOpts {
     telemetry_interval_us: Option<u64>,
     profile: bool,
     progress: bool,
-    /// Conservative parallel engine: 0 = serial (default), N ≥ 1 = LP
-    /// engine with up to N − 1 worker threads.
-    lp_jobs: usize,
 }
 
 fn template() -> Scenario {
@@ -210,7 +204,7 @@ fn die(msg: &str) -> ! {
     eprintln!("uno-scenario: {msg}");
     eprintln!(
         "usage: uno-scenario <scenario.json> [--faults <spec.json>] \
-         [--seeds <n>] [--jobs <n>] [--lp-jobs <n>] \
+         [--seeds <n>] [--jobs <n>] \
          [--telemetry] [--telemetry-interval-us <n>] [--profile] [--progress] \
          [--trace <out.jsonl>] [--trace-filter <spec>] | --print-template"
     );
@@ -259,12 +253,6 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("--jobs needs an integer"));
-            }
-            "--lp-jobs" => {
-                opts.lp_jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--lp-jobs needs an integer"));
             }
             "--trace" => {
                 trace_path = Some(args.next().unwrap_or_else(|| die("--trace needs a path")));
@@ -417,7 +405,6 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
 
     let mut cfg = ExperimentConfig::quick(scheme, sc.seed);
     cfg.topo = topo;
-    cfg.lp_jobs = opts.lp_jobs;
     let has_faults = sc.faults.as_ref().is_some_and(|f| !f.faults.is_empty());
     if has_faults {
         // Under injected faults every flow must reach a definite outcome

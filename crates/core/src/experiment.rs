@@ -46,12 +46,8 @@ pub struct ExperimentConfig {
     /// [`ExperimentResults::profile`] (non-deterministic, like
     /// `manifest.wall_seconds`).
     pub profile: bool,
-    /// Conservative parallel engine: 0 (the default) runs the serial
-    /// engine; N ≥ 1 partitions the run into pod/DC logical processes with
-    /// up to N − 1 worker threads. Results are identical for every N ≥ 1
-    /// (worker-count independent), but form a distinct deterministic
-    /// universe from the serial engine — don't mix `lp_jobs = 0` and
-    /// `lp_jobs ≥ 1` when comparing seeded runs.
+    /// Ignored: the serial engine always runs. Kept only so existing
+    /// callers that still assign it keep compiling; nothing reads it.
     pub lp_jobs: usize,
 }
 
@@ -177,7 +173,6 @@ impl Experiment {
         if cfg.profile {
             sim.profiler.set_enabled(true);
         }
-        sim.set_lp_jobs(cfg.lp_jobs);
         Experiment { sim, cfg }
     }
 

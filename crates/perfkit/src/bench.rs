@@ -84,14 +84,6 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
     let (scale_rate, scale_rss) = scale_benches(quick);
     benches.extend([scale_rate, scale_rss]);
 
-    // Parallel-engine benches: the conservative LP engine against the
-    // serial engine on an identical 3-site workload. The single-worker
-    // parity ratio is gated — the window/barrier machinery must stay
-    // within a constant factor of serial even with zero parallelism —
-    // while the multi-worker rows are wall-clock claims bounded by the
-    // host's core count, so they are informational.
-    benches.extend(lp_benches(quick));
-
     // Macrobench: the fig08 FCT slice, sequential vs. 8-way sweep. The
     // parallel rows are wall-clock claims bounded by the host's core count
     // (a 1-core container cannot beat ~1.0x no matter the code), so they
@@ -693,103 +685,6 @@ fn scale_benches(quick: bool) -> (BenchResult, BenchResult) {
             wall_seconds: 0.0,
         },
     )
-}
-
-/// Parallel-engine benches on a 3-site fabric, where `Auto` granularity
-/// resolves to one logical process per DC (three fabric lanes plus the
-/// host plane). Four rows:
-///
-/// * `lp_step_rate_1w` — LP engine events/sec with one worker (gated;
-///   single-threaded, so CPU-time based like the other step rates);
-/// * `lp_serial_parity` — that rate over the serial engine's on the same
-///   workload (gated: the conservative windows, barriers, and outbox
-///   routing must not cost more than the tolerated factor);
-/// * `lp_step_rate_par` — wall-clock events/sec with `min(cores, 4)`
-///   workers (informational: a 1-core host serializes the lanes);
-/// * `lp_speedup` — the par/1w wall-clock ratio (informational, same
-///   reason; ≥1.5x is only reachable with real cores to spread over).
-fn lp_benches(quick: bool) -> Vec<BenchResult> {
-    let topo = TopologyParams::multi_dc(3, 8, 4);
-    let hosts = topo.hosts_per_dc() as u32;
-    let size: u64 = if quick { 4 << 20 } else { 32 << 20 };
-    let specs = incast(4, 4, size, hosts);
-
-    // One rep: (cpu-time rate, wall-clock rate, wall seconds). CPU time
-    // over-counts multi-threaded runs (it sums every worker), so the
-    // multi-worker rows must read the wall-clock rate.
-    let run_once = |lp_jobs: usize| -> (f64, f64, f64) {
-        let mut cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 1);
-        cfg.topo = topo.clone();
-        cfg.lp_jobs = lp_jobs;
-        let mut exp = Experiment::new(cfg);
-        exp.add_specs(&specs);
-        let started = Instant::now();
-        let (r, nanos) = time_cpu(|| exp.run(240 * SECONDS));
-        let wall = started.elapsed().as_secs_f64().max(1e-9);
-        assert!(r.all_completed, "lp bench must run to completion");
-        let ev = r.manifest.events_processed as f64;
-        (ev * 1e9 / nanos as f64, ev / wall, wall)
-    };
-    let best3 = |lp_jobs: usize| -> (f64, f64, f64) {
-        let (mut cpu, mut wallr, mut wall) = (0.0f64, 0.0f64, 0.0f64);
-        for _ in 0..3 {
-            let (c, w, s) = run_once(lp_jobs);
-            cpu = cpu.max(c);
-            wallr = wallr.max(w);
-            wall += s;
-        }
-        (cpu, wallr, wall)
-    };
-
-    let (serial_cpu, _, serial_wall) = best3(0);
-    let (lp1_cpu, lp1_wallr, lp1_wall) = best3(1);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4);
-    let (_, lpn_wallr, lpn_wall) = best3(workers);
-
-    eprintln!(
-        "[uno-perfkit] lp_step_rate_1w: {:.2} Mevents/s (serial {:.2}, \
-         {workers}-worker wall {:.2})",
-        lp1_cpu / 1e6,
-        serial_cpu / 1e6,
-        lpn_wallr / 1e6,
-    );
-    let mut parity = ratio_bench(
-        "lp_serial_parity",
-        lp1_cpu,
-        serial_cpu,
-        "single-worker LP events/sec over serial-engine events/sec",
-    );
-    parity.wall_seconds = serial_wall;
-    let mut speedup = ratio_bench(
-        "lp_speedup",
-        lpn_wallr,
-        lp1_wallr,
-        "multi-worker LP wall rate over single-worker (core-count bound)",
-    );
-    speedup.gated = false;
-    vec![
-        BenchResult {
-            name: "lp_step_rate_1w".to_string(),
-            value: lp1_cpu,
-            unit: "events/sec".to_string(),
-            higher_is_better: true,
-            gated: true,
-            wall_seconds: lp1_wall,
-        },
-        parity,
-        BenchResult {
-            name: "lp_step_rate_par".to_string(),
-            value: lpn_wallr,
-            unit: "events/sec".to_string(),
-            higher_is_better: true,
-            gated: false,
-            wall_seconds: lpn_wall,
-        },
-        speedup,
-    ]
 }
 
 /// The fig08 FCT slice (3 incast scenarios × 3 schemes) through the sweep

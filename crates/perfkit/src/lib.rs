@@ -9,16 +9,16 @@
 //!   workload discrete-event simulators exhibit (pop the minimum, schedule
 //!   a successor a random delta later);
 //! * **incast step rate** — end-to-end engine events/sec on a Figure 8
-//!   style incast experiment (the meter the simulator itself maintains);
+//!   style incast experiment (the meter the simulator itself maintains),
+//!   plus the same meter on a lossless (PFC) fabric;
 //! * **transport step rate** — the same meter on an all-inter-DC incast,
 //!   where UnoRC ACK/NACK processing and block settling dominate;
 //! * **erasure codec rows** — batch encode/decode bytes/sec on the paper's
 //!   (8, 2) geometry, plus the preserved byte-at-a-time scalar encoder and
 //!   the gated batch-over-scalar speedup ratio;
-//! * **LP engine rows** — the conservative parallel engine against the
-//!   serial one on a 3-site workload: the single-worker parity ratio is
-//!   gated (window/barrier overhead must stay bounded), the multi-worker
-//!   speedup is informational because it is bounded by the host's cores;
+//! * **profiler rows** — span bookkeeping throughput, and the incast step
+//!   rate with the span profiler enabled (informational);
+//! * **scale rows** — events/sec and peak RSS on a multi-site fabric;
 //! * **fig08 slice** — wall-clock for a scheme × scenario FCT sweep run
 //!   sequentially and through the parallel [`SweepRunner`], plus the
 //!   resulting speedup.

@@ -174,31 +174,6 @@ pub struct Ctx<'a> {
     actions: &'a mut Vec<Action>,
 }
 
-impl<'a> Ctx<'a> {
-    /// Assemble a callback context from its parts (the parallel engine
-    /// builds lane-local contexts outside this module).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        now: Time,
-        flow: FlowId,
-        rng: &'a mut SmallRng,
-        topo: &'a Topology,
-        tracer: &'a mut Tracer,
-        profiler: &'a mut Profiler,
-        actions: &'a mut Vec<Action>,
-    ) -> Ctx<'a> {
-        Ctx {
-            now,
-            flow,
-            rng,
-            topo,
-            tracer,
-            profiler,
-            actions,
-        }
-    }
-}
-
 impl Ctx<'_> {
     /// Send `pkt` (injected at `pkt.src`'s NIC uplink).
     pub fn send(&mut self, pkt: Packet) {
@@ -341,14 +316,11 @@ pub struct LinkStats {
 pub struct Simulator {
     /// The network.
     pub topo: Topology,
-    pub(crate) events: EventQueue,
-    pub(crate) now: Time,
-    pub(crate) rng: SmallRng,
-    /// RNG seed the simulator was created with (the parallel engine derives
-    /// per-lane streams from it).
-    pub(crate) seed: u64,
-    pub(crate) flows: FlowTable,
-    pub(crate) terminated_flows: usize,
+    events: EventQueue,
+    now: Time,
+    rng: SmallRng,
+    flows: FlowTable,
+    terminated_flows: usize,
     /// Completion records, in completion order.
     pub fcts: Vec<FctRecord>,
     /// Failure records (stalled/aborted flows), in failure order.
@@ -363,7 +335,7 @@ pub struct Simulator {
     /// Free list of action buffers for [`Simulator::call_flow`]: buffers
     /// are checked out per callback and returned with their capacity
     /// intact, so the steady-state hot path performs no allocation.
-    pub(crate) action_pool: Vec<Vec<Action>>,
+    action_pool: Vec<Vec<Action>>,
     /// Total events processed (for engine benchmarking).
     pub events_processed: u64,
     /// Structured event sink (defaults to disabled; see [`Tracer`]).
@@ -371,7 +343,7 @@ pub struct Simulator {
     /// Engine-speed meter: events processed per wall-clock second spent
     /// inside [`Simulator::run_until`] (consumed by run manifests and
     /// `uno-perfkit`).
-    pub(crate) meter: RateMeter,
+    meter: RateMeter,
     /// Periodic telemetry collector (absent unless
     /// [`Simulator::enable_telemetry`] was called).
     pub telemetry: Option<Telemetry>,
@@ -380,48 +352,17 @@ pub struct Simulator {
     pub profiler: Profiler,
     /// Progress-heartbeat state (absent unless
     /// [`Simulator::set_heartbeat`] was called).
-    pub(crate) heartbeat: Option<Heartbeat>,
-    /// Parallel-engine configuration; `None` (the default) runs the serial
-    /// engine unchanged. See [`Simulator::set_lp_jobs`].
-    pub(crate) lp: Option<crate::lp::LpConfig>,
+    heartbeat: Option<Heartbeat>,
 }
 
 /// Wall-clock progress-heartbeat state: prints a one-line status to stderr
 /// at a wall interval. Reads the wall clock but never writes simulated
 /// state, so it stays outside the determinism guarantee like the meter.
-pub(crate) struct Heartbeat {
+struct Heartbeat {
     interval: std::time::Duration,
     started: std::time::Instant,
     last: std::time::Instant,
     last_events: u64,
-}
-
-impl Heartbeat {
-    /// Emit a heartbeat line if the wall interval elapsed. `queued` is
-    /// evaluated only when a line is actually printed.
-    pub(crate) fn maybe_emit(
-        &mut self,
-        now: Time,
-        events_processed: u64,
-        queued: impl FnOnce() -> u64,
-    ) {
-        let elapsed = self.last.elapsed();
-        if elapsed < self.interval {
-            return;
-        }
-        let mut meter = RateMeter::new();
-        meter.record(events_processed - self.last_events, elapsed);
-        eprintln!(
-            "[uno] sim {:.3} ms | wall {:.1} s | {:.2} Mev/s | {} events | queued {} B",
-            now as f64 / 1e6,
-            self.started.elapsed().as_secs_f64(),
-            meter.per_sec() / 1e6,
-            events_processed,
-            queued()
-        );
-        self.last = std::time::Instant::now();
-        self.last_events = events_processed;
-    }
 }
 
 impl Simulator {
@@ -432,7 +373,6 @@ impl Simulator {
             events: EventQueue::new(),
             now: 0,
             rng: SmallRng::seed_from_u64(seed),
-            seed,
             flows: FlowTable::default(),
             terminated_flows: 0,
             fcts: Vec::new(),
@@ -447,7 +387,6 @@ impl Simulator {
             telemetry: None,
             profiler: Profiler::disabled(),
             heartbeat: None,
-            lp: None,
         }
     }
 
@@ -605,10 +544,23 @@ impl Simulator {
         let Some(hb) = &mut self.heartbeat else {
             return;
         };
-        let links = &self.topo.links;
-        hb.maybe_emit(self.now, self.events_processed, || {
-            links.total_queued_bytes()
-        });
+        let elapsed = hb.last.elapsed();
+        if elapsed < hb.interval {
+            return;
+        }
+        let mut meter = RateMeter::new();
+        meter.record(self.events_processed - hb.last_events, elapsed);
+        let queued: u64 = self.topo.links.total_queued_bytes();
+        eprintln!(
+            "[uno] sim {:.3} ms | wall {:.1} s | {:.2} Mev/s | {} events | queued {} B",
+            self.now as f64 / 1e6,
+            hb.started.elapsed().as_secs_f64(),
+            meter.per_sec() / 1e6,
+            self.events_processed,
+            queued
+        );
+        hb.last = std::time::Instant::now();
+        hb.last_events = self.events_processed;
     }
 
     /// Aggregate network statistics.
@@ -706,15 +658,7 @@ impl Simulator {
 
     /// Process events until simulated time exceeds `end` (which becomes the
     /// new `now`), the event queue drains, or all flows complete.
-    ///
-    /// With a parallel configuration installed ([`Simulator::set_lp_jobs`])
-    /// this delegates to the conservative parallel engine; the default is
-    /// the serial path below, untouched.
     pub fn run_until(&mut self, end: Time) {
-        if self.lp.is_some() {
-            self.run_until_lp(end);
-            return;
-        }
         // Wall-clock policy: `Instant::now` feeds only the engine-speed
         // meters ([`Simulator::wall_seconds`] / [`Simulator::events_per_sec`],
         // consumed by run manifests). It must never influence simulated

@@ -210,14 +210,16 @@ impl EventQueue {
             // many events share the tick. The at-or-*before* case matters:
             // `peek_time` advances the cursor to the minimum *pending* tick
             // without popping, and a caller may then legally push an
-            // earlier event (still at/after the floor) — the parallel
-            // engine does exactly this when it peeks every lane to size a
-            // window and then routes cross-lane messages in. Such an event
-            // must not be filed into a wheel bucket the cursor has already
-            // passed, or it would surface a whole lap late and pop out of
-            // order. In the cursor heap it keeps the invariant that the
-            // heap head is the global minimum (its tick stays ≤ every
-            // wheel/overflow tick).
+            // earlier event (still at/after the floor). The engine does
+            // exactly this: `run_until(end)` peeks a head beyond `end` and
+            // stops, and the caller may then schedule at the new `now` —
+            // between run slices, or before `install_faults` /
+            // `schedule_link_down` — in a tick the cursor has skipped.
+            // Such an event must not be filed into a wheel bucket the
+            // cursor has already passed, or it would surface a whole lap
+            // late and pop out of order. In the cursor heap it keeps the
+            // invariant that the heap head is the global minimum (its tick
+            // stays ≤ every wheel/overflow tick).
             self.cursor.push(Reverse(e));
         } else if e.tick() >= self.cur_tick + NUM_BUCKETS as u64 {
             self.overflow.push(Reverse(e));
@@ -466,9 +468,8 @@ mod tests {
     fn push_behind_a_peek_advanced_cursor_stays_ordered() {
         // `peek_time` advances the cursor to the minimum pending tick
         // without popping; a later push may land in an *earlier* tick while
-        // still respecting the floor (the parallel engine's peek-all-lanes
-        // → route-messages pattern). The earlier event must still pop
-        // first.
+        // still respecting the floor (the engine's run-slice → schedule-at-
+        // now pattern). The earlier event must still pop first.
         let mut q = EventQueue::new();
         q.push(22_134, Event::Sample(1)); // tick 21
         assert_eq!(q.peek_time(), Some(22_134)); // cursor now at tick 21

@@ -15,17 +15,10 @@
 //! * a deterministic event engine with a protocol-agnostic [`FlowLogic`]
 //!   callback interface that the transport crates plug into.
 //!
-//! The engine is deterministic by construction (seeded RNG + FIFO
-//! tie-breaking in the event queue): the same seed always yields
-//! bit-identical results, which the experiment harness relies on. The
-//! default engine is single-threaded; [`Simulator::set_lp_jobs`] opts into
-//! a conservative parallel engine that cuts one run into pod/DC logical
-//! processes with link-delay lookahead (see [`lp`] and the `parallel`
-//! module docs). The parallel engine is worker-count independent — for a
-//! fixed seed, `jobs = 1` and `jobs = N` are byte-identical — though its
-//! event interleaving (and hence RNG draw order) is a different
-//! deterministic universe from the serial engine's. Parallelism across
-//! independent runs still lives in the harness.
+//! The engine is single-threaded and deterministic by construction (seeded
+//! RNG + FIFO tie-breaking in the event queue): the same seed always yields
+//! bit-identical results, which the experiment harness relies on. Parallelism
+//! across independent simulation runs lives in the harness, not here.
 //!
 //! ```
 //! use uno_sim::{Simulator, Topology, TopologyParams};
@@ -42,9 +35,7 @@ pub mod event;
 pub mod fault;
 pub mod ids;
 pub mod loss;
-pub mod lp;
 pub mod packet;
-mod parallel;
 pub mod queue;
 pub mod tables;
 pub mod time;
@@ -59,7 +50,6 @@ pub use fault::{FaultEntry, FaultKind, FaultPlane, FaultSpec, FaultTarget, LinkH
 // `uno-trace` directly.
 pub use ids::{FlowId, LinkId, NodeId};
 pub use loss::{ChunkLossStats, GilbertElliott};
-pub use lp::{partition, LpConfig, LpGranularity, Partition};
 pub use packet::{Packet, PacketKind};
 pub use queue::{EnqueueOutcome, PhantomQueue, PortQueue, RedParams};
 pub use tables::{FlowTable, FwdTable, LinkTable};

@@ -284,220 +284,6 @@ impl LinkTable {
     pub fn total_queued_bytes(&self) -> u64 {
         self.queue.iter().map(|q| q.bytes()).sum()
     }
-
-    /// Extract the transmit-side state of link `l` for a parallel-DES lane.
-    /// The slot left behind is an empty placeholder; callers must
-    /// [`LinkTable::put_tx_state`] before the table is read again.
-    pub fn take_tx_state(&mut self, l: LinkId) -> TxLinkState {
-        let i = l.index();
-        TxLinkState {
-            queue: std::mem::replace(
-                &mut self.queue[i],
-                PortQueue::new(0, crate::queue::RedParams::default()),
-            ),
-            busy: self.busy[i],
-            tx_packets: std::mem::take(&mut self.tx_packets[i]),
-            tx_bytes: std::mem::take(&mut self.tx_bytes[i]),
-            lost_packets: 0,
-            pause_refs: self.pause_refs[i],
-            pause_depth: self.pause_depth[i],
-            paused_since: self.paused_since[i],
-            paused_ns: std::mem::take(&mut self.paused_ns[i]),
-        }
-    }
-
-    /// Restore transmit-side state previously taken from link `l`.
-    pub fn put_tx_state(&mut self, l: LinkId, s: TxLinkState) {
-        let i = l.index();
-        self.queue[i] = s.queue;
-        self.busy[i] = s.busy;
-        self.tx_packets[i] = s.tx_packets;
-        self.tx_bytes[i] = s.tx_bytes;
-        // Additive: the rx side restores the extracted counter, the tx side
-        // contributes losses it charged while the link state was split
-        // (drops on down links, queue purges). Restore order is free.
-        self.lost_packets[i] += s.lost_packets;
-        self.pause_refs[i] = s.pause_refs;
-        self.pause_depth[i] = s.pause_depth;
-        self.paused_since[i] = s.paused_since;
-        self.paused_ns[i] = s.paused_ns;
-    }
-
-    /// Extract the receive-side state of link `l` for a parallel-DES lane.
-    pub fn take_rx_state(&mut self, l: LinkId) -> RxLinkState {
-        let i = l.index();
-        RxLinkState {
-            lost_packets: std::mem::take(&mut self.lost_packets[i]),
-            loss: self.loss[i].take(),
-        }
-    }
-
-    /// Restore receive-side state previously taken from link `l`.
-    pub fn put_rx_state(&mut self, l: LinkId, s: RxLinkState) {
-        let i = l.index();
-        self.lost_packets[i] += s.lost_packets;
-        self.loss[i] = s.loss;
-    }
-
-    /// Extract the coordinator-owned control columns (up/epoch/health) so
-    /// the parallel engine can share them behind a lock while the rest of
-    /// the topology stays immutably borrowed. The table is unusable until
-    /// [`LinkTable::restore_ctl_cols`].
-    pub fn take_ctl_cols(&mut self) -> CtlCols {
-        CtlCols {
-            up: std::mem::take(&mut self.up),
-            epoch: std::mem::take(&mut self.epoch),
-            health: std::mem::take(&mut self.health),
-        }
-    }
-
-    /// Restore control columns previously taken.
-    pub fn restore_ctl_cols(&mut self, c: CtlCols) {
-        debug_assert!(c.up.len() == self.len() && c.epoch.len() == self.len());
-        self.up = c.up;
-        self.epoch = c.epoch;
-        self.health = c.health;
-    }
-}
-
-/// Transmit-side per-link state a parallel-DES lane owns exclusively: the
-/// egress queue, transmitter flags, tx counters, and the PFC pause book.
-/// Everything the owner of `from(l)` mutates when forwarding onto `l`.
-#[derive(Debug)]
-pub struct TxLinkState {
-    /// The link's output port queue.
-    pub queue: PortQueue,
-    /// True while a packet is serializing onto the wire.
-    pub busy: bool,
-    /// Packets transmitted.
-    pub tx_packets: u64,
-    /// Bytes transmitted.
-    pub tx_bytes: u64,
-    /// Losses charged by the tx side (enqueue on a down link, purges);
-    /// added to the link's loss counter on restore.
-    pub lost_packets: u64,
-    pause_refs: u32,
-    pause_depth: u32,
-    paused_since: Time,
-    paused_ns: u64,
-}
-
-impl TxLinkState {
-    /// True while at least one PFC PAUSE holds this link's transmitter.
-    #[inline]
-    pub fn paused(&self) -> bool {
-        self.pause_refs > 0
-    }
-
-    /// Mirror of [`LinkTable::apply_pause`] on the extracted state.
-    pub fn apply_pause(&mut self, now: Time, depth: u32) -> bool {
-        self.pause_refs += 1;
-        self.pause_depth = self.pause_depth.max(depth);
-        if self.pause_refs == 1 {
-            self.paused_since = now;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Mirror of [`LinkTable::release_pause`] on the extracted state.
-    pub fn release_pause(&mut self, now: Time) -> bool {
-        debug_assert!(self.pause_refs > 0, "resume without pause");
-        self.pause_refs = self.pause_refs.saturating_sub(1);
-        if self.pause_refs == 0 {
-            self.paused_ns += now.saturating_sub(self.paused_since);
-            self.pause_depth = 0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Pause-tree depth attributed to this link (0 while unpaused).
-    pub fn pause_depth(&self) -> u32 {
-        self.pause_depth
-    }
-
-    /// Mirror of [`LinkTable::paused_ns`] (open epoch included).
-    pub fn paused_ns(&self, now: Time) -> u64 {
-        let open = if self.pause_refs > 0 {
-            now.saturating_sub(self.paused_since)
-        } else {
-            0
-        };
-        self.paused_ns + open
-    }
-
-    /// Record one transmitted packet of `bytes`.
-    #[inline]
-    pub fn note_tx(&mut self, bytes: u64) {
-        self.tx_packets += 1;
-        self.tx_bytes += bytes;
-    }
-}
-
-/// Receive-side per-link state a parallel-DES lane owns exclusively: the
-/// loss counter and the stateful correlated-loss model, both mutated per
-/// arrival by the owner of `to(l)`.
-#[derive(Debug)]
-pub struct RxLinkState {
-    /// Packets lost on the link itself.
-    pub lost_packets: u64,
-    /// Correlated-loss model (`None` = lossless link).
-    pub loss: Option<GilbertElliott>,
-}
-
-/// The coordinator-owned link control columns (up/down, failure epoch,
-/// fault health), extracted from [`LinkTable`] for the duration of a
-/// parallel run: lanes read them behind a lock, only the coordinator's
-/// serialized control steps write them.
-#[derive(Debug, Default)]
-pub struct CtlCols {
-    up: Vec<bool>,
-    epoch: Vec<u32>,
-    health: Vec<LinkHealth>,
-}
-
-impl CtlCols {
-    /// True while the link is serviceable.
-    #[inline]
-    pub fn is_up(&self, l: LinkId) -> bool {
-        self.up[l.index()]
-    }
-
-    /// Set the up/down flag (coordinator control steps only).
-    pub fn set_up(&mut self, l: LinkId, up: bool) {
-        self.up[l.index()] = up;
-    }
-
-    /// Current failure epoch.
-    #[inline]
-    pub fn epoch(&self, l: LinkId) -> u32 {
-        self.epoch[l.index()]
-    }
-
-    /// Advance the failure epoch (invalidates in-flight packets).
-    pub fn bump_epoch(&mut self, l: LinkId) {
-        let e = &mut self.epoch[l.index()];
-        *e = e.wrapping_add(1);
-    }
-
-    /// Current fault health.
-    #[inline]
-    pub fn health(&self, l: LinkId) -> &LinkHealth {
-        &self.health[l.index()]
-    }
-
-    /// Mutable fault health (fault plane transitions).
-    pub fn health_mut(&mut self, l: LinkId) -> &mut LinkHealth {
-        &mut self.health[l.index()]
-    }
-
-    /// Number of links whose up flag is false.
-    pub fn links_down(&self) -> usize {
-        self.up.iter().filter(|u| !**u).count()
-    }
 }
 
 /// Interned forwarding state: every node's port lists flattened into one
@@ -782,47 +568,6 @@ mod tests {
         assert!(t.apply_pause(l, 10_000, 1));
         assert!(t.release_pause(l, 10_500));
         assert_eq!(t.paused_ns(l, 99_999), 2500);
-    }
-
-    #[test]
-    fn tx_rx_ctl_state_round_trips() {
-        let mut t = LinkTable::default();
-        let q = PortQueue::new(64 * 1024, crate::queue::RedParams::default());
-        let l = t.push(NodeId(0), NodeId(1), 100, 500, LinkClass::EdgeAgg, q);
-        t.set_busy(l, true);
-        t.note_tx(l, 1500);
-        t.note_lost(l, 2);
-        t.apply_pause(l, 1000, 2);
-        t.set_up(l, false);
-        t.bump_epoch(l);
-        t.health_mut(l).gray_loss = 0.5;
-
-        let mut tx = t.take_tx_state(l);
-        let rx = t.take_rx_state(l);
-        let mut ctl = t.take_ctl_cols();
-        assert!(tx.busy && tx.paused());
-        assert_eq!(tx.pause_depth(), 2);
-        assert_eq!(tx.paused_ns(1500), 500);
-        assert_eq!((tx.tx_packets, tx.tx_bytes), (1, 1500));
-        assert_eq!(rx.lost_packets, 2);
-        assert!(!ctl.is_up(l));
-        assert_eq!(ctl.epoch(l), 1);
-        assert_eq!(ctl.health(l).gray_loss, 0.5);
-        assert_eq!(ctl.links_down(), 1);
-
-        tx.note_tx(500);
-        assert!(tx.release_pause(2000));
-        ctl.set_up(l, true);
-        ctl.bump_epoch(l);
-        t.put_tx_state(l, tx);
-        t.put_rx_state(l, rx);
-        t.restore_ctl_cols(ctl);
-        assert_eq!((t.tx_packets(l), t.tx_bytes(l)), (2, 2000));
-        assert!(!t.paused(l));
-        assert_eq!(t.paused_ns(l, 9999), 1000);
-        assert!(t.is_up(l));
-        assert_eq!(t.epoch(l), 2);
-        assert_eq!(t.lost_packets(l), 2);
     }
 
     #[test]

@@ -251,3 +251,23 @@ fn flow_start_time_is_honoured() {
     assert!(sim.fcts[0].start == 5 * MILLIS);
     assert!(sim.fcts[0].end > 5 * MILLIS);
 }
+
+#[test]
+fn scheduling_behind_a_peeked_head_between_run_slices_fires_in_time() {
+    // `run_until(end)` peeks the queue head to decide whether to stop; the
+    // peek advances the calendar queue's cursor to that head's tick. A
+    // caller may then schedule at the new `now`, in a tick the cursor has
+    // already passed. That event must still fire on time, not a wheel lap
+    // late.
+    let mut sim = Simulator::new(topo(), 7);
+    let mut ids = sim.topo.links.ids();
+    let (a, b) = (ids.next().unwrap(), ids.next().unwrap());
+    sim.schedule_link_down(a, 20 * MICROS);
+    sim.run_until(10 * MICROS);
+    sim.schedule_link_down(b, 11 * MICROS);
+    sim.run_until(15 * MICROS);
+    assert!(!sim.topo.links.is_up(b), "link b must be down at 15 us");
+    assert!(sim.topo.links.is_up(a), "link a goes down only at 20 us");
+    sim.run_until(25 * MICROS);
+    assert!(!sim.topo.links.is_up(a));
+}

@@ -9,7 +9,6 @@
 //! uno-fuzz --seed-range 0..200 --quick          # CI smoke
 //! uno-fuzz --seed 1337 --full                   # one big scenario
 //! uno-fuzz --seed-range 0..50 --lossless        # PFC-armed lossless fabrics
-//! uno-fuzz --seed-range 0..50 --lp-jobs 4       # parallel-engine differential
 //! uno-fuzz --seed-range 0..500 --erasure        # codec vs naive-RS oracle
 //! uno-fuzz --replay results/repro_ab12cd.json   # rerun a reproducer
 //! ```
@@ -18,12 +17,6 @@
 //! ([`Scenario::generate_lossless`]): the same topology/workload/fault
 //! space, plus seed-derived XOFF thresholds, with the pause-discipline,
 //! storm, deadlock, and pause-liveness invariants doing real work.
-//!
-//! `--lp-jobs N` runs every generated scenario on the conservative
-//! parallel engine with N workers — and, when N > 1, re-runs it with a
-//! single worker and requires the two outcomes to match exactly. That is
-//! the engine's worker-count-independence contract checked over the whole
-//! fuzz corpus, on top of the usual invariant suite.
 //!
 //! `--erasure` switches from full-stack scenarios to codec differential
 //! cases: each seed becomes a random `(data, parity, shard_len, erasure
@@ -39,7 +32,7 @@ use std::process::ExitCode;
 
 use uno_testkit::{
     run_erasure_case, run_scenario, shrink, shrink_erasure_case, write_erasure_repro, write_repro,
-    ErasureCase, Outcome, Scenario,
+    ErasureCase, Scenario,
 };
 
 struct Args {
@@ -49,7 +42,6 @@ struct Args {
     inject_block_bug: bool,
     lossless: bool,
     erasure: bool,
-    lp_jobs: usize,
     no_shrink: bool,
     out: PathBuf,
     verbose: bool,
@@ -63,7 +55,6 @@ fn parse_args() -> Args {
         inject_block_bug: false,
         lossless: false,
         erasure: false,
-        lp_jobs: 0,
         no_shrink: false,
         out: PathBuf::from("results"),
         verbose: false,
@@ -86,9 +77,6 @@ fn parse_args() -> Args {
             "--inject-block-bug" => args.inject_block_bug = true,
             "--lossless" => args.lossless = true,
             "--erasure" => args.erasure = true,
-            "--lp-jobs" => {
-                args.lp_jobs = it.next().and_then(|s| s.parse().ok()).expect("--lp-jobs N");
-            }
             "--no-shrink" => args.no_shrink = true,
             "--out" => args.out = PathBuf::from(it.next().expect("--out DIR")),
             "--verbose" | "-v" => args.verbose = true,
@@ -96,7 +84,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "unknown flag {other}\nusage: uno-fuzz [--seed-range A..B] [--seed N] \
                      [--quick|--full] [--replay FILE] [--inject-block-bug] [--lossless] \
-                     [--erasure] [--lp-jobs N] [--no-shrink] [--out DIR] [--verbose]"
+                     [--erasure] [--no-shrink] [--out DIR] [--verbose]"
                 );
                 std::process::exit(2);
             }
@@ -185,35 +173,6 @@ fn handle(sc: &Scenario, args: &Args) -> bool {
     false
 }
 
-/// Worker-count-independence differential: rerun `sc` with a single LP
-/// worker and compare every outcome field against the N-worker run. The
-/// parallel engine promises LP(1) ≡ LP(N) exactly, so *any* divergence —
-/// event counts, end time, even the violation list — is an engine bug.
-fn lp_parity_mismatch(sc: &Scenario, out: &Outcome) -> Option<String> {
-    let mut one = sc.clone();
-    one.lp_jobs = 1;
-    let base = run_scenario(&one);
-    if base.events_seen != out.events_seen
-        || base.completed != out.completed
-        || base.sim_end != out.sim_end
-        || base.suppressed != out.suppressed
-        || base.violations.len() != out.violations.len()
-    {
-        Some(format!(
-            "lp(1) saw {} events / end {} / {} violation(s), lp({}) saw {} / {} / {}",
-            base.events_seen,
-            base.sim_end,
-            base.violations.len(),
-            sc.lp_jobs,
-            out.events_seen,
-            out.sim_end,
-            out.violations.len(),
-        ))
-    } else {
-        None
-    }
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
 
@@ -279,17 +238,11 @@ fn main() -> ExitCode {
         };
     }
 
-    let lp_note = if args.lp_jobs > 0 {
-        format!(" lp-jobs={}", args.lp_jobs)
-    } else {
-        String::new()
-    };
     println!(
-        "uno-fuzz: {} {}{}{} scenario(s), seeds {}..{}",
+        "uno-fuzz: {} {}{} scenario(s), seeds {}..{}",
         total,
         if args.quick { "quick" } else { "full" },
         if args.lossless { " lossless" } else { "" },
-        lp_note,
         args.seeds.start,
         args.seeds.end
     );
@@ -302,26 +255,11 @@ fn main() -> ExitCode {
             Scenario::generate(seed, args.quick)
         };
         sc.inject_block_bug = args.inject_block_bug;
-        sc.lp_jobs = args.lp_jobs;
         let out = run_scenario(&sc);
         events += out.events_seen;
         if out.failed() {
             failures += 1;
             handle(&sc, &args);
-        } else if args.lp_jobs > 1 {
-            if let Some(why) = lp_parity_mismatch(&sc, &out) {
-                failures += 1;
-                println!("seed {seed}: FAIL (lp parity: {why})");
-                match write_repro(&sc, &args.out) {
-                    Ok(path) => println!("  reproducer written to {}", path.display()),
-                    Err(e) => eprintln!("  could not write reproducer: {e}"),
-                }
-            } else if args.verbose {
-                println!(
-                    "seed {seed}: ok, lp(1) ≡ lp({}) ({} events)",
-                    args.lp_jobs, out.events_seen
-                );
-            }
         } else if args.verbose {
             println!("seed {seed}: ok ({} events)", out.events_seen);
         } else if (i + 1) % 25 == 0 {

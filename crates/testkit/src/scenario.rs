@@ -154,13 +154,6 @@ pub struct Scenario {
     /// PFC XOFF threshold in permille of each port's queue capacity
     /// (`0` keeps the topology default). Only meaningful with `lossless`.
     pub pfc_xoff_permille: u32,
-    /// Simulation engine: `0` runs serial, `N ≥ 1` runs the conservative
-    /// parallel engine with N logical-process workers. LP mode is a
-    /// distinct deterministic universe (worker-count independent, but not
-    /// byte-identical to serial), so digests from the two engines must
-    /// never be compared. Serialized only when nonzero, so pre-LP scenario
-    /// files parse (and hash) unchanged.
-    pub lp_jobs: usize,
 }
 
 /// What a checked scenario run produced.
@@ -282,7 +275,6 @@ impl Scenario {
             inject_block_bug: false,
             lossless: false,
             pfc_xoff_permille: 0,
-            lp_jobs: 0,
         }
     }
 
@@ -402,11 +394,6 @@ impl Scenario {
                 Value::U64(self.pfc_xoff_permille as u64),
             ));
         }
-        // Same deal for the engine selector: serial scenarios (the whole
-        // pre-LP corpus) round-trip byte-identically.
-        if self.lp_jobs > 0 {
-            fields.push(("lp_jobs", Value::U64(self.lp_jobs as u64)));
-        }
         fields.push(("flows", Value::Array(flows)));
         fields.push(("faults", Value::Array(faults)));
         obj(fields)
@@ -494,11 +481,6 @@ impl Scenario {
                 .get("pfc_xoff_permille")
                 .and_then(|x| x.as_f64())
                 .map_or(0, |f| f as u32),
-            // Absent in pre-LP files: default serial.
-            lp_jobs: v
-                .get("lp_jobs")
-                .and_then(|x| x.as_f64())
-                .map_or(0, |f| f as usize),
         })
     }
 
@@ -574,7 +556,6 @@ fn prepare_scenario(sc: &Scenario) -> (Experiment, Vec<FlowSpec>, bool) {
     if permanent {
         cfg.degradation = Some(DegradationConfig::default());
     }
-    cfg.lp_jobs = sc.lp_jobs;
     let mut e = Experiment::new(cfg);
 
     // Normalise workload addressing against the actual topology and add
@@ -966,7 +947,6 @@ mod tests {
             inject_block_bug: false,
             lossless: false,
             pfc_xoff_permille: 0,
-            lp_jobs: 0,
         };
         let back = Scenario::from_json(&sc.to_json_pretty()).unwrap();
         assert_eq!(sc, back);
@@ -1007,7 +987,6 @@ mod tests {
             inject_block_bug: false,
             lossless: false,
             pfc_xoff_permille: 0,
-            lp_jobs: 0,
         };
         let out = run_scenario(&sc);
         assert!(

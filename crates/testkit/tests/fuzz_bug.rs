@@ -26,7 +26,6 @@ fn bug_scenario() -> Scenario {
         inject_block_bug: true,
         lossless: false,
         pfc_xoff_permille: 0,
-        lp_jobs: 0,
     }
 }
 

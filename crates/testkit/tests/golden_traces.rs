@@ -171,30 +171,6 @@ fn lossless_cell(seed: u64) -> String {
     )
 }
 
-/// One parallel-engine cell: a seed-derived scenario on the conservative
-/// LP engine with `jobs` workers, traced and digested like every other
-/// cell. LP mode is a distinct deterministic universe from the serial
-/// engine (its own committed digests, never compared against serial
-/// cells); *within* that universe the digest must be byte-identical for
-/// any worker count — that is the contract
-/// [`lp_digests_are_worker_count_independent`] pins.
-fn lp_cell(seed: u64, jobs: usize) -> String {
-    let mut sc = Scenario::generate(seed, true);
-    sc.lp_jobs = jobs;
-    let buf = SharedBuf::default();
-    let tracer = Tracer::jsonl_writer(Box::new(buf.clone()), TraceConfig::all());
-    let run = run_scenario_traced(&sc, tracer);
-    assert!(run.terminated > 0, "lp scenario must produce outcomes");
-    digest(
-        &buf.take(),
-        &[
-            ("counters", &run.counters),
-            ("fcts", &run.fcts.join("\n")),
-            ("sim_end", &run.sim_end.to_string()),
-        ],
-    )
-}
-
 /// Run every cell, returning `(name, digest)` pairs in a stable order.
 fn all_cells() -> Vec<(String, String)> {
     let mut out = Vec::new();
@@ -218,11 +194,6 @@ fn all_cells() -> Vec<(String, String)> {
     ));
     for seed in [3u64, 17, 29] {
         out.push((format!("lossless/seed{seed}"), lossless_cell(seed)));
-    }
-    // Committed at lp_jobs = 1; worker-count independence makes the same
-    // digest the golden for every other worker count.
-    for seed in [5u64, 11] {
-        out.push((format!("lp/seed{seed}"), lp_cell(seed, 1)));
     }
     out
 }
@@ -294,16 +265,4 @@ fn cells_are_deterministic_within_a_process() {
     let a = fig08_cell(0, 2, 2, 7);
     let b = fig08_cell(0, 2, 2, 7);
     assert_eq!(a, b);
-}
-
-/// The parallel engine's worker-count-independence contract at full trace
-/// granularity: one worker and four workers must produce byte-identical
-/// traces, counters, FCT tables, and end times. This is what lets the
-/// `lp/*` goldens be committed once (at `lp_jobs = 1`) yet hold for any
-/// `--lp-jobs` value.
-#[test]
-fn lp_digests_are_worker_count_independent() {
-    for seed in [5u64, 11] {
-        assert_eq!(lp_cell(seed, 1), lp_cell(seed, 4), "seed {seed}");
-    }
 }

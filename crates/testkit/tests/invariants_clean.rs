@@ -71,7 +71,6 @@ fn stress(scheme: u8) -> Scenario {
         inject_block_bug: false,
         lossless: false,
         pfc_xoff_permille: 0,
-        lp_jobs: 0,
     }
 }
 

@@ -109,10 +109,6 @@ enum Sink {
     Jsonl { out: Box<dyn Write + Send> },
     /// Live in-process consumer (invariant checkers, custom aggregators).
     Callback(Box<dyn FnMut(&TraceEvent) + Send>),
-    /// Unbounded in-memory collector, drained by the owner. Used by the
-    /// parallel-DES lanes: each lane collects locally, the coordinator
-    /// drains at window barriers and re-emits in canonical merge order.
-    Collect(Vec<TraceEvent>),
 }
 
 /// Event sink handed to the simulator. The disabled tracer costs one branch
@@ -181,13 +177,6 @@ impl Tracer {
         Tracer::with_sink(Some(Sink::Callback(f)), config)
     }
 
-    /// Buffer every event in memory until [`Tracer::drain_collected`].
-    /// Collectors are unfiltered: the consumer that re-emits the drained
-    /// events applies its own filter, so filtering here would double-drop.
-    pub fn collector() -> Self {
-        Tracer::with_sink(Some(Sink::Collect(Vec::new())), TraceConfig::all())
-    }
-
     /// True when a sink is attached. Instrumentation sites branch on this
     /// before building an event, so the disabled path does no work.
     #[inline]
@@ -228,16 +217,6 @@ impl Tracer {
                 }
             }
             Sink::Callback(f) => f(&ev),
-            Sink::Collect(buf) => buf.push(ev),
-        }
-    }
-
-    /// Take the buffered events out of a collector sink, oldest first
-    /// (empty for every other sink kind). The collector stays armed.
-    pub fn drain_collected(&mut self) -> Vec<TraceEvent> {
-        match &mut self.sink {
-            Some(Sink::Collect(buf)) => std::mem::take(buf),
-            _ => Vec::new(),
         }
     }
 
@@ -370,20 +349,6 @@ mod tests {
         t.emit(ack(7));
         assert_eq!(t.emitted(), 2);
         assert_eq!(*seen.lock().unwrap(), vec![enq(7, 1), ack(7)]);
-    }
-
-    #[test]
-    fn collector_buffers_until_drained() {
-        let mut t = Tracer::collector();
-        assert!(t.enabled());
-        t.emit(enq(7, 1));
-        t.emit(ack(7));
-        assert_eq!(t.drain_collected(), vec![enq(7, 1), ack(7)]);
-        // Draining leaves the collector armed and empty.
-        assert!(t.enabled());
-        assert!(t.drain_collected().is_empty());
-        t.emit(ack(9));
-        assert_eq!(t.drain_collected(), vec![ack(9)]);
     }
 
     #[test]
