@@ -647,7 +647,8 @@ fn scale_benches(quick: bool) -> (BenchResult, BenchResult) {
     }
 
     // Isolate this run's high-water mark from the earlier microbenches
-    // (the event-queue hold model alone peaks in the hundreds of MiB).
+    // (in the quick suite they raise the process peak to about three times
+    // this run's own).
     let isolated = reset_peak_rss();
     let mut cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 1);
     cfg.topo = topo;

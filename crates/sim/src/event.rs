@@ -22,9 +22,11 @@
 //!   synchronized start — e.g. a 32k-flow permutation — lands millions of
 //!   events in one 1 µs bucket.)
 //!
-//! Bucket vectors retain their capacity across laps of the wheel, so after
-//! warm-up the hot path allocates nothing: the wheel doubles as a free
-//! list for event storage.
+//! Wheel memory tracks pending events: when the cursor drains a bucket
+//! into its heap, the bucket's buffer goes back to the allocator, and a
+//! bucket that fills again grows a fresh vector from memory recycled from
+//! earlier drains. Parking drained buffers in the wheel instead would make
+//! its storage the sum of all buckets' peak sizes, not the pending count.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -313,14 +315,14 @@ impl EventQueue {
                 break;
             }
         }
-        // Move the target bucket's entries into the cursor heap, handing the
-        // (now empty) vector back to the wheel so its capacity is reused.
+        // Move the target bucket's entries into the cursor heap and release
+        // the bucket's buffer: the wheel holds storage only for pending
+        // events.
         let idx = (target & BUCKET_MASK) as usize;
-        let mut v = std::mem::take(&mut self.buckets[idx]);
+        let v = std::mem::take(&mut self.buckets[idx]);
         self.wheel_len -= v.len();
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
-        self.cursor.extend(v.drain(..).map(Reverse));
-        self.buckets[idx] = v;
+        self.cursor.extend(v.into_iter().map(Reverse));
         self.cursor_tick = Some(target);
         true
     }
@@ -342,6 +344,17 @@ impl EventQueue {
             }
         }
         unreachable!("wheel_len > 0 but no occupied bucket");
+    }
+}
+
+#[cfg(test)]
+impl EventQueue {
+    /// Entries the queue's buffers can hold without reallocating: every
+    /// wheel bucket, the cursor heap and the overflow heap together.
+    fn retained_capacity(&self) -> usize {
+        self.buckets.iter().map(Vec::capacity).sum::<usize>()
+            + self.cursor.capacity()
+            + self.overflow.capacity()
     }
 }
 
@@ -528,6 +541,37 @@ mod tests {
             }
         }
         assert!(heap.pop().is_none());
+    }
+
+    /// A steady burst: 64 events land two ticks ahead of the cursor and pop
+    /// as it arrives, for three laps of the wheel. Storage must track the
+    /// ~200 pending events, not the sum of 4096 buckets' peak sizes.
+    #[test]
+    fn wheel_storage_tracks_pending_events() {
+        const BURST: u64 = 64;
+        fn push_burst(q: &mut EventQueue, tick: u64) {
+            for i in 0..BURST {
+                q.push((tick << BUCKET_SHIFT) + i, Event::Sample(i as u32));
+            }
+        }
+        let mut q = EventQueue::new();
+        push_burst(&mut q, 0);
+        push_burst(&mut q, 1);
+        let (mut peak_len, mut peak_capacity) = (0, 0);
+        for tick in 0..3 * NUM_BUCKETS as u64 {
+            push_burst(&mut q, tick + 2);
+            peak_len = peak_len.max(q.len());
+            for _ in 0..BURST {
+                let (t, _) = q.pop().expect("burst pending");
+                assert_eq!(t >> BUCKET_SHIFT, tick);
+            }
+            peak_capacity = peak_capacity.max(q.retained_capacity());
+        }
+        assert_eq!(peak_len, 3 * BURST as usize);
+        assert!(
+            peak_capacity <= 4 * peak_len,
+            "queue retained {peak_capacity} entries for at most {peak_len} pending"
+        );
     }
 
     /// The satellite differential oracle: 1M randomized (time, seq)

@@ -711,11 +711,31 @@ impl MessageFlow {
             }
         }
 
+        if self.cfg.ec.is_some() {
+            self.trim_sent_fifo();
+        }
         self.fast_rtx_scan(ctx);
         if self.inflight > 0 {
             self.arm_rto(ctx);
         }
         self.pump(ctx);
+    }
+
+    /// Drop dead entries from the front of the RTO log: transmissions whose
+    /// packet is acked, no longer outstanding, or was sent again later.
+    /// [`MessageFlow::on_rto_timer`] skips exactly these, and a dead entry
+    /// never comes back to life (a resend gets a new `order`), so trimming
+    /// changes nothing but memory. Erasure-coded flows need it because
+    /// they never run [`MessageFlow::fast_rtx_scan`], which otherwise
+    /// consumes the log's front.
+    fn trim_sent_fifo(&mut self) {
+        while let Some(&(order, seq)) = self.sent_fifo.front() {
+            let s = &self.st[seq as usize];
+            if s.outstanding && !s.acked && s.order == order {
+                break;
+            }
+            self.sent_fifo.pop_front();
+        }
     }
 
     /// Reorder-tolerant loss inference: a transmission is presumed lost once
@@ -1195,6 +1215,34 @@ mod tests {
         // Idempotent.
         f.finish_block(0);
         assert_eq!(f.blocks_done, 1);
+    }
+
+    #[test]
+    fn trim_sent_fifo_drops_only_dead_front_entries() {
+        let mut f = flow_with(64 << 10, Some(EcParams::PAPER_DEFAULT));
+        // Seqs 0..4 sent in order 0..4, then seq 1 resent as order 4.
+        for seq in 0..4u64 {
+            f.st[seq as usize].outstanding = true;
+            f.st[seq as usize].order = seq;
+            f.sent_fifo.push_back((seq, seq));
+        }
+        f.st[1].order = 4;
+        f.sent_fifo.push_back((4, 1));
+        // Seq 0 acked, seq 2 presumed lost (no longer outstanding).
+        f.st[0].acked = true;
+        f.st[0].outstanding = false;
+        f.st[2].outstanding = false;
+        // (0, 0) acked, (1, 1) superseded by the resend, (2, 2) not
+        // outstanding: all three go, and the trim stops at live (3, 3).
+        f.trim_sent_fifo();
+        assert_eq!(f.sent_fifo, VecDeque::from([(3, 3), (4, 1)]));
+        // A live front entry keeps dead ones behind it in place.
+        f.st[1].acked = true;
+        f.trim_sent_fifo();
+        assert_eq!(f.sent_fifo, VecDeque::from([(3, 3), (4, 1)]));
+        f.st[3].acked = true;
+        f.trim_sent_fifo();
+        assert!(f.sent_fifo.is_empty());
     }
 
     #[test]
