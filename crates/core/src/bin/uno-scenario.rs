@@ -167,6 +167,9 @@ struct Output {
     /// Span-profiler report (`--profile`): wall-clock data, excluded from
     /// the determinism guarantee like `manifest.wall_seconds`.
     profile: Option<Value>,
+    /// First error writing the `--trace` file; when set, the process exits 1
+    /// after printing this output.
+    trace_error: Option<String>,
 }
 
 /// Run options that live on the command line rather than in the scenario
@@ -302,6 +305,10 @@ fn main() {
         };
         let out = run_scenario(&sc, tracer, opts);
         println!("{}", serde_json::to_string_pretty(&out).unwrap());
+        if let (Some(path), Some(e)) = (&trace_path, &out.trace_error) {
+            eprintln!("uno-scenario: writing trace file {path} failed: {e}");
+            std::process::exit(1);
+        }
         return;
     }
 
@@ -472,6 +479,7 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
         manifest: r.manifest,
         telemetry: r.telemetry,
         profile: r.profile,
+        trace_error: r.trace_error,
     }
 }
 

@@ -145,6 +145,10 @@ pub struct ExperimentResults {
     /// [`ExperimentConfig::profile`] was set). Wall-clock data — excluded
     /// from the determinism guarantee.
     pub profile: Option<Value>,
+    /// First error writing the run's trace (a JSONL tracer whose writer
+    /// failed); `None` when the trace was written in full or tracing was off.
+    #[serde(default)]
+    pub trace_error: Option<String>,
 }
 
 /// A configured simulation ready to accept flows and run.
@@ -295,9 +299,13 @@ impl Experiment {
     }
 
     fn collect(self, all_completed: bool) -> ExperimentResults {
-        let Experiment { sim, cfg } = self;
+        let Experiment { mut sim, cfg } = self;
         let manifest = build_manifest(&sim, &cfg);
+        // The simulator is consumed here, so this is the last point where a
+        // trace write error can reach the caller.
+        let trace_error = sim.tracer.flush().err().map(|e| e.to_string());
         ExperimentResults {
+            trace_error,
             manifest,
             telemetry: sim.telemetry.as_ref().map(|t| t.to_value()),
             profile: sim
@@ -481,6 +489,35 @@ mod tests {
         assert_ne!(r.failures[0].outcome, FlowOutcome::Completed);
         assert!(r.censored.is_empty(), "no censored flows under degradation");
         assert!(r.sim_time < 30 * SECONDS, "gave up early, not at horizon");
+    }
+
+    #[test]
+    fn trace_write_errors_reach_the_results() {
+        use std::io;
+        use uno_sim::{TraceConfig, Tracer};
+
+        /// A trace writer whose every `write` fails.
+        struct Broken;
+        impl io::Write for Broken {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk on fire"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let run = |out: Box<dyn io::Write + Send>| {
+            let mut e = quick(SchemeSpec::uno(), 5);
+            e.sim
+                .set_tracer(Tracer::jsonl_writer(out, TraceConfig::all()));
+            e.add_specs(&[spec(0, 0, 0, 5, 256 << 10)]);
+            e.run(SECONDS)
+        };
+        let r = run(Box::new(Broken));
+        assert!(r.all_completed, "a failing trace must not disturb the run");
+        assert_eq!(r.trace_error.as_deref(), Some("disk on fire"));
+        assert_eq!(run(Box::new(io::sink())).trace_error, None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The trace event vocabulary and its JSONL encoding.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use serde::Value;
 
@@ -266,13 +266,88 @@ pub enum TraceEvent {
     },
 }
 
-/// Float formatting identical to the JSON printer's: integral finite values
-/// keep one decimal (`2.0`), everything else uses shortest round-trip form.
-fn write_f64(out: &mut String, n: f64) {
-    if n.is_finite() && n.fract() == 0.0 && n.abs() < 1e15 {
-        let _ = write!(out, "{n:.1}");
-    } else {
-        let _ = write!(out, "{n:?}");
+/// `DIGIT_PAIRS[2 * n..2 * n + 2]` spells `n` in two ASCII digits, `n < 100`.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Room for the longest line [`TraceEvent::write_json`] can produce: an
+/// `ack` with every integer at its maximum is 163 bytes, and the float
+/// variants stay under 110.
+pub(crate) const LINE_CAP: usize = 256;
+
+/// One JSONL line under construction, on the stack.
+struct Line {
+    buf: [u8; LINE_CAP],
+    len: usize,
+}
+
+impl Line {
+    fn new() -> Self {
+        Line {
+            buf: [0; LINE_CAP],
+            len: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn raw(&mut self, s: &[u8]) {
+        self.buf[self.len..self.len + s.len()].copy_from_slice(s);
+        self.len += s.len();
+    }
+
+    /// `key` then `n` in decimal, two digits per division.
+    #[inline(always)]
+    fn uint(&mut self, key: &[u8], n: impl Into<u64>) {
+        self.raw(key);
+        let mut n: u64 = n.into();
+        let end = self.len + n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut i = end;
+        while n >= 100 {
+            let pair = (n % 100) as usize * 2;
+            n /= 100;
+            self.buf[i - 2..i].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+            i -= 2;
+        }
+        if n >= 10 {
+            let pair = n as usize * 2;
+            self.buf[i - 2..i].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            self.buf[i - 1] = b'0' + n as u8;
+        }
+        self.len = end;
+    }
+
+    #[inline(always)]
+    fn flag(&mut self, key: &[u8], b: bool) {
+        self.raw(key);
+        self.raw(if b { b"true" } else { b"false" });
+    }
+
+    /// `key` then `n` formatted as the JSON printer does: integral finite
+    /// values keep one decimal (`2.0`), everything else uses shortest
+    /// round-trip form.
+    fn float(&mut self, key: &[u8], n: f64) {
+        self.raw(key);
+        let _ = if n.is_finite() && n.fract() == 0.0 && n.abs() < 1e15 {
+            write!(self, "{n:.1}")
+        } else {
+            write!(self, "{n:?}")
+        };
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+impl fmt::Write for Line {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.raw(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -390,10 +465,13 @@ impl TraceEvent {
     /// Append the event's one-line JSON form (no trailing newline) to `out`.
     ///
     /// Hand-written rather than going through the generic serializer: this
-    /// runs once per traced packet operation, and string-keyed [`Value`]
-    /// trees per event would dominate the tracing cost.
-    pub fn write_json(&self, out: &mut String) {
-        let _ = write!(out, r#"{{"t":{},"ev":"{}""#, self.t(), self.kind());
+    /// runs once per traced packet operation, so the line is assembled on
+    /// the stack from constant keys and table-driven integer digits, with
+    /// `core::fmt` left only for the two float fields, and lands in `out`
+    /// with one copy.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        let mut l = Line::new();
+        l.uint(br#"{"t":"#, self.t());
         match *self {
             TraceEvent::Enqueue {
                 link,
@@ -403,18 +481,18 @@ impl TraceEvent {
                 qlen,
                 ..
             } => {
-                let _ = write!(
-                    out,
-                    r#","link":{link},"flow":{flow},"seq":{seq},"size":{size},"qlen":{qlen}"#
-                );
+                l.uint(br#","ev":"enqueue","link":"#, link);
+                l.uint(br#","flow":"#, flow);
+                l.uint(br#","seq":"#, seq);
+                l.uint(br#","size":"#, size);
+                l.uint(br#","qlen":"#, qlen);
             }
             TraceEvent::Dequeue {
                 link, flow, seq, ..
-            }
-            | TraceEvent::LinkLoss {
-                link, flow, seq, ..
             } => {
-                let _ = write!(out, r#","link":{link},"flow":{flow},"seq":{seq}"#);
+                l.uint(br#","ev":"dequeue","link":"#, link);
+                l.uint(br#","flow":"#, flow);
+                l.uint(br#","seq":"#, seq);
             }
             TraceEvent::Drop {
                 link,
@@ -423,10 +501,10 @@ impl TraceEvent {
                 qlen,
                 ..
             } => {
-                let _ = write!(
-                    out,
-                    r#","link":{link},"flow":{flow},"seq":{seq},"qlen":{qlen}"#
-                );
+                l.uint(br#","ev":"drop","link":"#, link);
+                l.uint(br#","flow":"#, flow);
+                l.uint(br#","seq":"#, seq);
+                l.uint(br#","qlen":"#, qlen);
             }
             TraceEvent::Mark {
                 link,
@@ -435,10 +513,17 @@ impl TraceEvent {
                 phantom,
                 ..
             } => {
-                let _ = write!(
-                    out,
-                    r#","link":{link},"flow":{flow},"seq":{seq},"phantom":{phantom}"#
-                );
+                l.uint(br#","ev":"mark","link":"#, link);
+                l.uint(br#","flow":"#, flow);
+                l.uint(br#","seq":"#, seq);
+                l.flag(br#","phantom":"#, phantom);
+            }
+            TraceEvent::LinkLoss {
+                link, flow, seq, ..
+            } => {
+                l.uint(br#","ev":"link_loss","link":"#, link);
+                l.uint(br#","flow":"#, flow);
+                l.uint(br#","seq":"#, seq);
             }
             TraceEvent::Ack {
                 flow,
@@ -449,63 +534,79 @@ impl TraceEvent {
                 done,
                 ..
             } => {
-                let _ = write!(
-                    out,
-                    r#","flow":{flow},"seq":{seq},"bytes":{bytes},"ecn":{ecn},"rtt":{rtt},"done":{done}"#
-                );
+                l.uint(br#","ev":"ack","flow":"#, flow);
+                l.uint(br#","seq":"#, seq);
+                l.uint(br#","bytes":"#, bytes);
+                l.flag(br#","ecn":"#, ecn);
+                l.uint(br#","rtt":"#, rtt);
+                l.flag(br#","done":"#, done);
             }
             TraceEvent::Nack { flow, block, .. } => {
-                let _ = write!(out, r#","flow":{flow},"block":{block}"#);
+                l.uint(br#","ev":"nack","flow":"#, flow);
+                l.uint(br#","block":"#, block);
             }
             TraceEvent::Timeout { flow, rtos, .. } => {
-                let _ = write!(out, r#","flow":{flow},"rtos":{rtos}"#);
+                l.uint(br#","ev":"timeout","flow":"#, flow);
+                l.uint(br#","rtos":"#, rtos);
             }
             TraceEvent::Reroute { flow, reroutes, .. } => {
-                let _ = write!(out, r#","flow":{flow},"reroutes":{reroutes}"#);
+                l.uint(br#","ev":"reroute","flow":"#, flow);
+                l.uint(br#","reroutes":"#, reroutes);
             }
-            TraceEvent::CwndChange { flow, cwnd, .. }
-            | TraceEvent::QuickAdapt { flow, cwnd, .. } => {
-                let _ = write!(out, r#","flow":{flow},"cwnd":"#);
-                write_f64(out, cwnd);
+            TraceEvent::CwndChange { flow, cwnd, .. } => {
+                l.uint(br#","ev":"cwnd","flow":"#, flow);
+                l.float(br#","cwnd":"#, cwnd);
             }
             TraceEvent::EpochBoundary {
                 flow, ecn_frac, md, ..
             } => {
-                let _ = write!(out, r#","flow":{flow},"ecn_frac":"#);
-                write_f64(out, ecn_frac);
-                let _ = write!(out, r#","md":{md}"#);
+                l.uint(br#","ev":"epoch","flow":"#, flow);
+                l.float(br#","ecn_frac":"#, ecn_frac);
+                l.flag(br#","md":"#, md);
+            }
+            TraceEvent::QuickAdapt { flow, cwnd, .. } => {
+                l.uint(br#","ev":"qa","flow":"#, flow);
+                l.float(br#","cwnd":"#, cwnd);
             }
             TraceEvent::FlowDone { flow, .. } => {
-                let _ = write!(out, r#","flow":{flow}"#);
+                l.uint(br#","ev":"flow_done","flow":"#, flow);
             }
             TraceEvent::QueueClear {
                 link, pkts, bytes, ..
             } => {
-                let _ = write!(out, r#","link":{link},"pkts":{pkts},"bytes":{bytes}"#);
+                l.uint(br#","ev":"queue_clear","link":"#, link);
+                l.uint(br#","pkts":"#, pkts);
+                l.uint(br#","bytes":"#, bytes);
             }
             TraceEvent::FaultTransition { link, up, .. } => {
-                let _ = write!(out, r#","link":{link},"up":{up}"#);
+                l.uint(br#","ev":"fault","link":"#, link);
+                l.flag(br#","up":"#, up);
             }
             TraceEvent::FlowFail { flow, aborted, .. } => {
-                let _ = write!(out, r#","flow":{flow},"aborted":{aborted}"#);
+                l.uint(br#","ev":"flow_fail","flow":"#, flow);
+                l.flag(br#","aborted":"#, aborted);
             }
             TraceEvent::PfcPause {
                 link, by, depth, ..
             } => {
-                let _ = write!(out, r#","link":{link},"by":{by},"depth":{depth}"#);
+                l.uint(br#","ev":"pfc_pause","link":"#, link);
+                l.uint(br#","by":"#, by);
+                l.uint(br#","depth":"#, depth);
             }
             TraceEvent::PfcResume { link, by, .. } => {
-                let _ = write!(out, r#","link":{link},"by":{by}"#);
+                l.uint(br#","ev":"pfc_resume","link":"#, link);
+                l.uint(br#","by":"#, by);
             }
         }
-        out.push('}');
+        l.raw(b"}");
+        out.extend_from_slice(l.as_bytes());
     }
 
     /// The event's one-line JSON form as an owned string.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
+        let mut s = Vec::with_capacity(96);
         self.write_json(&mut s);
-        s
+        String::from_utf8(s).expect("trace JSON is ASCII")
     }
 
     /// Parse one JSONL line back into an event (summarizer / test path).
@@ -647,6 +748,128 @@ impl TraceEvent {
             other => return Err(format!("unknown event kind `{other}`")),
         })
     }
+}
+
+/// Reference encoder: the original `write!`-based [`TraceEvent::write_json`],
+/// kept as the differential oracle for the byte encoder (`tests` below
+/// require identical output for every variant across edge and random values).
+#[cfg(test)]
+fn reference_json(ev: &TraceEvent) -> String {
+    fn write_f64(out: &mut String, n: f64) {
+        if n.is_finite() && n.fract() == 0.0 && n.abs() < 1e15 {
+            let _ = write!(out, "{n:.1}");
+        } else {
+            let _ = write!(out, "{n:?}");
+        }
+    }
+
+    let mut out = String::new();
+    let _ = write!(out, r#"{{"t":{},"ev":"{}""#, ev.t(), ev.kind());
+    match *ev {
+        TraceEvent::Enqueue {
+            link,
+            flow,
+            seq,
+            size,
+            qlen,
+            ..
+        } => {
+            let _ = write!(
+                out,
+                r#","link":{link},"flow":{flow},"seq":{seq},"size":{size},"qlen":{qlen}"#
+            );
+        }
+        TraceEvent::Dequeue {
+            link, flow, seq, ..
+        }
+        | TraceEvent::LinkLoss {
+            link, flow, seq, ..
+        } => {
+            let _ = write!(out, r#","link":{link},"flow":{flow},"seq":{seq}"#);
+        }
+        TraceEvent::Drop {
+            link,
+            flow,
+            seq,
+            qlen,
+            ..
+        } => {
+            let _ = write!(
+                out,
+                r#","link":{link},"flow":{flow},"seq":{seq},"qlen":{qlen}"#
+            );
+        }
+        TraceEvent::Mark {
+            link,
+            flow,
+            seq,
+            phantom,
+            ..
+        } => {
+            let _ = write!(
+                out,
+                r#","link":{link},"flow":{flow},"seq":{seq},"phantom":{phantom}"#
+            );
+        }
+        TraceEvent::Ack {
+            flow,
+            seq,
+            bytes,
+            ecn,
+            rtt,
+            done,
+            ..
+        } => {
+            let _ = write!(
+                out,
+                r#","flow":{flow},"seq":{seq},"bytes":{bytes},"ecn":{ecn},"rtt":{rtt},"done":{done}"#
+            );
+        }
+        TraceEvent::Nack { flow, block, .. } => {
+            let _ = write!(out, r#","flow":{flow},"block":{block}"#);
+        }
+        TraceEvent::Timeout { flow, rtos, .. } => {
+            let _ = write!(out, r#","flow":{flow},"rtos":{rtos}"#);
+        }
+        TraceEvent::Reroute { flow, reroutes, .. } => {
+            let _ = write!(out, r#","flow":{flow},"reroutes":{reroutes}"#);
+        }
+        TraceEvent::CwndChange { flow, cwnd, .. } | TraceEvent::QuickAdapt { flow, cwnd, .. } => {
+            let _ = write!(out, r#","flow":{flow},"cwnd":"#);
+            write_f64(&mut out, cwnd);
+        }
+        TraceEvent::EpochBoundary {
+            flow, ecn_frac, md, ..
+        } => {
+            let _ = write!(out, r#","flow":{flow},"ecn_frac":"#);
+            write_f64(&mut out, ecn_frac);
+            let _ = write!(out, r#","md":{md}"#);
+        }
+        TraceEvent::FlowDone { flow, .. } => {
+            let _ = write!(out, r#","flow":{flow}"#);
+        }
+        TraceEvent::QueueClear {
+            link, pkts, bytes, ..
+        } => {
+            let _ = write!(out, r#","link":{link},"pkts":{pkts},"bytes":{bytes}"#);
+        }
+        TraceEvent::FaultTransition { link, up, .. } => {
+            let _ = write!(out, r#","link":{link},"up":{up}"#);
+        }
+        TraceEvent::FlowFail { flow, aborted, .. } => {
+            let _ = write!(out, r#","flow":{flow},"aborted":{aborted}"#);
+        }
+        TraceEvent::PfcPause {
+            link, by, depth, ..
+        } => {
+            let _ = write!(out, r#","link":{link},"by":{by},"depth":{depth}"#);
+        }
+        TraceEvent::PfcResume { link, by, .. } => {
+            let _ = write!(out, r#","link":{link},"by":{by}"#);
+        }
+    }
+    out.push('}');
+    out
 }
 
 #[cfg(test)]
@@ -795,6 +1018,218 @@ mod tests {
             assert_eq!(EventClass::parse(c.name()).unwrap(), c);
         }
         assert!(EventClass::parse("bogus").is_err());
+    }
+
+    /// Field values for [`every_variant`].
+    trait Fields {
+        fn int(&mut self) -> u64;
+        fn float(&mut self) -> f64;
+        fn small(&mut self) -> u32 {
+            self.int() as u32
+        }
+        fn flag(&mut self) -> bool {
+            self.int() & 1 == 1
+        }
+    }
+
+    /// Every field at one integer and one float value.
+    struct Same(u64, f64);
+
+    impl Fields for Same {
+        fn int(&mut self) -> u64 {
+            self.0
+        }
+        fn float(&mut self) -> f64 {
+            self.1
+        }
+    }
+
+    /// Seeded random fields from splitmix64, inline so the crate needs no
+    /// RNG dependency. Integers span every digit count.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    impl Fields for SplitMix {
+        fn int(&mut self) -> u64 {
+            let shift = self.next() % 64;
+            self.next() >> shift
+        }
+        fn float(&mut self) -> f64 {
+            match self.next() % 3 {
+                0 => f64::from_bits(self.next()),
+                1 => (self.next() % 10u64.pow(16)) as f64,
+                _ => (self.next() % 1_000_000) as f64 / 8.0,
+            }
+        }
+    }
+
+    /// Every variant with its fields drawn from `f` in declaration order.
+    fn every_variant(f: &mut impl Fields) -> Vec<TraceEvent> {
+        vec![
+            TraceEvent::Enqueue {
+                t: f.int(),
+                link: f.small(),
+                flow: f.small(),
+                seq: f.int(),
+                size: f.small(),
+                qlen: f.int(),
+            },
+            TraceEvent::Dequeue {
+                t: f.int(),
+                link: f.small(),
+                flow: f.small(),
+                seq: f.int(),
+            },
+            TraceEvent::Drop {
+                t: f.int(),
+                link: f.small(),
+                flow: f.small(),
+                seq: f.int(),
+                qlen: f.int(),
+            },
+            TraceEvent::Mark {
+                t: f.int(),
+                link: f.small(),
+                flow: f.small(),
+                seq: f.int(),
+                phantom: f.flag(),
+            },
+            TraceEvent::LinkLoss {
+                t: f.int(),
+                link: f.small(),
+                flow: f.small(),
+                seq: f.int(),
+            },
+            TraceEvent::Ack {
+                t: f.int(),
+                flow: f.small(),
+                seq: f.int(),
+                bytes: f.int(),
+                ecn: f.flag(),
+                rtt: f.int(),
+                done: f.flag(),
+            },
+            TraceEvent::Nack {
+                t: f.int(),
+                flow: f.small(),
+                block: f.int(),
+            },
+            TraceEvent::Timeout {
+                t: f.int(),
+                flow: f.small(),
+                rtos: f.int(),
+            },
+            TraceEvent::Reroute {
+                t: f.int(),
+                flow: f.small(),
+                reroutes: f.int(),
+            },
+            TraceEvent::CwndChange {
+                t: f.int(),
+                flow: f.small(),
+                cwnd: f.float(),
+            },
+            TraceEvent::EpochBoundary {
+                t: f.int(),
+                flow: f.small(),
+                ecn_frac: f.float(),
+                md: f.flag(),
+            },
+            TraceEvent::QuickAdapt {
+                t: f.int(),
+                flow: f.small(),
+                cwnd: f.float(),
+            },
+            TraceEvent::FlowDone {
+                t: f.int(),
+                flow: f.small(),
+            },
+            TraceEvent::QueueClear {
+                t: f.int(),
+                link: f.small(),
+                pkts: f.int(),
+                bytes: f.int(),
+            },
+            TraceEvent::FaultTransition {
+                t: f.int(),
+                link: f.small(),
+                up: f.flag(),
+            },
+            TraceEvent::FlowFail {
+                t: f.int(),
+                flow: f.small(),
+                aborted: f.flag(),
+            },
+            TraceEvent::PfcPause {
+                t: f.int(),
+                link: f.small(),
+                by: f.small(),
+                depth: f.small(),
+            },
+            TraceEvent::PfcResume {
+                t: f.int(),
+                link: f.small(),
+                by: f.small(),
+            },
+        ]
+    }
+
+    /// `write_json` must append exactly the reference line to `out`.
+    fn assert_matches_reference(ev: &TraceEvent) {
+        let mut out = b"prefix ".to_vec();
+        ev.write_json(&mut out);
+        assert_eq!(
+            String::from_utf8_lossy(&out),
+            format!("prefix {}", reference_json(ev)),
+            "{ev:?}"
+        );
+    }
+
+    #[test]
+    fn encoder_matches_reference_at_edge_values() {
+        let mut ints = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        for p in 0..20 {
+            let ten = 10u64.pow(p);
+            ints.extend([ten - 1, ten, ten + 1]);
+        }
+        let floats = [
+            0.0,
+            0.5,
+            8192.0,
+            123456.5,
+            1e-7,
+            1e15,
+            1e16,
+            f64::MAX,
+            -0.0,
+            f64::MIN_POSITIVE,
+        ];
+        for &n in &ints {
+            for &x in &floats {
+                for ev in every_variant(&mut Same(n, x)) {
+                    assert_matches_reference(&ev);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_matches_reference_on_random_events() {
+        let mut rng = SplitMix(0x5EED);
+        for _ in 0..2_000 {
+            for ev in every_variant(&mut rng) {
+                assert_matches_reference(&ev);
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! * **Structured event traces** — a compact [`TraceEvent`] enum covering
 //!   queue operations (enqueue / dequeue / drop / ECN mark), link losses,
 //!   and transport decisions (ack / nack / timeout / reroute / cwnd change /
-//!   epoch boundary / Quick Adapt), written through a [`Tracer`] to either
-//!   an in-memory ring buffer or a streaming JSONL file. A [`TraceConfig`]
+//!   epoch boundary / Quick Adapt), written through a [`Tracer`] to an
+//!   in-memory ring buffer, a live callback, or a streaming JSONL writer
+//!   that receives whole lines in 64 KiB blocks. A [`TraceConfig`]
 //!   filters by flow, link, or event class; when tracing is off the hot-path
 //!   cost is a single branch on [`Tracer::enabled`].
 //! * **Counter registry** — hierarchically named monotonic [`Counters`]

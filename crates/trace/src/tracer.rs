@@ -2,10 +2,10 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
-use crate::event::{EventClass, TraceEvent};
+use crate::event::{EventClass, TraceEvent, LINE_CAP};
 
 /// Which events a [`Tracer`] keeps. `None` on a dimension means "no filter".
 ///
@@ -99,14 +99,23 @@ fn parse_ids(vals: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
+/// Bytes of encoded lines the JSONL sink gathers before handing them to its
+/// writer in one call. Also the most a run killed before its tracer is
+/// flushed or dropped can lose.
+const BLOCK_BYTES: usize = 64 * 1024;
+
 enum Sink {
     /// Last-N in-memory buffer.
     Ring {
         buf: VecDeque<TraceEvent>,
         cap: usize,
     },
-    /// Streaming JSON-lines writer.
-    Jsonl { out: Box<dyn Write + Send> },
+    /// Streaming JSON-lines writer: whole lines gather in `block`, which
+    /// goes to `out` in one `write_all` once it holds [`BLOCK_BYTES`].
+    Jsonl {
+        out: Box<dyn Write + Send>,
+        block: Vec<u8>,
+    },
     /// Live in-process consumer (invariant checkers, custom aggregators).
     Callback(Box<dyn FnMut(&TraceEvent) + Send>),
 }
@@ -118,7 +127,8 @@ pub struct Tracer {
     /// Active filter; events it rejects are not counted or stored.
     pub config: TraceConfig,
     emitted: u64,
-    line: String,
+    /// First write error of the JSONL sink, kept for [`Tracer::flush`]: the
+    /// simulator hot path cannot propagate errors.
     io_error: Option<io::Error>,
 }
 
@@ -134,7 +144,6 @@ impl Tracer {
             sink,
             config,
             emitted: 0,
-            line: String::with_capacity(128),
             io_error: None,
         }
     }
@@ -163,12 +172,18 @@ impl Tracer {
     /// Stream events passing `config` as JSON lines to a file at `path`.
     pub fn jsonl_file(path: impl AsRef<Path>, config: TraceConfig) -> io::Result<Self> {
         let f = File::create(path)?;
-        Ok(Tracer::jsonl_writer(Box::new(BufWriter::new(f)), config))
+        Ok(Tracer::jsonl_writer(Box::new(f), config))
     }
 
     /// Stream events passing `config` as JSON lines to an arbitrary writer.
+    ///
+    /// Lines reach `out` in blocks of just over 64 KiB, each ending on a
+    /// line boundary, and the rest on [`Tracer::flush`] or drop; `out` needs
+    /// no buffering of its own.
     pub fn jsonl_writer(out: Box<dyn Write + Send>, config: TraceConfig) -> Self {
-        Tracer::with_sink(Some(Sink::Jsonl { out }), config)
+        // Room for a full block plus the line that crosses the threshold.
+        let block = Vec::with_capacity(BLOCK_BYTES + LINE_CAP);
+        Tracer::with_sink(Some(Sink::Jsonl { out, block }), config)
     }
 
     /// Hand events passing `config` to an in-process callback as they occur.
@@ -205,15 +220,11 @@ impl Tracer {
                 }
                 buf.push_back(ev);
             }
-            Sink::Jsonl { out } => {
-                self.line.clear();
-                ev.write_json(&mut self.line);
-                self.line.push('\n');
-                if let Err(e) = out.write_all(self.line.as_bytes()) {
-                    // Defer: the simulator hot path cannot propagate errors.
-                    if self.io_error.is_none() {
-                        self.io_error = Some(e);
-                    }
+            Sink::Jsonl { out, block } => {
+                ev.write_json(block);
+                block.push(b'\n');
+                if block.len() >= BLOCK_BYTES {
+                    write_block(out, block, &mut self.io_error);
                 }
             }
             Sink::Callback(f) => f(&ev),
@@ -228,16 +239,28 @@ impl Tracer {
         }
     }
 
-    /// Flush a streaming sink, surfacing any deferred write error.
+    /// Hand a streaming sink's gathered lines to its writer and flush it.
+    /// Returns the first write error since the last call, if any.
     pub fn flush(&mut self) -> io::Result<()> {
-        if let Some(e) = self.io_error.take() {
-            return Err(e);
+        if let Some(Sink::Jsonl { out, block }) = &mut self.sink {
+            write_block(out, block, &mut self.io_error);
+            if let Err(e) = out.flush() {
+                self.io_error.get_or_insert(e);
+            }
         }
-        if let Some(Sink::Jsonl { out }) = &mut self.sink {
-            out.flush()?;
-        }
-        Ok(())
+        self.io_error.take().map_or(Ok(()), Err)
     }
+}
+
+/// Write and empty `block`, keeping the first error in `first_err`.
+fn write_block(out: &mut dyn Write, block: &mut Vec<u8>, first_err: &mut Option<io::Error>) {
+    if block.is_empty() {
+        return;
+    }
+    if let Err(e) = out.write_all(block) {
+        first_err.get_or_insert(e);
+    }
+    block.clear();
 }
 
 impl Drop for Tracer {
@@ -351,35 +374,147 @@ mod tests {
         assert_eq!(*seen.lock().unwrap(), vec![enq(7, 1), ack(7)]);
     }
 
+    /// A writer that records each `write` call's bytes separately.
+    #[derive(Clone, Default)]
+    struct Writes(std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>);
+
+    impl Writes {
+        fn calls(&self) -> Vec<Vec<u8>> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn jsonl(writes: &Writes) -> Tracer {
+        Tracer::jsonl_writer(Box::new(writes.clone()), TraceConfig::all())
+    }
+
+    fn line_len(ev: &TraceEvent) -> usize {
+        ev.to_json().len() + 1
+    }
+
     #[test]
     fn jsonl_writer_streams_lines() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let shared = Shared(Arc::new(Mutex::new(Vec::new())));
+        let writes = Writes::default();
         let mut t = Tracer::jsonl_writer(
-            Box::new(shared.clone()),
+            Box::new(writes.clone()),
             TraceConfig::parse("flows=7").unwrap(),
         );
         t.emit(enq(7, 1));
         t.emit(enq(8, 1)); // filtered out
         t.emit(ack(7));
         t.flush().unwrap();
-        let text = String::from_utf8(shared.0.lock().unwrap().clone()).unwrap();
+        let text = String::from_utf8(writes.calls().concat()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(TraceEvent::from_json_line(lines[0]).unwrap(), enq(7, 1));
         assert_eq!(TraceEvent::from_json_line(lines[1]).unwrap(), ack(7));
+    }
+
+    #[test]
+    fn jsonl_holds_bytes_until_the_block_fills() {
+        let writes = Writes::default();
+        let mut t = jsonl(&writes);
+        let mut pending = 0;
+        let mut i = 0;
+        while pending + line_len(&enq(i, 0)) < BLOCK_BYTES {
+            pending += line_len(&enq(i, 0));
+            t.emit(enq(i, 0));
+            i += 1;
+        }
+        assert!(writes.calls().is_empty(), "wrote before the block filled");
+        // The line that reaches the block size sends the whole block at once.
+        t.emit(enq(i, 0));
+        let calls = writes.calls();
+        assert_eq!(calls.len(), 1);
+        assert_eq!(calls[0].len(), pending + line_len(&enq(i, 0)));
+        assert_eq!(
+            calls[0].iter().filter(|&&b| b == b'\n').count(),
+            i as usize + 1
+        );
+    }
+
+    #[test]
+    fn jsonl_flush_and_drop_write_the_partial_block() {
+        let writes = Writes::default();
+        let mut t = jsonl(&writes);
+        t.emit(enq(1, 0));
+        assert!(writes.calls().is_empty());
+        t.flush().unwrap();
+        assert_eq!(
+            writes.calls(),
+            vec![format!("{}\n", enq(1, 0).to_json()).into_bytes()]
+        );
+        t.flush().unwrap();
+        assert_eq!(writes.calls().len(), 1, "an empty block is not written");
+        t.emit(ack(2));
+        drop(t);
+        let calls = writes.calls();
+        assert_eq!(calls.len(), 2, "drop writes the tail");
+        assert_eq!(calls[1], format!("{}\n", ack(2).to_json()).into_bytes());
+    }
+
+    #[test]
+    fn jsonl_writes_end_on_line_boundaries() {
+        let writes = Writes::default();
+        let mut t = jsonl(&writes);
+        let events: Vec<TraceEvent> = (0..10_000u32)
+            .map(|i| if i % 3 == 0 { ack(i) } else { enq(i, i % 7) })
+            .collect();
+        for ev in &events {
+            t.emit(*ev);
+        }
+        drop(t);
+        let calls = writes.calls();
+        assert!(calls.len() > 3, "{} writes", calls.len());
+        for (k, call) in calls.iter().enumerate() {
+            assert_eq!(call.last(), Some(&b'\n'), "write {k} ends mid-line");
+            if k + 1 < calls.len() {
+                assert!((BLOCK_BYTES..BLOCK_BYTES + LINE_CAP).contains(&call.len()));
+            }
+        }
+        let text = String::from_utf8(calls.concat()).unwrap();
+        let back: Vec<TraceEvent> = text
+            .lines()
+            .map(|l| TraceEvent::from_json_line(l).unwrap())
+            .collect();
+        assert_eq!(back, events);
+    }
+
+    #[test]
+    fn jsonl_flush_returns_the_first_write_error() {
+        /// Fails every `write`, numbering its errors.
+        struct Failing(u32);
+        impl Write for Failing {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                Err(io::Error::other(format!("failure {}", self.0)))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let mut t = Tracer::jsonl_writer(Box::new(Failing(0)), TraceConfig::all());
+        for i in 0..BLOCK_BYTES as u32 / 16 {
+            t.emit(enq(i, 0)); // several full blocks, each write failing
+        }
+        assert_eq!(t.flush().unwrap_err().to_string(), "failure 1");
+        assert!(t.flush().is_ok(), "an error is reported once");
+        t.emit(enq(0, 0));
+        let later = t.flush().unwrap_err().to_string();
+        assert!(
+            later.starts_with("failure ") && later != "failure 1",
+            "{later}"
+        );
     }
 }
