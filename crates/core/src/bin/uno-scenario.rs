@@ -344,8 +344,21 @@ fn run_seed_sweep(sc: &Scenario, n: usize, jobs: usize, opts: RunOpts) -> Vec<Ou
 }
 
 fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
+    try_run_scenario(sc, tracer, opts).unwrap_or_else(|e| die(&e))
+}
+
+/// `value` in units of `unit` nanoseconds, as nanoseconds. A product past
+/// the 64-bit clock is an error naming `field`, not a silently wrapped time.
+fn nanos(field: &str, value: u64, unit: Time) -> Result<Time, String> {
+    value
+        .checked_mul(unit)
+        .ok_or_else(|| format!("{field} {value} overflows the 64-bit nanosecond clock"))
+}
+
+/// Run `sc`, or explain why the scenario cannot run.
+fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Output, String> {
     if sc.dcs == 0 {
-        die("dcs must be at least 1");
+        return Err("dcs must be at least 1".into());
     }
     let mut topo = if sc.k == 8 {
         TopologyParams::default()
@@ -367,7 +380,7 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
             };
         }
     } else if sc.pfc_xoff_frac > 0.0 {
-        die("pfc_xoff_frac requires \"lossless\": true");
+        return Err("pfc_xoff_frac requires \"lossless\": true".into());
     }
     let scheme = match &sc.scheme {
         SchemeSel::Uno => SchemeSpec::uno(),
@@ -386,7 +399,7 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
         WorkloadSel::Flows(v) => v.clone(),
         WorkloadSel::Incast { intra, inter, size } => {
             if *inter > 0 && sc.dcs < 2 {
-                die("incast with inter senders needs dcs >= 2");
+                return Err("incast with inter senders needs dcs >= 2".into());
             }
             incast(*intra, *inter, *size, hosts)
         }
@@ -402,7 +415,7 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
                 host_bps: topo.link_bps,
                 load: *load,
                 inter_fraction: *inter_fraction,
-                duration: duration_ms * MILLIS,
+                duration: nanos("workload.poisson_mix.duration_ms", *duration_ms, MILLIS)?,
             },
             &Cdf::websearch(),
             &Cdf::alibaba_wan(),
@@ -418,13 +431,13 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
         // instead of retrying into the horizon.
         cfg.degradation = Some(DegradationConfig::default());
     }
-    let horizon: Time = (sc.horizon_ms * MILLIS).max(SECONDS / 100);
+    let horizon: Time = nanos("horizon_ms", sc.horizon_ms, MILLIS)?.max(SECONDS / 100);
     if opts.telemetry {
         // Default cadence: ~1024 samples over the horizon, at least 1 µs.
-        let interval = opts
-            .telemetry_interval_us
-            .map(|us| us * MICROS)
-            .unwrap_or_else(|| (horizon / 1024).max(MICROS));
+        let interval = match opts.telemetry_interval_us {
+            Some(us) => nanos("--telemetry-interval-us", us, MICROS)?,
+            None => (horizon / 1024).max(MICROS),
+        };
         cfg.telemetry = Some(SampleConfig::every(interval));
     }
     cfg.profile = opts.profile;
@@ -436,7 +449,7 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
     if let Some(spec) = &sc.faults {
         exp.sim
             .install_faults(spec)
-            .unwrap_or_else(|e| die(&format!("invalid fault spec: {e}")));
+            .map_err(|e| format!("invalid fault spec: {e}"))?;
     }
     exp.add_specs(&specs);
     for i in 0..sc.fail_border_links.min(exp.sim.topo.border_forward.len()) {
@@ -460,7 +473,7 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
 
     let fcts_ms: Vec<f64> = r.fcts.iter().map(|f| f.fct() as f64 / 1e6).collect();
     let outcomes = OutcomeCounts::tally(&r.fcts, &r.failures, &r.censored);
-    Output {
+    Ok(Output {
         scheme: r.scheme.clone(),
         flows: r.flows,
         completed: outcomes.completed,
@@ -480,7 +493,7 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
         telemetry: r.telemetry,
         profile: r.profile,
         trace_error: r.trace_error,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -701,6 +714,52 @@ mod tests {
         assert_eq!(sc.dcs, 2);
         assert_eq!(sc.horizon_ms, 10_000);
         assert_eq!(sc.fail_border_links, 0);
+    }
+
+    /// The error `try_run_scenario` reports for `json` run with `opts`.
+    fn scenario_error(json: &str, opts: RunOpts) -> String {
+        let sc: Scenario = serde_json::from_str(json).unwrap();
+        try_run_scenario(&sc, Tracer::disabled(), opts)
+            .err()
+            .expect("the scenario must be rejected")
+    }
+
+    #[test]
+    fn overflowing_horizon_is_rejected() {
+        // 18446744073710 ms is 2^64 + 448384 ns: it used to wrap to 448 µs,
+        // get raised to the 10 ms floor and end the run with no flow done.
+        let err = scenario_error(
+            r#"{"scheme":"uno","workload":{"incast":{"intra":1,"inter":0,"size":65536}},
+                "horizon_ms":18446744073710}"#,
+            RunOpts::default(),
+        );
+        assert!(err.contains("horizon_ms 18446744073710"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_poisson_duration_is_rejected() {
+        let err = scenario_error(
+            r#"{"scheme":"uno","workload":{"poisson_mix":{"load":0.5,"inter_fraction":0.2,
+                "duration_ms":18446744073710}}}"#,
+            RunOpts::default(),
+        );
+        assert!(err.contains("duration_ms 18446744073710"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_telemetry_interval_is_rejected() {
+        let err = scenario_error(
+            r#"{"scheme":"uno","workload":{"incast":{"intra":1,"inter":0,"size":65536}}}"#,
+            RunOpts {
+                telemetry: true,
+                telemetry_interval_us: Some(18_446_744_073_709_552),
+                ..RunOpts::default()
+            },
+        );
+        assert!(
+            err.contains("--telemetry-interval-us 18446744073709552"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -53,6 +53,11 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
         "calendar-queue ops/sec over reference-heap ops/sec",
     );
     benches.extend([calendar, heap, speedup]);
+    // The same hold model with thousands of events pending in one tick
+    // (informational until it lands in the baseline).
+    let mut dense = event_queue_dense(quick);
+    dense.gated = false;
+    benches.push(dense);
 
     // End-to-end engine throughput on one incast experiment. The profiler
     // ships disabled by default, so this row doubles as the gate on the
@@ -154,6 +159,19 @@ fn hold_dt(state: &mut u64) -> u64 {
     }
 }
 
+/// Dense hold-model time increment: most events land within one 1.024 µs
+/// tick of the clock, so thousands pend in the scheduler's current tick at
+/// once — the regime of the `websearch_mix` and `multidc_lossless`
+/// end-to-end workloads — and a tenth go up to 50 µs out.
+#[inline]
+fn dense_dt(state: &mut u64) -> u64 {
+    let r = lcg(state);
+    match r % 10 {
+        0..=8 => lcg(state) % 1_024,
+        _ => lcg(state) % 50_000,
+    }
+}
+
 /// The engine's pre-calendar scheduler: a `(time, seq)`-ordered binary heap
 /// carrying the same `Event` payloads, kept here as the microbench
 /// comparison point. (The `uno-sim` copy is `#[cfg(test)]`-gated and not
@@ -224,23 +242,7 @@ fn event_queue_pair(quick: bool) -> (BenchResult, BenchResult) {
 
     // Calendar queue (the engine's scheduler).
     let calendar = best_of(QUEUE_REPS, "event_queue_calendar", || {
-        let mut q = EventQueue::new();
-        let mut state = 0x5EED_0001u64;
-        let mut t: Time = 0;
-        for i in 0..hold {
-            q.push(t + hold_dt(&mut state), Event::Sample(i as u32));
-        }
-        let (_, nanos) = time_cpu(|| {
-            for _ in 0..pairs {
-                let (pt, ev) = q.pop().expect("queue stays at hold size");
-                t = pt;
-                q.push(t + hold_dt(&mut state), ev);
-            }
-        });
-        assert_eq!(q.len(), hold, "hold model must preserve queue size");
-        let mut meter = RateMeter::new();
-        meter.record_nanos(pairs as u64, nanos);
-        meter
+        calendar_hold(hold, pairs, hold_dt)
     });
 
     // Reference heap, identical workload, payloads, and RNG stream.
@@ -263,6 +265,37 @@ fn event_queue_pair(quick: bool) -> (BenchResult, BenchResult) {
         meter
     });
     (calendar, heap)
+}
+
+/// The calendar queue on the dense hold model: same hold size and pair
+/// count as `event_queue_calendar`, with `dense_dt` increments.
+fn event_queue_dense(quick: bool) -> BenchResult {
+    let (hold, pairs) = hold_params(quick);
+    best_of(QUEUE_REPS, "event_queue_dense", || {
+        calendar_hold(hold, pairs, dense_dt)
+    })
+}
+
+/// Hold model on the calendar queue: fill it with `hold` events, then time
+/// `pairs` (pop, push at popped time + `dt`) steps.
+fn calendar_hold(hold: usize, pairs: usize, dt: impl Fn(&mut u64) -> u64) -> RateMeter {
+    let mut q = EventQueue::new();
+    let mut state = 0x5EED_0001u64;
+    let mut t: Time = 0;
+    for i in 0..hold {
+        q.push(t + dt(&mut state), Event::Sample(i as u32));
+    }
+    let (_, nanos) = time_cpu(|| {
+        for _ in 0..pairs {
+            let (pt, ev) = q.pop().expect("queue stays at hold size");
+            t = pt;
+            q.push(t + dt(&mut state), ev);
+        }
+    });
+    assert_eq!(q.len(), hold, "hold model must preserve queue size");
+    let mut meter = RateMeter::new();
+    meter.record_nanos(pairs as u64, nanos);
+    meter
 }
 
 /// Run `rep` repetitions of a throughput microbench and keep the fastest.

@@ -7,7 +7,9 @@
 //! * **event-queue ops** — push/pop throughput of the calendar-queue
 //!   scheduler vs. the reference binary heap, over the "hold model"
 //!   workload discrete-event simulators exhibit (pop the minimum, schedule
-//!   a successor a random delta later);
+//!   a successor a random delta later), plus an informational dense
+//!   variant with thousands of events pending in the scheduler's current
+//!   1.024 µs tick;
 //! * **incast step rate** — end-to-end engine events/sec on a Figure 8
 //!   style incast experiment (the meter the simulator itself maintains),
 //!   plus the same meter on a lossless (PFC) fabric;

@@ -1,11 +1,11 @@
-//! Discrete-event scheduler: a bucketed timing wheel (calendar queue) with
+//! Discrete-event scheduler: a two-level timing wheel (calendar queue) with
 //! a binary-heap overflow for far-future events.
 //!
 //! The engine's former scheduler was a plain `BinaryHeap`, which costs
 //! `O(log n)` cache-hostile sift operations per push/pop once hundreds of
 //! thousands of events are pending. This queue keeps the exact same public
 //! API and the exact same `(time, seq)` total order (FIFO tie-breaking at
-//! equal times), but schedules into an array of time buckets:
+//! equal times), but schedules into arrays of time slots:
 //!
 //! * the **wheel** covers a sliding window of `NUM_BUCKETS` ticks of
 //!   `1 << BUCKET_SHIFT` ns each (1.024 µs buckets, a ~4.2 ms window —
@@ -14,19 +14,34 @@
 //! * events beyond the window go to a **heap fallback** and migrate into
 //!   the wheel when the cursor reaches their neighbourhood — each event is
 //!   touched at most once extra, so the amortized cost stays `O(1)`;
-//! * a bucket is ordered only when the cursor reaches it: its entries are
-//!   moved into a small min-heap, so both draining it and pushing new
-//!   events at the current time cost `O(log bucket)`. (An earlier design
-//!   kept the cursor bucket as a sorted `Vec` with binary-search inserts;
-//!   each insert memmoves the tail, which turns quadratic when a
-//!   synchronized start — e.g. a 32k-flow permutation — lands millions of
-//!   events in one 1 µs bucket.)
+//! * a bucket is ordered only when the cursor reaches it: its buffer
+//!   becomes the **lane**, a second wheel level with one FIFO per
+//!   nanosecond of the tick, threaded through the buffer by `u32` links
+//!   and found through a 1024-bit occupancy bitmap. Draining the tick and
+//!   pushing events at the current tick are both `O(1)` and never compare
+//!   `(time, seq)`. (Two earlier designs ordered the cursor tick by
+//!   comparison: a sorted `Vec` with binary-search inserts, which turned
+//!   quadratic when a synchronized start — e.g. a 32k-flow permutation —
+//!   landed millions of events in one 1 µs bucket, then a min-heap, whose
+//!   sifts took about a third of a packet-level run's host time.)
 //!
-//! Wheel memory tracks pending events: when the cursor drains a bucket
-//! into its heap, the bucket's buffer goes back to the allocator, and a
-//! bucket that fills again grows a fresh vector from memory recycled from
-//! earlier drains. Parking drained buffers in the wheel instead would make
-//! its storage the sum of all buckets' peak sizes, not the pending count.
+//! The per-nanosecond FIFOs give exact `(time, seq)` order because every
+//! entry of a given nanosecond reaches the lane in push order: a bucket is
+//! appended to in `seq` order; overflow entries migrate into a tick before
+//! any direct push to that tick can happen (a tick leaves the overflow
+//! range for good when the window first covers it), and they migrate in
+//! heap order; a push into the lane carries the newest `seq`. The one
+//! exception, a push into a tick that `peek_time` moved the cursor past,
+//! goes to a small heap that pops before the lane.
+//!
+//! Wheel memory tracks pending events: when the cursor reaches a bucket,
+//! the bucket's buffer moves into the lane and the previous lane's buffer
+//! goes back to the allocator, and a bucket that fills again grows a fresh
+//! vector from memory recycled from earlier drains. Parking drained buffers
+//! in the wheel instead would make its storage the sum of all buckets' peak
+//! sizes, not the pending count. The lane retains only its links (4 bytes
+//! per entry of the largest tick) and 8 KiB of per-nanosecond head/tail
+//! indices.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -98,6 +113,13 @@ const NUM_BUCKETS: usize = 4096;
 const BUCKET_MASK: u64 = (NUM_BUCKETS - 1) as u64;
 /// Words in the occupancy bitmap.
 const WORDS: usize = NUM_BUCKETS / 64;
+/// Lane slots: one per nanosecond of a bucket's tick.
+const LANE_SLOTS: usize = 1 << BUCKET_SHIFT;
+const LANE_MASK: u64 = (LANE_SLOTS - 1) as u64;
+/// Words in the lane's occupancy bitmap.
+const LANE_WORDS: usize = LANE_SLOTS / 64;
+/// End-of-FIFO link. Lane indices stay below it.
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug)]
 struct Entry {
@@ -130,6 +152,123 @@ impl Ord for Entry {
     }
 }
 
+/// The cursor tick's entries, one FIFO per nanosecond of the tick.
+///
+/// The FIFOs are threaded in place through the tick's bucket buffer by
+/// `u32` links, and an occupancy bitmap finds the first non-empty
+/// nanosecond, so push and pop are `O(1)` and never compare `(time, seq)`.
+/// A popped entry stays in the buffer (its event moved out) until the next
+/// tick's bucket takes the buffer's place.
+#[derive(Debug)]
+struct Lane {
+    /// The cursor tick's bucket buffer, followed by pushes at that tick.
+    entries: Vec<Entry>,
+    /// `next[i]`: the entry after `entries[i]` in its nanosecond's FIFO, or
+    /// `NIL`. Kept across ticks; it only ever grows to the largest lane.
+    next: Vec<u32>,
+    /// First entry of each occupied nanosecond's FIFO.
+    head: [u32; LANE_SLOTS],
+    /// Last entry of each occupied nanosecond's FIFO.
+    tail: [u32; LANE_SLOTS],
+    /// One bit per nanosecond: set while its FIFO is non-empty.
+    occupied: [u64; LANE_WORDS],
+    /// No occupancy word before this one has a bit set.
+    first_word: usize,
+    /// Entries linked and not yet popped.
+    pending: usize,
+}
+
+impl Lane {
+    fn new() -> Self {
+        Lane {
+            entries: Vec::new(),
+            next: Vec::new(),
+            head: [NIL; LANE_SLOTS],
+            tail: [NIL; LANE_SLOTS],
+            occupied: [0; LANE_WORDS],
+            first_word: 0,
+            pending: 0,
+        }
+    }
+
+    /// Make `bucket` (one tick's entries, in push order) the lane. The
+    /// previous buffer, fully popped, goes back to the allocator.
+    fn load(&mut self, bucket: Vec<Entry>) {
+        debug_assert_eq!(self.pending, 0, "lane replaced while entries pend");
+        assert!(
+            bucket.len() < NIL as usize,
+            "{} events in one tick overflow the lane's u32 links",
+            bucket.len()
+        );
+        self.entries = bucket;
+        self.next.clear();
+        self.next.resize(self.entries.len(), NIL);
+        self.first_word = 0;
+        for i in 0..self.entries.len() {
+            let slot = (self.entries[i].time & LANE_MASK) as usize;
+            self.link(i as u32, slot);
+        }
+        self.pending = self.entries.len();
+    }
+
+    /// Append `e`, an entry of the lane's tick, to its nanosecond's FIFO.
+    fn push(&mut self, e: Entry) {
+        let i = self.entries.len();
+        assert!(
+            i < NIL as usize,
+            "{i} events in one tick overflow the lane's u32 links"
+        );
+        let slot = (e.time & LANE_MASK) as usize;
+        self.entries.push(e);
+        self.next.push(NIL);
+        self.link(i as u32, slot);
+        // The time may precede the lane's head (a push after `peek_time`).
+        self.first_word = self.first_word.min(slot / 64);
+        self.pending += 1;
+    }
+
+    /// Append entry `i`, whose link is `NIL`, to the tail of `slot`'s FIFO.
+    #[inline]
+    fn link(&mut self, i: u32, slot: usize) {
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if self.occupied[word] & bit == 0 {
+            self.occupied[word] |= bit;
+            self.head[slot] = i;
+        } else {
+            self.next[self.tail[slot] as usize] = i;
+        }
+        self.tail[slot] = i;
+    }
+
+    /// The earliest occupied nanosecond. The lane must not be empty.
+    #[inline]
+    fn first_slot(&mut self) -> usize {
+        debug_assert!(self.pending > 0);
+        while self.occupied[self.first_word] == 0 {
+            self.first_word += 1;
+        }
+        self.first_word * 64 + self.occupied[self.first_word].trailing_zeros() as usize
+    }
+
+    fn peek_time(&mut self) -> Time {
+        let slot = self.first_slot();
+        self.entries[self.head[slot] as usize].time
+    }
+
+    /// Pop the head of the earliest occupied nanosecond's FIFO.
+    fn pop(&mut self) -> (Time, Event) {
+        let slot = self.first_slot();
+        let i = self.head[slot] as usize;
+        match self.next[i] {
+            NIL => self.occupied[slot / 64] &= !(1u64 << (slot % 64)),
+            next => self.head[slot] = next,
+        }
+        self.pending -= 1;
+        let e = &mut self.entries[i];
+        (e.time, std::mem::replace(&mut e.event, Event::Telemetry))
+    }
+}
+
 /// Timestamped event queue with FIFO tie-breaking for determinism.
 ///
 /// Pops in strict `(time, seq)` order, where `seq` is the push order — the
@@ -139,21 +278,21 @@ impl Ord for Entry {
 #[derive(Debug)]
 pub struct EventQueue {
     /// The wheel: bucket `i` holds entries whose tick ≡ `i` (mod
-    /// `NUM_BUCKETS`) within the current window `[cur_tick, cur_tick + N)`.
+    /// `NUM_BUCKETS`) within the window `(cur_tick, cur_tick + N)`.
     buckets: Vec<Vec<Entry>>,
     /// One bit per bucket: set while the bucket is non-empty.
     occupied: [u64; WORDS],
-    /// Tick of the cursor. All wheel entries live in
-    /// `[cur_tick, cur_tick + NUM_BUCKETS)`; only `pop`/`peek_time` advance
-    /// it (to the global minimum tick), so it never passes a pending event.
+    /// Tick of the cursor, whose entries live in `lane`. Only
+    /// `pop`/`peek_time` advance it (to the global minimum tick), so it
+    /// never passes a pending event.
     cur_tick: u64,
-    /// Tick whose entries currently live in `cursor` instead of the wheel.
-    cursor_tick: Option<u64>,
-    /// Min-heap over the cursor tick's entries: the head is the global
-    /// minimum `(time, seq)` whenever it is non-empty. Pushes at the
-    /// current tick land here directly in `O(log n)`.
-    cursor: BinaryHeap<Reverse<Entry>>,
-    /// Entries currently in the wheel (excluding the cursor heap).
+    /// The cursor tick's entries. Pushes at the cursor tick land here.
+    lane: Lane,
+    /// Entries pushed at a tick before the cursor tick, which can happen
+    /// once `peek_time` has moved the cursor past the queue floor (see
+    /// [`EventQueue::push`]). They pop before the lane.
+    behind: BinaryHeap<Reverse<Entry>>,
+    /// Entries currently in the wheel's buckets.
     wheel_len: usize,
     /// Far-future events (tick beyond the window at push time). Entries
     /// migrate into the wheel when the cursor catches up.
@@ -178,8 +317,8 @@ impl EventQueue {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; WORDS],
             cur_tick: 0,
-            cursor_tick: None,
-            cursor: BinaryHeap::new(),
+            lane: Lane::new(),
+            behind: BinaryHeap::new(),
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             next_seq: 0,
@@ -206,10 +345,13 @@ impl EventQueue {
         self.next_seq += 1;
         let e = Entry { time, seq, event };
         self.len += 1;
-        if self.cursor_tick.is_some_and(|ct| e.tick() <= ct) {
-            // Schedule-at-now (and anything else at or before the cursor
-            // tick): straight into the min-heap, O(log n) regardless of how
-            // many events share the tick. The at-or-*before* case matters:
+        let tick = e.tick();
+        if tick == self.cur_tick {
+            // Schedule-at-now and anything else in the cursor tick: the
+            // tail of its nanosecond's FIFO. It carries the newest `seq`,
+            // so it orders after every queued entry of the same time.
+            self.lane.push(e);
+        } else if tick < self.cur_tick {
             // `peek_time` advances the cursor to the minimum *pending* tick
             // without popping, and a caller may then legally push an
             // earlier event (still at/after the floor). The engine does
@@ -219,11 +361,10 @@ impl EventQueue {
             // `schedule_link_down` — in a tick the cursor has skipped.
             // Such an event must not be filed into a wheel bucket the
             // cursor has already passed, or it would surface a whole lap
-            // late and pop out of order. In the cursor heap it keeps the
-            // invariant that the heap head is the global minimum (its tick
-            // stays ≤ every wheel/overflow tick).
-            self.cursor.push(Reverse(e));
-        } else if e.tick() >= self.cur_tick + NUM_BUCKETS as u64 {
+            // late and pop out of order. Its tick is below every lane,
+            // wheel and overflow tick, so this heap pops first.
+            self.behind.push(Reverse(e));
+        } else if tick >= self.cur_tick + NUM_BUCKETS as u64 {
             self.overflow.push(Reverse(e));
         } else {
             self.insert_wheel(e);
@@ -235,10 +376,13 @@ impl EventQueue {
         if !self.normalize() {
             return None;
         }
-        let Reverse(e) = self.cursor.pop().expect("normalized cursor non-empty");
+        let (time, event) = match self.behind.pop() {
+            Some(Reverse(e)) => (e.time, e.event),
+            None => self.lane.pop(),
+        };
         self.len -= 1;
-        self.floor = e.time;
-        Some((e.time, e.event))
+        self.floor = time;
+        Some((time, event))
     }
 
     /// Time of the earliest pending event.
@@ -246,7 +390,10 @@ impl EventQueue {
         if !self.normalize() {
             return None;
         }
-        self.cursor.peek().map(|Reverse(e)| e.time)
+        Some(match self.behind.peek() {
+            Some(Reverse(e)) => e.time,
+            None => self.lane.peek_time(),
+        })
     }
 
     /// Number of pending events.
@@ -259,15 +406,16 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Place an entry (whose tick is within the current window, and is not
-    /// the cursor tick) into its wheel bucket. Buckets are append-only;
-    /// ordering happens when the cursor reaches them.
+    /// Place an entry whose tick is within the current window into its
+    /// wheel bucket. Buckets are append-only; ordering happens when the
+    /// cursor reaches them.
     fn insert_wheel(&mut self, e: Entry) {
         let tick = e.tick();
         debug_assert!(tick < self.cur_tick + NUM_BUCKETS as u64);
-        debug_assert!(self.cursor_tick != Some(tick));
+        // Equality only while `normalize` fills the bucket the lane is
+        // about to take over.
         debug_assert!(
-            self.cursor_tick.is_none() || tick > self.cur_tick,
+            tick >= self.cur_tick,
             "wheel insert at tick {tick} behind the cursor tick {}",
             self.cur_tick
         );
@@ -277,20 +425,19 @@ impl EventQueue {
         self.wheel_len += 1;
     }
 
-    /// Ensure the cursor heap holds the global minimum tick's entries:
-    /// advance the cursor to that tick, migrate overflow entries that now
-    /// fall inside the window, and move the tick's bucket into the heap.
-    /// Returns `false` when the queue is empty.
+    /// Ensure the lane or the behind heap holds the global minimum: once
+    /// both are empty, advance the cursor to the minimum pending tick,
+    /// migrate overflow entries that now fall inside the window, and make
+    /// the tick's bucket the lane. Returns `false` when the queue is empty.
     fn normalize(&mut self) -> bool {
         if self.len == 0 {
             return false;
         }
-        if !self.cursor.is_empty() {
-            // The cursor heap's tick is the queue floor's tick, so its head
-            // is still the global minimum — nothing to do.
+        if self.lane.pending > 0 || !self.behind.is_empty() {
+            // Both hold ticks at or before the cursor, so the earlier of
+            // their heads is still the global minimum — nothing to do.
             return true;
         }
-        self.cursor_tick = None;
         let wheel_tick = if self.wheel_len > 0 {
             let idx = self.next_occupied((self.cur_tick & BUCKET_MASK) as usize);
             Some(self.buckets[idx][0].tick())
@@ -315,15 +462,14 @@ impl EventQueue {
                 break;
             }
         }
-        // Move the target bucket's entries into the cursor heap and release
-        // the bucket's buffer: the wheel holds storage only for pending
-        // events.
+        // The target bucket's buffer becomes the lane, and the previous
+        // lane's buffer goes back to the allocator: the wheel holds storage
+        // only for pending events.
         let idx = (target & BUCKET_MASK) as usize;
-        let v = std::mem::take(&mut self.buckets[idx]);
-        self.wheel_len -= v.len();
+        let bucket = std::mem::take(&mut self.buckets[idx]);
+        self.wheel_len -= bucket.len();
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
-        self.cursor.extend(v.into_iter().map(Reverse));
-        self.cursor_tick = Some(target);
+        self.lane.load(bucket);
         true
     }
 
@@ -350,10 +496,12 @@ impl EventQueue {
 #[cfg(test)]
 impl EventQueue {
     /// Entries the queue's buffers can hold without reallocating: every
-    /// wheel bucket, the cursor heap and the overflow heap together.
+    /// wheel bucket, the lane with its links, and both heaps together.
     fn retained_capacity(&self) -> usize {
         self.buckets.iter().map(Vec::capacity).sum::<usize>()
-            + self.cursor.capacity()
+            + self.lane.entries.capacity()
+            + self.lane.next.capacity()
+            + self.behind.capacity()
             + self.overflow.capacity()
     }
 }
@@ -492,6 +640,57 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
+    /// Equal-time entries reach one tick three ways — migrated from the
+    /// overflow heap, pushed straight into the tick's wheel bucket, and
+    /// pushed into the lane once the cursor sits on the tick — and must
+    /// still pop in push order.
+    #[test]
+    fn equal_times_via_overflow_wheel_and_lane_pop_in_push_order() {
+        let window = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        let t = window + 700; // tick NUM_BUCKETS: beyond the first window
+        let mut q = EventQueue::new();
+        q.push(t, Event::Sample(0));
+        q.push(t, Event::Sample(1));
+        q.push(t + 1, Event::Sample(90)); // a later nanosecond, same tick
+        assert_eq!(q.overflow.len(), 3);
+        // Popping an event at tick 1 slides the window over t's tick, so
+        // the overflow entries migrate into its bucket.
+        q.push(1 << BUCKET_SHIFT, Event::Sample(99));
+        assert_eq!(q.pop().map(|(time, _)| time), Some(1 << BUCKET_SHIFT));
+        assert_eq!((q.overflow.len(), q.wheel_len), (0, 3));
+        q.push(t, Event::Sample(2));
+        q.push(t - 1, Event::Sample(89)); // an earlier nanosecond, same tick
+        q.push(t, Event::Sample(3));
+        assert_eq!(q.wheel_len, 6);
+        // Peeking moves the cursor onto the tick: its bucket becomes the
+        // lane, and later pushes at the tick append to it.
+        assert_eq!(q.peek_time(), Some(t - 1));
+        assert_eq!((q.wheel_len, q.lane.pending), (0, 6));
+        q.push(t, Event::Sample(4));
+        q.push(t, Event::Sample(5));
+        assert_eq!(q.lane.pending, 8);
+        let order: Vec<(Time, u32)> = std::iter::from_fn(|| {
+            q.pop().map(|(time, e)| match e {
+                Event::Sample(s) => (time, s),
+                e => panic!("unexpected {e:?}"),
+            })
+        })
+        .collect();
+        assert_eq!(
+            order,
+            vec![
+                (t - 1, 89),
+                (t, 0),
+                (t, 1),
+                (t, 2),
+                (t, 3),
+                (t, 4),
+                (t, 5),
+                (t + 1, 90)
+            ]
+        );
+    }
+
     #[test]
     fn push_at_floor_after_drain_still_works() {
         // Drain the queue completely, then schedule at exactly the floor
@@ -576,32 +775,54 @@ mod tests {
 
     /// The satellite differential oracle: 1M randomized (time, seq)
     /// push/pop operations replayed through the calendar queue and the
-    /// reference heap must produce an identical pop order.
+    /// reference heap must produce an identical pop order, once per
+    /// push-time distribution.
     #[test]
     fn differential_oracle_vs_reference_heap_1m_ops() {
-        let mut rng = SmallRng::seed_from_u64(0xCA1E_0DA2);
+        let window = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        // Times span same-tick, same-window, and far-future (overflow)
+        // cases, plus exact schedule-at-now ties.
+        replay_against_reference_heap(0xCA1E_0DA2, |rng| match rng.gen_range(0..10u32) {
+            0 => 0,
+            1..=4 => rng.gen_range(0..2_000),
+            5..=7 => rng.gen_range(0..window / 2),
+            8 => rng.gen_range(0..2 * window),
+            _ => rng.gen_range(0..8 * window),
+        });
+        // Dense: most pushes land 0-64 ns ahead, so thousands of events
+        // pend in one tick and same-nanosecond ties are frequent.
+        let peak_lane =
+            replay_against_reference_heap(0xDE45_E71E, |rng| match rng.gen_range(0..10u32) {
+                0..=7 => rng.gen_range(0..64),
+                8 => rng.gen_range(0..2_000),
+                _ => rng.gen_range(0..2 * window),
+            });
+        assert!(
+            peak_lane >= 1_000,
+            "the dense input pended at most {peak_lane} events in one tick"
+        );
+    }
+
+    /// Replay 1M randomized push/pop operations, with push times `dt(rng)`
+    /// after the last popped time, through the calendar queue and the
+    /// reference heap, asserting identical pops. Returns the most events
+    /// that pended in the lane at once.
+    fn replay_against_reference_heap(seed: u64, dt: impl Fn(&mut SmallRng) -> Time) -> usize {
+        let mut rng = SmallRng::seed_from_u64(seed);
         let mut cal = EventQueue::new();
         let mut heap = ReferenceHeapQueue::new();
         let mut now: Time = 0;
         let mut ops: u64 = 0;
-        let window = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        let mut peak_lane = 0;
         while ops < 1_000_000 {
             // Bias towards pushes while small, pops while large, mirroring
             // an engine run's grow/drain phases.
             let push = cal.len() < 4 || (cal.len() < 200_000 && rng.gen_bool(0.55));
             if push {
-                // Times span same-tick, same-window, and far-future
-                // (overflow) cases, plus exact schedule-at-now ties.
-                let dt = match rng.gen_range(0..10u32) {
-                    0 => 0,
-                    1..=4 => rng.gen_range(0..2_000),
-                    5..=7 => rng.gen_range(0..window / 2),
-                    8 => rng.gen_range(0..2 * window),
-                    _ => rng.gen_range(0..8 * window),
-                };
+                let t = now + dt(&mut rng);
                 let tag = ops as u32;
-                cal.push(now + dt, Event::Sample(tag));
-                heap.push(now + dt, Event::Sample(tag));
+                cal.push(t, Event::Sample(tag));
+                heap.push(t, Event::Sample(tag));
             } else {
                 let (tc, ec) = cal.pop().expect("calendar queue non-empty");
                 let (th, eh) = heap.pop().expect("reference heap non-empty");
@@ -615,6 +836,7 @@ mod tests {
                 assert!(tc >= now, "time went backwards");
                 now = tc;
             }
+            peak_lane = peak_lane.max(cal.lane.pending);
             assert_eq!(cal.len(), heap.len());
             ops += 1;
         }
@@ -628,5 +850,6 @@ mod tests {
             }
         }
         assert!(heap.pop().is_none());
+        peak_lane
     }
 }
