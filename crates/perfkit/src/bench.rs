@@ -1,18 +1,24 @@
-//! The benchmark suite: event-queue microbenches, an end-to-end incast
-//! step-rate bench, and the fig08-slice sweep macrobench.
+//! The benchmark suite: event-queue and port-queue microbenches, an
+//! end-to-end incast step-rate bench, scale and lossless-permutation
+//! memory macrobenches, and the fig08-slice sweep macrobench.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use uno::sim::event::{Event, EventQueue};
-use uno::sim::{FabricMode, Time, TopologyParams, SECONDS};
+use uno::sim::{
+    FabricMode, FlowId, NodeId, Packet, PacketPool, PortQueue, RedParams, Time, TopologyParams,
+    SECONDS,
+};
 use uno::{Experiment, ExperimentConfig, SchemeSpec};
 use uno_bench::SweepRunner;
 use uno_erasure::{gf256, CodecScratch, ReedSolomon, ShardPool};
 use uno_trace::{Profiler, RateMeter};
 use uno_transport::LbMode;
-use uno_workloads::incast;
+use uno_workloads::{incast, permutation};
 
 use uno_workloads::FlowSpec;
 
@@ -59,6 +65,12 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
     dense.gated = false;
     benches.push(dense);
 
+    // Port-queue enqueue + dequeue through the packet slab, the per-hop
+    // queue operation (informational).
+    let mut port = port_queue_ops(quick);
+    port.gated = false;
+    benches.push(port);
+
     // End-to-end engine throughput on one incast experiment. The profiler
     // ships disabled by default, so this row doubles as the gate on the
     // profiler's disabled-path (one branch per hook) overhead.
@@ -88,6 +100,11 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
     // struct-of-arrays tables' flat-memory and events/sec-at-scale claims.
     let (scale_rate, scale_rss) = scale_benches(quick);
     benches.extend([scale_rate, scale_rss]);
+
+    // Macrobench: peak memory of a lossless permutation, where PFC parks
+    // whole windows in switch and NIC buffers — the packet-storage gate
+    // (the scale incast above parks few packets).
+    benches.push(permutation_peak_rss(quick));
 
     // Macrobench: the fig08 FCT slice, sequential vs. 8-way sweep. The
     // parallel rows are wall-clock claims bounded by the host's core count
@@ -296,6 +313,38 @@ fn calendar_hold(hold: usize, pairs: usize, dt: impl Fn(&mut u64) -> u64) -> Rat
     let mut meter = RateMeter::new();
     meter.record_nanos(pairs as u64, nanos);
     meter
+}
+
+/// Port-queue enqueue + dequeue pairs per second: each op pools an MTU
+/// packet, enqueues its handle behind a standing 32-packet backlog (below
+/// the RED threshold, the common uncongested case), dequeues the head and
+/// releases it — the per-hop queue work of the engine's datapath.
+fn port_queue_ops(quick: bool) -> BenchResult {
+    const BACKLOG: u64 = 32;
+    let ops: u64 = if quick { 4_000_000 } else { 16_000_000 };
+    best_of(QUEUE_REPS, "port_queue_ops", || {
+        let mut q = PortQueue::new(1 << 20, RedParams::default());
+        let mut packets = PacketPool::new();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let pkt = |seq| Packet::data(FlowId(0), seq, 4096, NodeId(0), NodeId(1));
+        for seq in 0..BACKLOG {
+            let r = packets.alloc(pkt(seq));
+            assert!(q.try_enqueue(r, &mut packets, 0, &mut rng).is_enqueued());
+        }
+        let (_, nanos) = time_cpu(|| {
+            for seq in BACKLOG..BACKLOG + ops {
+                let r = packets.alloc(pkt(seq));
+                let outcome = q.try_enqueue(r, &mut packets, 0, &mut rng);
+                debug_assert!(outcome.is_enqueued());
+                let (head, _) = q.dequeue().expect("backlog never drains");
+                packets.release(std::hint::black_box(head));
+            }
+        });
+        assert_eq!(q.len() as u64, BACKLOG, "ops must preserve the backlog");
+        let mut meter = RateMeter::new();
+        meter.record_nanos(ops, nanos);
+        meter
+    })
 }
 
 /// Run `rep` repetitions of a throughput microbench and keep the fastest.
@@ -719,6 +768,59 @@ fn scale_benches(quick: bool) -> (BenchResult, BenchResult) {
             wall_seconds: 0.0,
         },
     )
+}
+
+/// Peak RSS of the `multidc_lossless` end-to-end workload's shape — a
+/// 4-site k=16 lossless fabric (4096 hosts) where every host sends to a
+/// distinct random host — at 192 KiB per host (quick) or its full 256 KiB.
+/// Isolated like `scale_peak_rss`; one rep, since peak RSS is a property
+/// of the run. The quick size is the smallest at which storing packets in
+/// the port-queue rings again (about 1.4x this row) fails `compare` at the
+/// CI's 25% tolerance, which lets a lower-is-better row grow to 1.33x.
+fn permutation_peak_rss(quick: bool) -> BenchResult {
+    let mut topo = TopologyParams {
+        k: 16,
+        dcs: 4,
+        border_links: 16,
+        ..TopologyParams::default()
+    };
+    topo.fabric = FabricMode::Lossless;
+    let size: u64 = if quick { 192 << 10 } else { 256 << 10 };
+    let specs = permutation(
+        topo.hosts_per_dc() as u32,
+        topo.dcs as u8,
+        size,
+        &mut SmallRng::seed_from_u64(1),
+    );
+
+    let isolated = reset_peak_rss();
+    let mut cfg = ExperimentConfig::quick(SchemeSpec::uno(), 1);
+    cfg.topo = topo;
+    let mut exp = Experiment::new(cfg);
+    exp.add_specs(&specs);
+    let started = Instant::now();
+    let r = exp.run(60 * SECONDS);
+    let wall = started.elapsed().as_secs_f64();
+    assert!(r.all_completed, "permutation bench must run to completion");
+    let pauses = r.manifest.counters.get("pfc.pauses");
+    assert!(pauses > 0, "permutation bench must exercise PFC");
+    let rss = peak_rss_kib();
+    eprintln!(
+        "[uno-perfkit] permutation_peak_rss (4xk16 lossless, {} KiB/host): \
+         peak RSS {:.1} MiB{} ({} events, {pauses} pauses)",
+        size >> 10,
+        rss as f64 / 1024.0,
+        if isolated { "" } else { " (process-wide)" },
+        r.manifest.events_processed,
+    );
+    BenchResult {
+        name: "permutation_peak_rss".to_string(),
+        value: rss as f64,
+        unit: "KiB".to_string(),
+        higher_is_better: false,
+        gated: true,
+        wall_seconds: wall,
+    }
 }
 
 /// The fig08 FCT slice (3 incast scenarios × 3 schemes) through the sweep

@@ -9,7 +9,8 @@
 //!   workload discrete-event simulators exhibit (pop the minimum, schedule
 //!   a successor a random delta later), plus an informational dense
 //!   variant with thousands of events pending in the scheduler's current
-//!   1.024 µs tick;
+//!   1.024 µs tick, and informational port-queue enqueue + dequeue pairs
+//!   through the packet slab;
 //! * **incast step rate** — end-to-end engine events/sec on a Figure 8
 //!   style incast experiment (the meter the simulator itself maintains),
 //!   plus the same meter on a lossless (PFC) fabric;
@@ -20,7 +21,9 @@
 //!   the gated batch-over-scalar speedup ratio;
 //! * **profiler rows** — span bookkeeping throughput, and the incast step
 //!   rate with the span profiler enabled (informational);
-//! * **scale rows** — events/sec and peak RSS on a multi-site fabric;
+//! * **scale rows** — events/sec and peak RSS on a multi-site fabric, and
+//!   peak RSS of a lossless multi-site permutation, where PFC parks whole
+//!   windows in buffers;
 //! * **fig08 slice** — wall-clock for a scheme × scenario FCT sweep run
 //!   sequentially and through the parallel [`SweepRunner`], plus the
 //!   resulting speedup.

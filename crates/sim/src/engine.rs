@@ -20,6 +20,7 @@ use crate::fault::{exp_dwell, FaultKind, FaultPlane, FaultSpec, LinkHealth};
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::loss::GilbertElliott;
 use crate::packet::Packet;
+use crate::pool::{PacketPool, PacketRef};
 use crate::queue::EnqueueOutcome;
 use crate::tables::FlowTable;
 use crate::time::{serialization_time, Time};
@@ -317,6 +318,9 @@ pub struct Simulator {
     /// The network.
     pub topo: Topology,
     events: EventQueue,
+    /// Every packet between [`Action::Send`] and its delivery or drop; the
+    /// event queue and port queues hold handles into it.
+    packets: PacketPool,
     now: Time,
     rng: SmallRng,
     flows: FlowTable,
@@ -371,6 +375,7 @@ impl Simulator {
         Simulator {
             topo,
             events: EventQueue::new(),
+            packets: PacketPool::new(),
             now: 0,
             rng: SmallRng::seed_from_u64(seed),
             flows: FlowTable::default(),
@@ -880,7 +885,11 @@ impl Simulator {
         }
         links.set_up(link, false);
         let purged_bytes = links.queue(link).bytes();
-        let dropped = links.queue_mut(link).clear();
+        let purged = links.queue_mut(link).clear();
+        let dropped = purged.len();
+        for pkt in purged {
+            self.packets.release(pkt);
+        }
         links.note_lost(link, dropped as u64);
         if dropped > 0 && self.tracer.enabled() {
             self.tracer.emit(TraceEvent::QueueClear {
@@ -1018,85 +1027,79 @@ impl Simulator {
         }
     }
 
-    fn handle_arrive(&mut self, link: LinkId, pkt: Packet, epoch: u32) {
+    /// A packet reaches the far end of `link`: it is lost on the wire, or
+    /// delivered to a host (which consumes it), or routed onto the next
+    /// egress queue. This is the one place per hop that reads the pooled
+    /// packet.
+    fn handle_arrive(&mut self, link: LinkId, pkt: PacketRef, epoch: u32) {
         let links = &mut self.topo.links;
         // A stale epoch means the link failed while this packet was on the
         // wire: the packet is lost even if the link has since recovered.
-        if !links.is_up(link) || epoch != links.epoch(link) {
-            links.note_lost(link, 1);
-            if self.tracer.enabled() {
-                self.tracer.emit(TraceEvent::LinkLoss {
-                    t: self.now,
-                    link: link.0,
-                    flow: pkt.flow.0,
-                    seq: pkt.seq,
-                });
-            }
+        let stale = !links.is_up(link) || epoch != links.epoch(link);
+        if stale
+            || links
+                .loss_mut(link)
+                .as_mut()
+                .is_some_and(|loss| loss.drops(&mut self.rng))
+        {
+            self.lose(link, pkt);
             return;
-        }
-        if let Some(loss) = links.loss_mut(link) {
-            if loss.drops(&mut self.rng) {
-                links.note_lost(link, 1);
-                if self.tracer.enabled() {
-                    self.tracer.emit(TraceEvent::LinkLoss {
-                        t: self.now,
-                        link: link.0,
-                        flow: pkt.flow.0,
-                        seq: pkt.seq,
-                    });
-                }
-                return;
-            }
         }
         // Gray fault: silent per-packet drop at rate p while active.
         let gray = links.health(link).gray_loss;
         if gray > 0.0 && self.rng.gen::<f64>() < gray {
-            links.note_lost(link, 1);
-            if self.tracer.enabled() {
-                self.tracer.emit(TraceEvent::LinkLoss {
-                    t: self.now,
-                    link: link.0,
-                    flow: pkt.flow.0,
-                    seq: pkt.seq,
-                });
-            }
+            self.lose(link, pkt);
             return;
         }
         let node = links.to(link);
         if self.topo.nodes[node.index()].kind.is_host() {
+            // Freed before the callback, so the flow's replies can reuse
+            // the slot while it is still in cache.
+            let pkt = self.packets.take(pkt);
             if pkt.dst == node {
                 let flow = pkt.flow;
                 self.call_flow(flow, |logic, ctx| logic.on_packet(pkt, ctx));
             }
             // Packets for other hosts are misrouted artifacts; drop silently.
         } else {
-            if let Some(out) = self.topo.route(node, &pkt) {
-                self.enqueue_on(out, pkt)
+            match self.topo.route(node, self.packets.get(pkt)) {
+                Some(out) => self.enqueue_on(out, pkt),
+                None => self.packets.release(pkt),
             }
         }
     }
 
+    /// Count `pkt` lost on `link`, trace it, and free its slot.
+    fn lose(&mut self, link: LinkId, pkt: PacketRef) {
+        self.topo.links.note_lost(link, 1);
+        if self.tracer.enabled() {
+            let p = self.packets.get(pkt);
+            self.tracer.emit(TraceEvent::LinkLoss {
+                t: self.now,
+                link: link.0,
+                flow: p.flow.0,
+                seq: p.seq,
+            });
+        }
+        self.packets.release(pkt);
+    }
+
     /// Enqueue `pkt` on `link`'s egress queue, kicking transmission if idle.
-    fn enqueue_on(&mut self, link: LinkId, pkt: Packet) {
+    fn enqueue_on(&mut self, link: LinkId, pkt: PacketRef) {
         let now = self.now;
-        let links = &mut self.topo.links;
-        if !links.is_up(link) {
-            links.note_lost(link, 1);
-            if self.tracer.enabled() {
-                self.tracer.emit(TraceEvent::LinkLoss {
-                    t: now,
-                    link: link.0,
-                    flow: pkt.flow.0,
-                    seq: pkt.seq,
-                });
-            }
+        if !self.topo.links.is_up(link) {
+            self.lose(link, pkt);
             return;
         }
-        let (flow, seq, size) = (pkt.flow.0, pkt.seq, pkt.size);
-        let outcome = links.queue_mut(link).try_enqueue(pkt, now, &mut self.rng);
+        let links = &mut self.topo.links;
+        let outcome = links
+            .queue_mut(link)
+            .try_enqueue(pkt, &mut self.packets, now, &mut self.rng);
         let idle = !links.busy(link);
         if self.tracer.enabled() {
             let qlen = links.queue(link).bytes();
+            let p = self.packets.get(pkt);
+            let (flow, seq, size) = (p.flow.0, p.seq, p.size);
             match outcome {
                 EnqueueOutcome::Enqueued { marked, phantom } => {
                     self.tracer.emit(TraceEvent::Enqueue {
@@ -1138,6 +1141,8 @@ impl Simulator {
             if idle {
                 self.start_transmit(link);
             }
+        } else {
+            self.packets.release(pkt);
         }
     }
 
@@ -1150,7 +1155,9 @@ impl Simulator {
         if links.paused(link) {
             return;
         }
-        let Some(pkt) = links.queue_mut(link).dequeue() else {
+        // The ring carries the size: untraced, transmission never touches
+        // the pooled packet.
+        let Some((pkt, size)) = links.queue_mut(link).dequeue() else {
             return;
         };
         let release_pause = links.queue(link).should_release_pause();
@@ -1162,9 +1169,9 @@ impl Simulator {
         } else {
             links.bps(link)
         };
-        let ser = serialization_time(pkt.size as u64, bps);
+        let ser = serialization_time(size as u64, bps);
         links.set_busy(link, true);
-        links.note_tx(link, pkt.size as u64);
+        links.note_tx(link, size as u64);
         // Delay faults add fixed latency plus uniform per-packet jitter.
         let mut delay = links.delay(link) + health.extra_delay;
         if health.jitter > 0 {
@@ -1172,11 +1179,12 @@ impl Simulator {
         }
         let epoch = links.epoch(link);
         if self.tracer.enabled() {
+            let p = self.packets.get(pkt);
             self.tracer.emit(TraceEvent::Dequeue {
                 t: self.now,
                 link: link.0,
-                flow: pkt.flow.0,
-                seq: pkt.seq,
+                flow: p.flow.0,
+                seq: p.seq,
             });
         }
         self.events.push(self.now + ser, Event::LinkFree(link));
@@ -1221,6 +1229,7 @@ impl Simulator {
             match action {
                 Action::Send(pkt) => {
                     let uplink = self.topo.host_uplink(pkt.src);
+                    let pkt = self.packets.alloc(pkt);
                     self.enqueue_on(uplink, pkt);
                 }
                 Action::Timer { at, token } => {
@@ -2026,6 +2035,120 @@ mod tests {
         let c = sim.counter_snapshot();
         assert_eq!(c.get("flow.stalled"), 1);
         assert_eq!(c.get("flow.aborted"), 0);
+    }
+
+    /// Run `sim` until its event queue is empty, then check that every
+    /// packet handle it allocated was released exactly once.
+    fn drain_and_assert_no_live_packets(mut sim: Simulator) -> Simulator {
+        while let Some((t, ev)) = sim.events.pop() {
+            sim.now = t;
+            sim.dispatch(ev);
+        }
+        assert!(sim.events.is_empty());
+        assert_eq!(sim.packets.live(), 0, "packet handles leaked");
+        assert!(sim.packets.high_water() > 0, "the run sent packets");
+        sim
+    }
+
+    /// `senders` hosts of DC0 each blast `n` MTU packets at DC0 host 0.
+    fn incast_sim(seed: u64, topo: TopologyParams, senders: u32, n: u64) -> Simulator {
+        let mut sim = Simulator::new(Topology::build(topo), seed);
+        let dst = sim.topo.host(0, 0);
+        for i in 0..senders {
+            let src = sim.topo.host(0, 4 + i);
+            sim.add_flow(
+                FlowMeta {
+                    src,
+                    dst,
+                    size: n * 4096,
+                    start: 0,
+                    class: FlowClass::Intra,
+                },
+                Box::new(Blaster {
+                    src,
+                    dst,
+                    n,
+                    acked: 0,
+                    mtu: 4096,
+                }),
+            );
+        }
+        sim
+    }
+
+    #[test]
+    fn every_release_path_frees_its_packet() {
+        use crate::fault::FaultTarget;
+        // Delivery: data and ACKs are all consumed by hosts.
+        let sim = drain_and_assert_no_live_packets(incast_sim(60, TopologyParams::small(), 2, 20));
+        assert_eq!(sim.fcts.len(), 2);
+        assert_eq!(sim.network_stats().queue_drops, 0);
+
+        // Drop-tail at a full switch queue.
+        let mut shallow = TopologyParams::small();
+        shallow.queue_bytes = 16 << 10;
+        let sim = drain_and_assert_no_live_packets(incast_sim(61, shallow, 4, 50));
+        assert!(sim.network_stats().queue_drops > 0, "queues overflowed");
+
+        // Link-down purge plus stale-epoch arrivals: the uplink fails with
+        // a queue of packets behind it and two on the wire, then recovers
+        // before they would have arrived.
+        let mut sim = incast_sim(62, TopologyParams::small(), 1, 100);
+        sim.set_tracer(Tracer::ring(100_000));
+        let up = sim.topo.host_uplink(sim.topo.host(0, 4));
+        sim.schedule_link_down(up, 600);
+        sim.schedule_link_up(up, 700);
+        let sim = drain_and_assert_no_live_packets(sim);
+        let purged: u64 = sim
+            .tracer
+            .ring_events()
+            .iter()
+            .map(|e| match e {
+                TraceEvent::QueueClear { pkts, .. } => *pkts,
+                _ => 0,
+            })
+            .sum();
+        assert!(purged > 0, "the failure purged a queue");
+        assert_eq!(
+            sim.per_link_stats()[up.index()].losses,
+            100,
+            "{purged} purged, the rest lost to a stale epoch"
+        );
+
+        // Enqueue onto a link that is already down.
+        let mut sim = incast_sim(63, TopologyParams::small(), 1, 10);
+        let up = sim.topo.host_uplink(sim.topo.host(0, 4));
+        sim.schedule_link_down(up, 0);
+        let sim = drain_and_assert_no_live_packets(sim);
+        assert_eq!(sim.per_link_stats()[up.index()].losses, 10);
+
+        // Gilbert–Elliott loss.
+        let mut sim = incast_sim(64, TopologyParams::small(), 1, 100);
+        let up = sim.topo.host_uplink(sim.topo.host(0, 4));
+        sim.set_link_loss(up, GilbertElliott::uniform(0.3));
+        let sim = drain_and_assert_no_live_packets(sim);
+        assert!(sim.per_link_stats()[up.index()].losses > 0);
+
+        // Gray loss.
+        let mut sim = incast_sim(65, TopologyParams::small(), 1, 100);
+        let up = sim.topo.host_uplink(sim.topo.host(0, 4));
+        sim.install_faults(&spec_one(
+            FaultTarget::Link { id: up.0 },
+            FaultKind::GrayLoss { p: 0.5 },
+            None,
+        ))
+        .unwrap();
+        let sim = drain_and_assert_no_live_packets(sim);
+        assert!(sim.per_link_stats()[up.index()].losses > 0);
+
+        // A lossless run: PFC pauses hold packets in queues upstream.
+        let mut lossless = TopologyParams::small();
+        lossless.fabric = crate::topology::FabricMode::Lossless;
+        lossless.queue_bytes = 256 << 10;
+        let sim = drain_and_assert_no_live_packets(incast_sim(66, lossless, 4, 200));
+        assert!(sim.counter_snapshot().get("pfc.pauses") > 0, "PFC paused");
+        assert_eq!(sim.network_stats().queue_drops, 0);
+        assert_eq!(sim.fcts.len(), 4);
     }
 
     #[test]

@@ -47,10 +47,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::ids::{FlowId, LinkId};
-use crate::packet::Packet;
+use crate::pool::PacketRef;
 use crate::time::Time;
 
 /// Events processed by the simulation engine.
+///
+/// Every variant fits in 12 bytes of payload, so an `Event` is 16 bytes and
+/// a scheduled entry 32: packets stay in the engine's
+/// [`crate::pool::PacketPool`] and travel here as handles.
 #[derive(Clone, Debug)]
 pub enum Event {
     /// A link finished serializing a packet; start the next one if queued.
@@ -59,7 +63,7 @@ pub enum Event {
     /// the link's failure epoch at transmission time: if the link went down
     /// while the packet was propagating, the epochs no longer match and the
     /// packet is lost even if the link has since recovered.
-    Arrive(LinkId, Packet, u32),
+    Arrive(LinkId, PacketRef, u32),
     /// A flow-requested timer fires with an opaque token.
     FlowTimer {
         /// The flow whose timer fired.

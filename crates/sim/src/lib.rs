@@ -5,7 +5,9 @@
 //! Connectivity* (SC '25). It models:
 //!
 //! * store-and-forward output-queued switches with byte-limited FIFO queues,
-//!   RED ECN marking, and optional HULL-style **phantom queues**;
+//!   RED ECN marking, and optional HULL-style **phantom queues**; in-flight
+//!   packets live in one slab ([`PacketPool`]) and queues and events carry
+//!   4-byte handles;
 //! * links with serialization + propagation delay, failure events, and
 //!   correlated (Gilbert–Elliott) loss processes;
 //! * dual-datacenter **k-ary fat-tree** topologies joined by border switches
@@ -36,6 +38,7 @@ pub mod fault;
 pub mod ids;
 pub mod loss;
 pub mod packet;
+pub mod pool;
 pub mod queue;
 pub mod tables;
 pub mod time;
@@ -51,6 +54,7 @@ pub use fault::{FaultEntry, FaultKind, FaultPlane, FaultSpec, FaultTarget, LinkH
 pub use ids::{FlowId, LinkId, NodeId};
 pub use loss::{ChunkLossStats, GilbertElliott};
 pub use packet::{Packet, PacketKind};
+pub use pool::{PacketPool, PacketRef};
 pub use queue::{EnqueueOutcome, PhantomQueue, PortQueue, RedParams};
 pub use tables::{FlowTable, FwdTable, LinkTable};
 pub use time::{Bps, Time, GBPS, MICROS, MILLIS, NANOS, SECONDS};

@@ -185,4 +185,11 @@ mod tests {
         // Keep the hot-path copy under one cache line pair.
         assert!(std::mem::size_of::<Packet>() <= 64);
     }
+
+    #[test]
+    fn events_carry_packet_handles_not_packets() {
+        // Packets stay in the slab and events carry a 4-byte handle, so a
+        // scheduled calendar-queue entry is 32 bytes, not 72.
+        assert!(std::mem::size_of::<crate::event::Event>() <= 16);
+    }
 }

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::packet::Packet;
+use crate::pool::{PacketPool, PacketRef};
 use crate::time::{Bps, Time, SECONDS};
 
 /// Random Early Detection marking thresholds, as fractions of capacity.
@@ -137,9 +137,13 @@ impl EnqueueOutcome {
 
 /// Byte-limited FIFO output queue with RED ECN marking and an optional
 /// phantom queue.
+///
+/// The ring holds handles into the engine's [`PacketPool`] next to each
+/// packet's wire size, 8 bytes a slot: dequeue and byte accounting never
+/// touch the pool.
 #[derive(Clone, Debug)]
 pub struct PortQueue {
-    fifo: VecDeque<Packet>,
+    fifo: VecDeque<(PacketRef, u32)>,
     bytes: u64,
     /// Physical capacity in bytes.
     pub capacity: u64,
@@ -253,35 +257,40 @@ impl PortQueue {
         self.fifo.is_empty()
     }
 
-    /// Try to enqueue `pkt`, applying drop-tail and ECN marking.
+    /// Try to enqueue the packet behind `pkt`, applying drop-tail and ECN
+    /// marking (the mark is set on the pooled packet in place).
     ///
     /// Control packets (ACK/NACK) are never ECN-marked but still consume
-    /// buffer space and can be dropped when the queue is full.
+    /// buffer space and can be dropped when the queue is full. A dropped
+    /// handle stays live: releasing it is the caller's job.
     pub fn try_enqueue<R: Rng>(
         &mut self,
-        mut pkt: Packet,
+        pkt: PacketRef,
+        packets: &mut PacketPool,
         now: Time,
         rng: &mut R,
     ) -> EnqueueOutcome {
-        if self.bytes + pkt.size as u64 > self.capacity {
+        let p = packets.get_mut(pkt);
+        let size = p.size;
+        if self.bytes + size as u64 > self.capacity {
             self.drops += 1;
             return EnqueueOutcome::Dropped;
         }
         let mut mark = false;
         let mut phantom_mark = false;
-        if !pkt.is_control() {
+        if !p.is_control() {
             if let Some(ph) = &mut self.phantom {
-                phantom_mark = ph.on_enqueue(pkt.size, now, rng);
+                phantom_mark = ph.on_enqueue(size, now, rng);
                 mark |= phantom_mark;
             }
             // Physical RED is evaluated regardless: with a phantom queue it
             // acts as a backstop signal for deep physical congestion.
-            let p = self.red.mark_probability(self.bytes, self.capacity);
-            if p > 0.0 && rng.gen::<f64>() < p {
+            let prob = self.red.mark_probability(self.bytes, self.capacity);
+            if prob > 0.0 && rng.gen::<f64>() < prob {
                 mark = true;
             }
             if mark {
-                pkt.ecn = true;
+                p.ecn = true;
                 self.marks += 1;
                 if phantom_mark {
                     self.phantom_marks += 1;
@@ -289,31 +298,31 @@ impl PortQueue {
             }
         } else if let Some(ph) = &mut self.phantom {
             // Control packets still add load to the virtual queue.
-            let _ = ph.on_enqueue(pkt.size, now, rng);
+            let _ = ph.on_enqueue(size, now, rng);
         }
-        self.bytes += pkt.size as u64;
+        self.bytes += size as u64;
         self.max_bytes_seen = self.max_bytes_seen.max(self.bytes);
-        self.fifo.push_back(pkt);
+        self.fifo.push_back((pkt, size));
         EnqueueOutcome::Enqueued {
             marked: mark,
             phantom: phantom_mark,
         }
     }
 
-    /// Dequeue the head-of-line packet, if any.
-    pub fn dequeue(&mut self) -> Option<Packet> {
-        let pkt = self.fifo.pop_front()?;
-        self.bytes -= pkt.size as u64;
-        Some(pkt)
+    /// Dequeue the head-of-line packet's handle and wire size, if any.
+    pub fn dequeue(&mut self) -> Option<(PacketRef, u32)> {
+        let (pkt, size) = self.fifo.pop_front()?;
+        self.bytes -= size as u64;
+        Some((pkt, size))
     }
 
-    /// Drop every queued packet (used when a link fails).
-    pub fn clear(&mut self) -> usize {
-        let n = self.fifo.len();
-        self.drops += n as u64;
-        self.fifo.clear();
+    /// Drop every queued packet (used when a link fails), counting the
+    /// drops. Returns the purged handles, in FIFO order, for the caller to
+    /// release.
+    pub fn clear(&mut self) -> impl ExactSizeIterator<Item = PacketRef> + '_ {
+        self.drops += self.fifo.len() as u64;
         self.bytes = 0;
-        n
+        self.fifo.drain(..).map(|(pkt, _)| pkt)
     }
 }
 
@@ -321,11 +330,13 @@ impl PortQueue {
 mod tests {
     use super::*;
     use crate::ids::{FlowId, NodeId};
+    use crate::packet::Packet;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn pkt(size: u32) -> Packet {
-        Packet::data(FlowId(0), 0, size, NodeId(0), NodeId(1))
+    /// A pooled data packet of `size` bytes.
+    fn pkt(pool: &mut PacketPool, size: u32) -> PacketRef {
+        pool.alloc(Packet::data(FlowId(0), 0, size, NodeId(0), NodeId(1)))
     }
 
     fn rng() -> SmallRng {
@@ -377,11 +388,12 @@ mod tests {
     #[test]
     fn pfc_thresholds_assert_and_release() {
         let mut q = PortQueue::new(10_000, RedParams::default()).with_pfc(3000, 1000);
-        let mut r = rng();
+        let (mut pool, mut r) = (PacketPool::new(), rng());
         assert!(q.pfc_enabled());
         assert!(!q.should_assert_pause());
         for _ in 0..3 {
-            assert!(q.try_enqueue(pkt(1000), 0, &mut r).is_enqueued());
+            let p = pkt(&mut pool, 1000);
+            assert!(q.try_enqueue(p, &mut pool, 0, &mut r).is_enqueued());
         }
         assert!(q.should_assert_pause(), "occupancy 3000 >= xoff 3000");
         q.note_pause();
@@ -402,65 +414,78 @@ mod tests {
     #[test]
     fn fifo_order_and_byte_accounting() {
         let mut q = PortQueue::new(10_000, RedParams::default());
-        let mut r = rng();
+        let (mut pool, mut r) = (PacketPool::new(), rng());
         for i in 0..3 {
-            let mut p = pkt(1000);
-            p.seq = i;
-            assert!(q.try_enqueue(p, 0, &mut r).is_enqueued());
+            let p = pkt(&mut pool, 1000);
+            pool.get_mut(p).seq = i;
+            assert!(q.try_enqueue(p, &mut pool, 0, &mut r).is_enqueued());
         }
         assert_eq!(q.bytes(), 3000);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.dequeue().unwrap().seq, 0);
-        assert_eq!(q.dequeue().unwrap().seq, 1);
+        let (head, size) = q.dequeue().unwrap();
+        assert_eq!((pool.get(head).seq, size), (0, 1000));
+        assert_eq!(pool.get(q.dequeue().unwrap().0).seq, 1);
         assert_eq!(q.bytes(), 1000);
     }
 
     #[test]
     fn drop_tail_when_full() {
         let mut q = PortQueue::new(2048, RedParams::default());
-        let mut r = rng();
-        assert!(q.try_enqueue(pkt(2048), 0, &mut r).is_enqueued());
-        assert_eq!(q.try_enqueue(pkt(1), 0, &mut r), EnqueueOutcome::Dropped);
+        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let full = pkt(&mut pool, 2048);
+        assert!(q.try_enqueue(full, &mut pool, 0, &mut r).is_enqueued());
+        let extra = pkt(&mut pool, 1);
+        assert_eq!(
+            q.try_enqueue(extra, &mut pool, 0, &mut r),
+            EnqueueOutcome::Dropped
+        );
         assert_eq!(q.drops, 1);
+        assert_eq!((q.len(), q.bytes()), (1, 2048), "a drop leaves no trace");
     }
 
     #[test]
     fn marks_above_max_threshold() {
         let mut q = PortQueue::new(1000, RedParams::default());
-        let mut r = rng();
+        let (mut pool, mut r) = (PacketPool::new(), rng());
         // Fill past 75%: subsequent packets must be marked.
+        let (a, b) = (pkt(&mut pool, 800), pkt(&mut pool, 100));
         assert_eq!(
-            q.try_enqueue(pkt(800), 0, &mut r),
+            q.try_enqueue(a, &mut pool, 0, &mut r),
             EnqueueOutcome::Enqueued {
                 marked: false,
                 phantom: false
             }
         );
         assert_eq!(
-            q.try_enqueue(pkt(100), 0, &mut r),
+            q.try_enqueue(b, &mut pool, 0, &mut r),
             EnqueueOutcome::Enqueued {
                 marked: true,
                 phantom: false
             }
         );
-        let marked = q.dequeue().unwrap(); // first packet: queue was empty, unmarked
-        assert!(!marked.ecn);
-        let second = q.dequeue().unwrap();
-        assert!(second.ecn, "occupancy 800/1000 > max_frac must mark");
+        let (marked, _) = q.dequeue().unwrap(); // first packet: queue was empty, unmarked
+        assert!(!pool.get(marked).ecn);
+        let (second, _) = q.dequeue().unwrap();
+        assert!(
+            pool.get(second).ecn,
+            "occupancy 800/1000 > max_frac must mark"
+        );
         assert_eq!(q.marks, 1);
     }
 
     #[test]
     fn control_packets_never_marked() {
         let mut q = PortQueue::new(1000, RedParams::default());
-        let mut r = rng();
-        let _ = q.try_enqueue(pkt(900), 0, &mut r);
-        let data = pkt(50);
+        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let fill = pkt(&mut pool, 900);
+        let _ = q.try_enqueue(fill, &mut pool, 0, &mut r);
+        let data = Packet::data(FlowId(0), 0, 50, NodeId(0), NodeId(1));
         let ack = Packet::ack_for(&data, 50, 0);
         assert!(!ack.ecn);
-        let _ = q.try_enqueue(ack, 0, &mut r);
+        let ack = pool.alloc(ack);
+        let _ = q.try_enqueue(ack, &mut pool, 0, &mut r);
         q.dequeue();
-        assert!(!q.dequeue().unwrap().ecn);
+        assert!(!pool.get(q.dequeue().unwrap().0).ecn);
     }
 
     #[test]
@@ -483,9 +508,10 @@ mod tests {
             1000,
             RedParams::default(),
         ));
-        let mut r = rng();
-        let _ = q.try_enqueue(pkt(900), 0, &mut r); // phantom occ 0 -> no mark
-        let out = q.try_enqueue(pkt(900), 0, &mut r); // phantom occ 900/1000 -> mark
+        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let (a, b) = (pkt(&mut pool, 900), pkt(&mut pool, 900));
+        let _ = q.try_enqueue(a, &mut pool, 0, &mut r); // phantom occ 0 -> no mark
+        let out = q.try_enqueue(b, &mut pool, 0, &mut r); // phantom occ 900/1000 -> mark
         assert_eq!(
             out,
             EnqueueOutcome::Enqueued {
@@ -496,17 +522,22 @@ mod tests {
         assert_eq!(q.marks, 1);
         assert_eq!(q.phantom_marks, 1, "mark must be attributed to the phantom");
         q.dequeue();
-        assert!(q.dequeue().unwrap().ecn);
+        assert!(pool.get(q.dequeue().unwrap().0).ecn);
     }
 
     #[test]
     fn clear_counts_drops() {
         let mut q = PortQueue::new(10_000, RedParams::default());
-        let mut r = rng();
+        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let mut queued = Vec::new();
         for _ in 0..4 {
-            let _ = q.try_enqueue(pkt(100), 0, &mut r);
+            let p = pkt(&mut pool, 100);
+            assert!(q.try_enqueue(p, &mut pool, 0, &mut r).is_enqueued());
+            queued.push(p);
         }
-        assert_eq!(q.clear(), 4);
+        let purged = q.clear();
+        assert_eq!(purged.len(), 4);
+        assert_eq!(purged.collect::<Vec<_>>(), queued, "every handle, in order");
         assert_eq!(q.drops, 4);
         assert!(q.is_empty());
         assert_eq!(q.bytes(), 0);

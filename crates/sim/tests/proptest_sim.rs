@@ -2,7 +2,9 @@
 //! queues conserve packets, and the event engine never reorders time.
 
 use proptest::prelude::*;
-use uno_sim::{ecmp_pick, EnqueueOutcome, Packet, PortQueue, RedParams, Topology, TopologyParams};
+use uno_sim::{
+    ecmp_pick, EnqueueOutcome, Packet, PacketPool, PortQueue, RedParams, Topology, TopologyParams,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -46,30 +48,41 @@ proptest! {
 
     /// Queue byte accounting: after arbitrary enqueue/dequeue interleavings
     /// the tracked byte count equals the sum of queued packet sizes, and
-    /// accepted packets never exceed capacity.
+    /// accepted packets never exceed capacity. Handles come out in FIFO
+    /// order carrying their packet's size, and `clear` hands back every
+    /// handle still queued.
     #[test]
     fn queue_conserves_bytes(ops in proptest::collection::vec((any::<bool>(), 64u32..9000), 1..200)) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut pool = PacketPool::new();
         let mut q = PortQueue::new(64 << 10, RedParams::default());
-        let mut model: Vec<u32> = Vec::new();
-        for (enq, size) in ops {
+        let mut model = std::collections::VecDeque::new();
+        for (i, (enq, size)) in ops.into_iter().enumerate() {
             if enq {
-                let pkt = Packet::data(uno_sim::FlowId(0), 0, size, uno_sim::NodeId(0), uno_sim::NodeId(1));
-                match q.try_enqueue(pkt, 0, &mut rng) {
-                    EnqueueOutcome::Enqueued { .. } => model.push(size),
+                let pkt = pool.alloc(Packet::data(
+                    uno_sim::FlowId(0), i as u64, size, uno_sim::NodeId(0), uno_sim::NodeId(1),
+                ));
+                match q.try_enqueue(pkt, &mut pool, 0, &mut rng) {
+                    EnqueueOutcome::Enqueued { .. } => model.push_back((pkt, size)),
                     EnqueueOutcome::Dropped => {
                         prop_assert!(q.bytes() + size as u64 > 64 << 10, "drop only when full");
+                        pool.release(pkt);
                     }
                 }
-            } else if let Some(p) = q.dequeue() {
-                let expect = model.remove(0);
-                prop_assert_eq!(p.size, expect, "FIFO order");
+            } else if let Some((pkt, size)) = q.dequeue() {
+                let expect = model.pop_front().expect("model tracks the queue");
+                prop_assert_eq!((pkt, size), expect, "FIFO order");
+                prop_assert_eq!(pool.take(pkt).size, size, "the ring carries the packet's size");
             }
-            let sum: u64 = model.iter().map(|&s| s as u64).sum();
+            let sum: u64 = model.iter().map(|&(_, s)| s as u64).sum();
             prop_assert_eq!(q.bytes(), sum);
             prop_assert!(q.bytes() <= 64 << 10);
         }
+        let purged: Vec<_> = q.clear().collect();
+        let queued: Vec<_> = model.iter().map(|&(pkt, _)| pkt).collect();
+        prop_assert_eq!(purged, queued, "clear returns every queued handle");
+        prop_assert_eq!(q.bytes(), 0);
     }
 
     /// RED probability is monotone in occupancy and clamped to [0, 1].
