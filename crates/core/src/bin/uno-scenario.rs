@@ -11,7 +11,7 @@
 //! optional failure/loss injection; results (per-flow FCTs plus aggregate
 //! statistics and the run manifest) are printed as JSON on stdout, ready for
 //! plotting. `--trace <path>` streams a structured JSONL event trace (see
-//! `uno-trace-summarize`), optionally gated by a `--trace-filter` spec.
+//! `uno-inspect summarize`), optionally gated by a `--trace-filter` spec.
 
 use serde::{Deserialize, Serialize, Value};
 use uno::metrics::OutcomeCounts;
@@ -355,11 +355,121 @@ fn nanos(field: &str, value: u64, unit: Time) -> Result<Time, String> {
         .ok_or_else(|| format!("{field} {value} overflows the 64-bit nanosecond clock"))
 }
 
+/// Reject field values the simulator cannot run, naming the field. Left
+/// to the run, each of these panicked deep inside it or silently simulated
+/// something other than the file describes.
+fn check_fields(sc: &Scenario) -> Result<(), String> {
+    if sc.k < 2 || sc.k % 2 == 1 {
+        return Err(format!("k {} must be even and at least 2", sc.k));
+    }
+    if !(1..=256).contains(&sc.dcs) {
+        return Err(format!("dcs {} must be between 1 and 256", sc.dcs));
+    }
+    // The workload generators number sites with a `u8`.
+    let generated = matches!(
+        sc.workload,
+        WorkloadSel::Permutation { .. } | WorkloadSel::PoissonMix { .. }
+    );
+    if generated && sc.dcs > u8::MAX as usize {
+        return Err(format!(
+            "dcs {} must be at most 255 for a permutation or poisson_mix workload",
+            sc.dcs
+        ));
+    }
+    if !(0.0..=1.0).contains(&sc.border_loss) {
+        return Err(format!(
+            "border_loss {} must be a probability in [0, 1]",
+            sc.border_loss
+        ));
+    }
+    if let SchemeSel::Custom {
+        ec: Some((data, parity)),
+        ..
+    } = sc.scheme
+    {
+        if data == 0 || data as u16 + parity as u16 > u8::MAX as u16 {
+            return Err(format!(
+                "scheme.custom.ec ({data}, {parity}) needs at least 1 data shard \
+                 and at most 255 shards per block"
+            ));
+        }
+    }
+    let hosts = TopologyParams {
+        k: sc.k,
+        ..TopologyParams::default()
+    }
+    .hosts_per_dc();
+    let positive = |field: &str, size: u64| match size {
+        0 => Err(format!("{field} must be at least 1 byte")),
+        _ => Ok(()),
+    };
+    match &sc.workload {
+        WorkloadSel::Flows(flows) => {
+            for (i, f) in flows.iter().enumerate() {
+                for (end, dc, idx) in [("src", f.src_dc, f.src_idx), ("dst", f.dst_dc, f.dst_idx)] {
+                    if dc as usize >= sc.dcs {
+                        return Err(format!(
+                            "workload.flows[{i}].{end}_dc {dc} names no site (dcs {})",
+                            sc.dcs
+                        ));
+                    }
+                    if idx as usize >= hosts {
+                        return Err(format!(
+                            "workload.flows[{i}].{end}_idx {idx} names no host \
+                             (k {} has {hosts} hosts per site)",
+                            sc.k
+                        ));
+                    }
+                }
+                positive(&format!("workload.flows[{i}].size"), f.size)?;
+            }
+        }
+        WorkloadSel::Incast { intra, inter, size } => {
+            // The receiver is host 0 of site 0, so one host there cannot send.
+            if *intra >= hosts {
+                return Err(format!(
+                    "workload.incast.intra {intra} needs more hosts than k {} has per site ({hosts})",
+                    sc.k
+                ));
+            }
+            if *inter > hosts {
+                return Err(format!(
+                    "workload.incast.inter {inter} exceeds the {hosts} hosts per site of k {}",
+                    sc.k
+                ));
+            }
+            positive("workload.incast.size", *size)?;
+        }
+        WorkloadSel::Permutation { size } => positive("workload.permutation.size", *size)?,
+        WorkloadSel::PoissonMix {
+            load,
+            inter_fraction,
+            ..
+        } => {
+            if !(*load > 0.0 && *load < 1.5) {
+                return Err(format!(
+                    "workload.poisson_mix.load {load} must be above 0 and below 1.5"
+                ));
+            }
+            if !(0.0..=1.0).contains(inter_fraction) {
+                return Err(format!(
+                    "workload.poisson_mix.inter_fraction {inter_fraction} must be in [0, 1]"
+                ));
+            }
+            if *inter_fraction != 0.0 && sc.dcs != 2 {
+                return Err(format!(
+                    "workload.poisson_mix.inter_fraction {inter_fraction} needs dcs 2, not {}",
+                    sc.dcs
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Run `sc`, or explain why the scenario cannot run.
 fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Output, String> {
-    if sc.dcs == 0 {
-        return Err("dcs must be at least 1".into());
-    }
+    check_fields(sc)?;
     let mut topo = if sc.k == 8 {
         TopologyParams::default()
     } else {
@@ -722,6 +832,113 @@ mod tests {
         try_run_scenario(&sc, Tracer::disabled(), opts)
             .err()
             .expect("the scenario must be rejected")
+    }
+
+    /// Each malformed field is rejected with an error that names it. Run,
+    /// each of these panicked, except an `ec` of more than 255 shards and a
+    /// host index past its site, which silently ran a different scenario.
+    #[test]
+    fn malformed_fields_are_rejected() {
+        let incast = r#""workload":{"incast":{"intra":1,"inter":0,"size":65536}}"#;
+        let flow = |fields: &str| {
+            format!(
+                r#""workload":{{"flows":[{{"src_dc":0,"src_idx":0,"dst_dc":1,"dst_idx":1,
+                "size":4096,"start":0}},{{"start":0,{fields}}}]}}"#
+            )
+        };
+        let poisson = |load: &str, inter: &str| {
+            format!(
+                r#""workload":{{"poisson_mix":{{"load":{load},"inter_fraction":{inter},
+                "duration_ms":1}}}}"#
+            )
+        };
+        let cases = [
+            (format!(r#""k":5,{incast}"#), "k 5 "),
+            (format!(r#""k":0,{incast}"#), "k 0 "),
+            (format!(r#""dcs":257,{incast}"#), "dcs 257 "),
+            (format!(r#""dcs":0,{incast}"#), "dcs 0 "),
+            (format!(r#""border_loss":1.5,{incast}"#), "border_loss 1.5 "),
+            (
+                format!(r#""border_loss":-0.5,{incast}"#),
+                "border_loss -0.5 ",
+            ),
+            (
+                r#""workload":{"incast":{"intra":16,"inter":0,"size":1}}"#.into(),
+                "workload.incast.intra 16 ",
+            ),
+            (
+                r#""workload":{"incast":{"intra":1,"inter":17,"size":1}}"#.into(),
+                "workload.incast.inter 17 ",
+            ),
+            (
+                r#""workload":{"incast":{"intra":1,"inter":0,"size":0}}"#.into(),
+                "workload.incast.size ",
+            ),
+            (
+                r#""workload":{"permutation":{"size":0}}"#.into(),
+                "workload.permutation.size ",
+            ),
+            (
+                r#""dcs":256,"workload":{"permutation":{"size":1}}"#.into(),
+                "dcs 256 ",
+            ),
+            (
+                flow(r#""src_dc":0,"src_idx":0,"dst_dc":1,"dst_idx":1,"size":0"#),
+                "workload.flows[1].size ",
+            ),
+            (
+                flow(r#""src_dc":0,"src_idx":0,"dst_dc":2,"dst_idx":1,"size":1"#),
+                "workload.flows[1].dst_dc 2 ",
+            ),
+            (
+                flow(r#""src_dc":0,"src_idx":16,"dst_dc":1,"dst_idx":1,"size":1"#),
+                "workload.flows[1].src_idx 16 ",
+            ),
+            (poisson("0", "0.2"), "workload.poisson_mix.load 0 "),
+            (poisson("1.5", "0.2"), "workload.poisson_mix.load 1.5 "),
+            (
+                poisson("0.5", "1.2"),
+                "workload.poisson_mix.inter_fraction 1.2 ",
+            ),
+            (
+                poisson("0.5", "-0.1"),
+                "workload.poisson_mix.inter_fraction -0.1 ",
+            ),
+            (
+                format!(r#""dcs":3,{}"#, poisson("0.5", "0.2")),
+                "workload.poisson_mix.inter_fraction 0.2 needs dcs 2",
+            ),
+            (
+                format!(r#""scheme":{{"custom":{{"lb":"ecmp","ec":[0,2]}}}},{incast}"#),
+                "scheme.custom.ec (0, 2) ",
+            ),
+            (
+                format!(r#""scheme":{{"custom":{{"lb":"ecmp","ec":[200,100]}}}},{incast}"#),
+                "scheme.custom.ec (200, 100) ",
+            ),
+        ];
+        let scenario = |fields: &str| match fields.contains(r#""scheme""#) {
+            true => format!("{{{fields}}}"),
+            false => format!(r#"{{"scheme":"uno",{fields}}}"#),
+        };
+        for (fields, field) in cases {
+            let json = scenario(&fields);
+            let err = scenario_error(&json, RunOpts::default());
+            assert!(err.starts_with(field), "{json}: {err}");
+        }
+        // The limits themselves are accepted.
+        for fields in [
+            format!(r#""k":2,"border_loss":1.0,{incast}"#),
+            format!(r#""dcs":256,{incast}"#),
+            r#""workload":{"incast":{"intra":15,"inter":16,"size":1}}"#.into(),
+            flow(r#""src_dc":1,"src_idx":15,"dst_dc":0,"dst_idx":15,"size":1"#),
+            poisson("1.49", "1"),
+            format!(r#""scheme":{{"custom":{{"lb":"ecmp","ec":[128,127]}}}},{incast}"#),
+        ] {
+            let json = scenario(&fields);
+            let sc: Scenario = serde_json::from_str(&json).unwrap();
+            assert_eq!(check_fields(&sc), Ok(()), "{json}");
+        }
     }
 
     #[test]

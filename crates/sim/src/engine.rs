@@ -22,7 +22,7 @@ use crate::loss::GilbertElliott;
 use crate::packet::Packet;
 use crate::pool::{PacketPool, PacketRef};
 use crate::queue::EnqueueOutcome;
-use crate::tables::FlowTable;
+use crate::tables::{FlowTable, LinkTable};
 use crate::time::{serialization_time, Time};
 use crate::topology::Topology;
 
@@ -340,7 +340,12 @@ pub struct Simulator {
     /// are checked out per callback and returned with their capacity
     /// intact, so the steady-state hot path performs no allocation.
     action_pool: Vec<Vec<Action>>,
-    /// Total events processed (for engine benchmarking).
+    /// Total events processed (for engine benchmarking). A `LinkFree`
+    /// transition the engine left unscheduled, because no packet waited for
+    /// the port, counts too, once the run passes its position: at the
+    /// port's next transmission or when [`Simulator::run_until`] returns.
+    /// The total therefore equals the pops of an engine that scheduled
+    /// every transition.
     pub events_processed: u64,
     /// Structured event sink (defaults to disabled; see [`Tracer`]).
     pub tracer: Tracer,
@@ -609,6 +614,8 @@ impl Simulator {
     /// aggregates, and whatever each flow's [`FlowLogic::report_counters`]
     /// contributes. Deterministic for a given seed — wall-clock timing is
     /// deliberately *not* part of the snapshot (it lives in the manifest).
+    /// `engine.events_processed` is [`Simulator::events_processed`], so it
+    /// counts the `LinkFree` transitions left unscheduled too.
     pub fn counter_snapshot(&self) -> Counters {
         let mut c = Counters::new();
         c.set("engine.events_processed", self.events_processed);
@@ -671,6 +678,13 @@ impl Simulator {
         // — `uno-testkit`'s wallclock-determinism test enforces this.
         let wall_start = std::time::Instant::now();
         let events_before = self.events_processed;
+        if !self.flows.is_empty() && self.terminated_flows == self.flows.len() {
+            // Every flow has terminated, so the loop handles one event and
+            // stops. That event may be an unscheduled `LinkFree`: schedule
+            // them all, so the loop stops where it would have had every
+            // transition been scheduled.
+            self.schedule_link_frees();
+        }
         let mut all_done = false;
         loop {
             // Scheduler span: time spent peeking/popping the event queue.
@@ -696,11 +710,39 @@ impl Simulator {
                 self.heartbeat_tick();
             }
         }
-        if !all_done {
+        // Count the unscheduled transitions the run has now passed: up to
+        // the last event handled if every flow terminated, otherwise every
+        // one at or before `end`.
+        let passed = if all_done {
+            self.events.position()
+        } else {
             self.now = self.now.max(end);
-        }
+            (end, u64::MAX)
+        };
+        self.events_processed += self.topo.links.settle_free_transitions(passed);
         self.meter
             .record(self.events_processed - events_before, wall_start.elapsed());
+    }
+
+    /// Fill the reserved slot of every port whose free transition is still
+    /// ahead and unscheduled.
+    fn schedule_link_frees(&mut self) {
+        let position = self.events.position();
+        let links = &mut self.topo.links;
+        for i in 0..links.len() {
+            let l = LinkId::from(i);
+            let (at, seq) = links.free_at(l);
+            if (at, seq) > position && (at, seq) != LinkTable::FREE_SCHEDULED {
+                self.events.push_reserved(at, seq, Event::LinkFree(l));
+                links.set_free_at(l, LinkTable::FREE_SCHEDULED);
+            }
+        }
+    }
+
+    /// True when `link`'s transmitter is free at the event being handled.
+    #[inline]
+    fn port_idle(&self, link: LinkId) -> bool {
+        self.topo.links.free_at(link) <= self.events.position()
     }
 
     /// Run until every registered flow terminates (completes or fails) or
@@ -714,7 +756,7 @@ impl Simulator {
         match ev {
             Event::Arrive(link, pkt, epoch) => self.handle_arrive(link, pkt, epoch),
             Event::LinkFree(link) => {
-                self.topo.links.set_busy(link, false);
+                self.topo.links.set_free_at(link, LinkTable::FREE_PASSED);
                 if self.topo.links.is_up(link) && !self.topo.links.queue(link).is_empty() {
                     self.start_transmit(link);
                 }
@@ -785,7 +827,7 @@ impl Simulator {
                 // transmission if packets queued while it was blocked.
                 if released
                     && self.topo.links.is_up(link)
-                    && !self.topo.links.busy(link)
+                    && self.port_idle(link)
                     && !self.topo.links.queue(link).is_empty()
                 {
                     self.start_transmit(link);
@@ -909,7 +951,7 @@ impl Simulator {
     /// Restore `link` and kick transmission if packets queued meanwhile.
     fn bring_link_up(&mut self, link: LinkId) {
         self.topo.links.set_up(link, true);
-        if !self.topo.links.busy(link) && !self.topo.links.queue(link).is_empty() {
+        if self.port_idle(link) && !self.topo.links.queue(link).is_empty() {
             self.start_transmit(link);
         }
     }
@@ -1095,7 +1137,7 @@ impl Simulator {
         let outcome = links
             .queue_mut(link)
             .try_enqueue(pkt, &mut self.packets, now, &mut self.rng);
-        let idle = !links.busy(link);
+        let free_at = links.free_at(link);
         if self.tracer.enabled() {
             let qlen = links.queue(link).bytes();
             let p = self.packets.get(pkt);
@@ -1138,8 +1180,14 @@ impl Simulator {
             if self.topo.links.queue(link).should_assert_pause() {
                 self.assert_pause(link);
             }
-            if idle {
+            if free_at <= self.events.position() {
                 self.start_transmit(link);
+            } else if free_at != LinkTable::FREE_SCHEDULED {
+                // The port serializes with its `LinkFree` slot reserved but
+                // unscheduled; now a packet waits for it.
+                let (at, seq) = free_at;
+                self.events.push_reserved(at, seq, Event::LinkFree(link));
+                self.topo.links.set_free_at(link, LinkTable::FREE_SCHEDULED);
             }
         } else {
             self.packets.release(pkt);
@@ -1149,6 +1197,7 @@ impl Simulator {
     fn start_transmit(&mut self, link: LinkId) {
         let links = &mut self.topo.links;
         debug_assert!(links.is_up(link));
+        debug_assert!(links.free_at(link) <= self.events.position(), "{link} busy");
         // PFC head-of-line blocking: a paused egress port holds its queue
         // until the last outstanding pause is released (the resume handler
         // kicks transmission). One load when PFC is off.
@@ -1170,7 +1219,11 @@ impl Simulator {
             links.bps(link)
         };
         let ser = serialization_time(size as u64, bps);
-        links.set_busy(link, true);
+        if links.free_at(link) != LinkTable::FREE_PASSED {
+            // The previous transition went unscheduled, and the run has
+            // passed it.
+            self.events_processed += 1;
+        }
         links.note_tx(link, size as u64);
         // Delay faults add fixed latency plus uniform per-packet jitter.
         let mut delay = links.delay(link) + health.extra_delay;
@@ -1187,9 +1240,18 @@ impl Simulator {
                 seq: p.seq,
             });
         }
-        self.events.push(self.now + ser, Event::LinkFree(link));
+        // `LinkFree` is scheduled only if a packet waits for the port. If
+        // none does, its slot in push order is reserved, for a packet
+        // accepted while this one serializes to fill (`enqueue_on`).
+        let free = self.now + ser;
+        if links.queue(link).is_empty() {
+            links.set_free_at(link, (free, self.events.reserve()));
+        } else {
+            self.events.push(free, Event::LinkFree(link));
+            links.set_free_at(link, LinkTable::FREE_SCHEDULED);
+        }
         self.events
-            .push(self.now + ser + delay, Event::Arrive(link, pkt, epoch));
+            .push(free + delay, Event::Arrive(link, pkt, epoch));
         if release_pause {
             self.release_pause_from(link);
         }
@@ -1301,6 +1363,7 @@ mod tests {
     use crate::packet::PacketKind;
     use crate::time::{GBPS, MICROS};
     use crate::topology::TopologyParams;
+    use uno_trace::Counters;
 
     /// Minimal test transport: fire-and-forget `n` packets, receiver ACKs
     /// each, sender completes when all are acked.
@@ -2176,5 +2239,266 @@ mod tests {
         sim.run_to_completion(crate::time::SECONDS);
         let min_ser = 100 * serialization_time(4096, 100 * GBPS);
         assert!(sim.fcts[0].fct() >= min_ser);
+    }
+
+    /// A `Write` into a shared buffer, so a test can read back the JSONL
+    /// trace a tracer wrote.
+    #[derive(Clone, Default)]
+    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Everything a run simulated: events processed, the final time, the
+    /// counter snapshot, the FCTs and the JSONL trace.
+    type Simulated = (u64, Time, Counters, Vec<(u32, Time)>, Vec<u8>);
+
+    /// A seeded 4-sender incast on `topo`, traced, run to `horizon` in one
+    /// `run_until` or, with `slice`, in calls ending every `slice` ns until
+    /// every flow terminated. Also returns how many of those calls ended
+    /// while a port serialized with its `LinkFree` unscheduled.
+    fn sliced_incast(topo: TopologyParams, horizon: Time, slice: Option<Time>) -> (Simulated, u32) {
+        let mut sim = incast_sim(70, topo, 4, 200);
+        let trace = SharedBuf::default();
+        sim.set_tracer(Tracer::jsonl_writer(
+            Box::new(trace.clone()),
+            uno_trace::TraceConfig::all(),
+        ));
+        let mut mid_serialization = 0;
+        match slice {
+            None => sim.run_until(horizon),
+            Some(slice) => {
+                let mut end = 0;
+                while end < horizon && sim.num_terminated() < sim.num_flows() {
+                    end = (end + slice).min(horizon);
+                    sim.run_until(end);
+                    let links = &sim.topo.links;
+                    let pending = |l| {
+                        let at = links.free_at(l);
+                        at.0 > end && at != LinkTable::FREE_SCHEDULED
+                    };
+                    if links.ids().any(pending) {
+                        mid_serialization += 1;
+                    }
+                }
+            }
+        }
+        sim.tracer.flush().unwrap();
+        let fcts = sim.fcts.iter().map(|r| (r.flow.0, r.end)).collect();
+        let trace = std::mem::take(&mut *trace.0.lock().unwrap());
+        let simulated = (
+            sim.events_processed,
+            sim.now(),
+            sim.counter_snapshot(),
+            fcts,
+            trace,
+        );
+        (simulated, mid_serialization)
+    }
+
+    /// Slicing a run must not change what it simulates, although every
+    /// slice that ends while a port serializes leaves that port's
+    /// `LinkFree` uncounted until a later slice passes it.
+    #[test]
+    fn run_slices_ending_mid_serialization_match_one_run() {
+        let mut lossy = TopologyParams::small();
+        lossy.queue_bytes = 16 << 10;
+        let mut lossless = TopologyParams::small();
+        lossless.fabric = crate::topology::FabricMode::Lossless;
+        lossless.queue_bytes = 256 << 10;
+        for (name, topo) in [("lossy", lossy), ("lossless", lossless)] {
+            let horizon = 2 * crate::time::MILLIS;
+            let (one, _) = sliced_incast(topo.clone(), horizon, None);
+            let (sliced, mid_serialization) = sliced_incast(topo, horizon, Some(1_009));
+            assert!(
+                mid_serialization >= 20,
+                "{name}: only {mid_serialization} slices ended mid-serialization"
+            );
+            if name == "lossy" {
+                assert!(one.2.get("queue.drops") > 0, "the lossy incast drops");
+            } else {
+                assert!(one.2.get("pfc.pauses") > 0, "the lossless incast pauses");
+                assert_eq!(one.3.len(), 4, "every lossless flow completes");
+            }
+            assert_eq!(one.0, sliced.0, "{name}: events processed");
+            assert_eq!(one.1, sliced.1, "{name}: final time");
+            assert_eq!(one.2, sliced.2, "{name}: counter snapshot");
+            assert_eq!(one.3, sliced.3, "{name}: FCTs");
+            assert!(one.4 == sliced.4, "{name}: trace bytes differ");
+        }
+    }
+
+    /// Once every flow has terminated, each `run_until` handles one event,
+    /// and that event may be a `LinkFree` nothing waited for. Two flows
+    /// send 20 packets each and complete at their first ACK, leaving the
+    /// rest in flight. The counts and times were recorded with an engine
+    /// that scheduled every `LinkFree`.
+    #[test]
+    fn run_after_every_flow_terminated_steps_one_event() {
+        struct FirstAck(NodeId, NodeId);
+        impl FlowLogic for FirstAck {
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                for seq in 0..20 {
+                    ctx.send(Packet::data(ctx.flow, seq, 4096, self.0, self.1));
+                }
+            }
+            fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
+                match pkt.kind {
+                    PacketKind::Data => ctx.send(Packet::ack_for(&pkt, 64, 0)),
+                    _ => ctx.complete(),
+                }
+            }
+            fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx) {}
+        }
+        let mut sim = small_sim(71);
+        let dst = sim.topo.host(0, 0);
+        for i in [4, 9] {
+            let src = sim.topo.host(0, i);
+            let meta = FlowMeta {
+                src,
+                dst,
+                size: 20 * 4096,
+                start: 0,
+                class: FlowClass::Intra,
+            };
+            sim.add_flow(meta, Box::new(FirstAck(src, dst)));
+        }
+        assert!(sim.run_to_completion(crate::time::SECONDS));
+        let mut steps = vec![(sim.events_processed, sim.now())];
+        for _ in 0..16 {
+            sim.run_until(sim.now() + 150);
+            steps.push((sim.events_processed, sim.now()));
+        }
+        assert_eq!(
+            steps,
+            [
+                (598, 16311),
+                (599, 16342),
+                (600, 16347),
+                (601, 16395),
+                (602, 16400),
+                (603, 16448),
+                (604, 16453),
+                (605, 16479),
+                (606, 16532),
+                (607, 16537),
+                (608, 16585),
+                (609, 16590),
+                (610, 16621),
+                (611, 16638),
+                (612, 16669),
+                (613, 16674),
+                (614, 16722)
+            ]
+        );
+    }
+
+    /// A packet reaches a busy port at the instant it frees. The port's
+    /// last packet `A` (`a_size` bytes) comes from the host beside the
+    /// receiver; `B` (4096 bytes) comes from the pod's other edge switch.
+    /// A small `A` means `B`'s arrival was scheduled before `A`'s
+    /// transmission reserved the port's `LinkFree` slot, so `B` must queue
+    /// and leave when that slot pops; a large `A` means after, so `B` finds
+    /// the port idle. A queue sampler whose tick at that instant was
+    /// scheduled between the two shows which happened. Returns the port's
+    /// trace, the samples and the events processed.
+    fn tie_at_free_time(a_size: u32) -> (Vec<TraceEvent>, Vec<(Time, u64)>, u64) {
+        let mut sim = small_sim(80);
+        sim.set_tracer(Tracer::ring(10_000));
+        let (dst, near, far) = (
+            sim.topo.host(0, 0),
+            sim.topo.host(0, 1),
+            sim.topo.host(0, 2),
+        );
+        let port = sim.topo.host_downlink(dst);
+        let links = &sim.topo.links;
+        let edge = links.from(port);
+        assert_eq!(links.to(sim.topo.host_uplink(near)), edge);
+        assert_ne!(links.to(sim.topo.host_uplink(far)), edge);
+        let d = links.delay(port);
+        let ser = |bytes| serialization_time(bytes, links.bps(port));
+        // `A` starts at `a_start`, reaches the edge one hop later and frees
+        // the port at `free`; `B` needs three hops to reach the edge.
+        let hop_b = ser(4096) + d;
+        let a_start = (3 * hop_b).saturating_sub(2 * ser(a_size as u64) + d);
+        let free = a_start + 2 * ser(a_size as u64) + d;
+        let b_start = free - 3 * hop_b;
+        let interval = ser(4096) + d / 2;
+        sim.add_queue_sampler(port, interval, free - interval);
+        for (src, size, start) in [(near, a_size, a_start), (far, 4096, b_start)] {
+            sim.add_flow(
+                FlowMeta {
+                    src,
+                    dst,
+                    size: size as u64,
+                    start,
+                    class: FlowClass::Intra,
+                },
+                Box::new(Blaster {
+                    src,
+                    dst,
+                    n: 1,
+                    acked: 0,
+                    mtu: size,
+                }),
+            );
+        }
+        assert!(sim.run_to_completion(crate::time::SECONDS));
+        let trace = sim
+            .tracer
+            .ring_events()
+            .into_iter()
+            .filter(|e| match e {
+                TraceEvent::Enqueue { link, .. } | TraceEvent::Dequeue { link, .. } => {
+                    *link == port.0
+                }
+                _ => false,
+            })
+            .collect();
+        let samples = sim.samplers[0].samples[..3].to_vec();
+        (trace, samples, sim.events_processed)
+    }
+
+    /// The ring trace, samples and event counts were recorded with an
+    /// engine that scheduled every `LinkFree`.
+    #[test]
+    fn packet_reaching_a_port_at_its_free_time_orders_by_reserved_slot() {
+        let lines = |trace: Vec<TraceEvent>| -> Vec<String> {
+            trace.iter().map(TraceEvent::to_json).collect()
+        };
+        // `B`'s arrival precedes the slot: it queues behind `A`, and the
+        // sample between them sees it waiting.
+        let (trace, samples, events) = tie_at_free_time(4096);
+        assert_eq!(
+            lines(trace),
+            [
+                r#"{"t":4152,"ev":"enqueue","link":1,"flow":0,"seq":0,"size":4096,"qlen":4096}"#,
+                r#"{"t":4152,"ev":"dequeue","link":1,"flow":0,"seq":0}"#,
+                r#"{"t":4479,"ev":"enqueue","link":1,"flow":1,"seq":0,"size":4096,"qlen":4096}"#,
+                r#"{"t":4479,"ev":"dequeue","link":1,"flow":1,"seq":0}"#,
+            ]
+        );
+        assert_eq!(samples, [(3569, 0), (4479, 4096), (5389, 0)]);
+        assert_eq!(events, 34);
+        // `B`'s arrival follows the slot: the port is idle.
+        let (trace, samples, events) = tie_at_free_time(32 << 10);
+        assert_eq!(
+            lines(trace),
+            [
+                r#"{"t":3787,"ev":"enqueue","link":1,"flow":0,"seq":0,"size":32768,"qlen":32768}"#,
+                r#"{"t":3787,"ev":"dequeue","link":1,"flow":0,"seq":0}"#,
+                r#"{"t":6408,"ev":"enqueue","link":1,"flow":1,"seq":0,"size":4096,"qlen":4096}"#,
+                r#"{"t":6408,"ev":"dequeue","link":1,"flow":1,"seq":0}"#,
+            ]
+        );
+        assert_eq!(samples, [(5498, 0), (6408, 0), (7318, 0)]);
+        assert_eq!(events, 34);
     }
 }

@@ -30,9 +30,16 @@
 //! appended to in `seq` order; overflow entries migrate into a tick before
 //! any direct push to that tick can happen (a tick leaves the overflow
 //! range for good when the window first covers it), and they migrate in
-//! heap order; a push into the lane carries the newest `seq`. The one
-//! exception, a push into a tick that `peek_time` moved the cursor past,
-//! goes to a small heap that pops before the lane.
+//! heap order; a push into the lane carries the newest `seq`. Two kinds of
+//! entry break that rule and go to a small **side heap** instead, whose
+//! head `pop` and `peek_time` merge with the lane's by `(time, seq)`: a
+//! push into a tick that `peek_time` moved the cursor past, and a push
+//! into a **reserved slot**. `EventQueue::reserve` takes the next `seq`
+//! without scheduling anything, and `EventQueue::push_reserved` may fill
+//! it later, so the event pops exactly where it would have had it been
+//! pushed at reservation time. The engine reserves the slot of every
+//! `LinkFree` that would find its port's queue empty, and fills it only
+//! if a packet arrives while the port serializes.
 //!
 //! Wheel memory tracks pending events: when the cursor reaches a bucket,
 //! the bucket's buffer moves into the lane and the previous lane's buffer
@@ -58,6 +65,13 @@ use crate::time::Time;
 #[derive(Clone, Debug)]
 pub enum Event {
     /// A link finished serializing a packet; start the next one if queued.
+    ///
+    /// The engine schedules it only when the port has a packet waiting: at
+    /// transmit time if the queue is non-empty after the dequeue, otherwise
+    /// into the transmission's reserved slot once a packet is accepted
+    /// while the port serializes. A transition nothing waits for is never
+    /// scheduled; the port's free position in `LinkTable` stands in for
+    /// it.
     LinkFree(LinkId),
     /// A packet reaches the far end of a link (post propagation). Carries
     /// the link's failure epoch at transmission time: if the link went down
@@ -254,13 +268,15 @@ impl Lane {
         self.first_word * 64 + self.occupied[self.first_word].trailing_zeros() as usize
     }
 
-    fn peek_time(&mut self) -> Time {
+    /// `(time, seq)` of the earliest entry. The lane must not be empty.
+    fn head(&mut self) -> (Time, u64) {
         let slot = self.first_slot();
-        self.entries[self.head[slot] as usize].time
+        let e = &self.entries[self.head[slot] as usize];
+        (e.time, e.seq)
     }
 
     /// Pop the head of the earliest occupied nanosecond's FIFO.
-    fn pop(&mut self) -> (Time, Event) {
+    fn pop(&mut self) -> (Time, u64, Event) {
         let slot = self.first_slot();
         let i = self.head[slot] as usize;
         match self.next[i] {
@@ -269,7 +285,11 @@ impl Lane {
         }
         self.pending -= 1;
         let e = &mut self.entries[i];
-        (e.time, std::mem::replace(&mut e.event, Event::Telemetry))
+        (
+            e.time,
+            e.seq,
+            std::mem::replace(&mut e.event, Event::Telemetry),
+        )
     }
 }
 
@@ -278,7 +298,8 @@ impl Lane {
 /// Pops in strict `(time, seq)` order, where `seq` is the push order — the
 /// same contract the previous `BinaryHeap` scheduler provided (a replayed
 /// push/pop trace produces an identical pop order; `uno-sim`'s differential
-/// test holds the two implementations against each other).
+/// test holds the two implementations against each other). A reserved slot
+/// (`EventQueue::reserve`) takes a `seq` in push order like a push does.
 #[derive(Debug)]
 pub struct EventQueue {
     /// The wheel: bucket `i` holds entries whose tick ≡ `i` (mod
@@ -287,24 +308,28 @@ pub struct EventQueue {
     /// One bit per bucket: set while the bucket is non-empty.
     occupied: [u64; WORDS],
     /// Tick of the cursor, whose entries live in `lane`. Only
-    /// `pop`/`peek_time` advance it (to the global minimum tick), so it
-    /// never passes a pending event.
+    /// `pop`/`peek_time` advance it (to the minimum lane/wheel/overflow
+    /// tick), so it never passes a pending lane, wheel or overflow entry.
     cur_tick: u64,
     /// The cursor tick's entries. Pushes at the cursor tick land here.
     lane: Lane,
-    /// Entries pushed at a tick before the cursor tick, which can happen
-    /// once `peek_time` has moved the cursor past the queue floor (see
-    /// [`EventQueue::push`]). They pop before the lane.
-    behind: BinaryHeap<Reverse<Entry>>,
+    /// Entries that cannot join the FIFOs in `seq` order, at any tick:
+    /// pushes at a tick before the cursor tick, which can happen once
+    /// `peek_time` has moved the cursor past the queue floor (see
+    /// [`EventQueue::push`]), and fills of reserved slots, whose `seq` is
+    /// older than entries already filed. Its head pops when it orders
+    /// before the lane's.
+    side: BinaryHeap<Reverse<Entry>>,
     /// Entries currently in the wheel's buckets.
     wheel_len: usize,
     /// Far-future events (tick beyond the window at push time). Entries
     /// migrate into the wheel when the cursor catches up.
     overflow: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
-    /// Largest time ever popped: the queue's notion of "now". Pushes are
-    /// never scheduled before it (see [`EventQueue::push`]).
-    floor: Time,
+    /// `(time, seq)` of the last popped event: the queue's notion of "now".
+    /// Every pending entry orders after it, and pushes are never scheduled
+    /// before its time (see [`EventQueue::push`]).
+    position: (Time, u64),
     len: usize,
 }
 
@@ -322,11 +347,11 @@ impl EventQueue {
             occupied: [0; WORDS],
             cur_tick: 0,
             lane: Lane::new(),
-            behind: BinaryHeap::new(),
+            side: BinaryHeap::new(),
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             next_seq: 0,
-            floor: 0,
+            position: (0, 0),
             len: 0,
         }
     }
@@ -339,14 +364,13 @@ impl EventQueue {
     /// it is clamped to the queue floor here — scheduling *at* the floor is
     /// fine and orders after already-queued events of the same time (FIFO).
     pub fn push(&mut self, time: Time, event: Event) {
+        let floor = self.position.0;
         debug_assert!(
-            time >= self.floor,
-            "event scheduled at {time} ns, before the queue floor {} ns",
-            self.floor
+            time >= floor,
+            "event scheduled at {time} ns, before the queue floor {floor} ns"
         );
-        let time = time.max(self.floor);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let time = time.max(floor);
+        let seq = self.reserve();
         let e = Entry { time, seq, event };
         self.len += 1;
         let tick = e.tick();
@@ -366,8 +390,8 @@ impl EventQueue {
             // Such an event must not be filed into a wheel bucket the
             // cursor has already passed, or it would surface a whole lap
             // late and pop out of order. Its tick is below every lane,
-            // wheel and overflow tick, so this heap pops first.
-            self.behind.push(Reverse(e));
+            // wheel and overflow tick, so the side heap pops it first.
+            self.side.push(Reverse(e));
         } else if tick >= self.cur_tick + NUM_BUCKETS as u64 {
             self.overflow.push(Reverse(e));
         } else {
@@ -375,17 +399,50 @@ impl EventQueue {
         }
     }
 
+    /// Take the next `seq` without scheduling anything: a slot in push
+    /// order that [`EventQueue::push_reserved`] may fill later. A slot
+    /// never filled costs nothing.
+    #[inline]
+    pub(crate) fn reserve(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `time` in the slot `seq` returned by
+    /// [`EventQueue::reserve`]: it pops exactly where a push at reservation
+    /// time would have. Each slot is filled at most once, and only while
+    /// `(time, seq)` still orders after the last popped event.
+    ///
+    /// The entry goes to the side heap: its `seq` is older than entries
+    /// already filed in the lane's FIFOs or the wheel's append-only
+    /// buckets, so it cannot join them in order. Sorting it into its
+    /// nanosecond's FIFO instead would walk that FIFO on every fill, and a
+    /// synchronized start makes those FIFOs thousands of entries long.
+    pub(crate) fn push_reserved(&mut self, time: Time, seq: u64, event: Event) {
+        debug_assert!(seq < self.next_seq, "slot {seq} was never reserved");
+        debug_assert!(
+            (time, seq) > self.position,
+            "reserved slot ({time}, {seq}) filled after the queue passed it at {:?}",
+            self.position
+        );
+        self.side.push(Reverse(Entry { time, seq, event }));
+        self.len += 1;
+    }
+
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
         if !self.normalize() {
             return None;
         }
-        let (time, event) = match self.behind.pop() {
-            Some(Reverse(e)) => (e.time, e.event),
-            None => self.lane.pop(),
+        let (time, seq, event) = if self.side_first() {
+            let Reverse(e) = self.side.pop().expect("side_first saw a head");
+            (e.time, e.seq, e.event)
+        } else {
+            self.lane.pop()
         };
         self.len -= 1;
-        self.floor = time;
+        self.position = (time, seq);
         Some((time, event))
     }
 
@@ -394,10 +451,18 @@ impl EventQueue {
         if !self.normalize() {
             return None;
         }
-        Some(match self.behind.peek() {
-            Some(Reverse(e)) => e.time,
-            None => self.lane.peek_time(),
+        Some(if self.side_first() {
+            self.side.peek().expect("side_first saw a head").0.time
+        } else {
+            self.lane.head().0
         })
+    }
+
+    /// `(time, seq)` of the last popped event — for the engine, the
+    /// position of the event being handled. `(0, 0)` before the first pop.
+    #[inline]
+    pub(crate) fn position(&self) -> (Time, u64) {
+        self.position
     }
 
     /// Number of pending events.
@@ -429,17 +494,20 @@ impl EventQueue {
         self.wheel_len += 1;
     }
 
-    /// Ensure the lane or the behind heap holds the global minimum: once
-    /// both are empty, advance the cursor to the minimum pending tick,
-    /// migrate overflow entries that now fall inside the window, and make
-    /// the tick's bucket the lane. Returns `false` when the queue is empty.
+    /// Ensure the earliest pending entry heads the lane or the side heap.
+    /// Once the lane is empty, advance the cursor to the minimum wheel or
+    /// overflow tick, migrate overflow entries that now fall inside the
+    /// window, and make the tick's bucket the lane — unless the side heap's
+    /// head lies in an earlier tick, in which case it pops first and the
+    /// cursor stays. Returns `false` when the queue is empty.
     fn normalize(&mut self) -> bool {
         if self.len == 0 {
             return false;
         }
-        if self.lane.pending > 0 || !self.behind.is_empty() {
-            // Both hold ticks at or before the cursor, so the earlier of
-            // their heads is still the global minimum — nothing to do.
+        if self.lane.pending > 0 {
+            // Lane ticks precede every wheel and overflow tick, so the
+            // earlier of the lane's and the side heap's heads is the
+            // global minimum.
             return true;
         }
         let wheel_tick = if self.wheel_len > 0 {
@@ -453,8 +521,12 @@ impl EventQueue {
             (Some(w), Some(o)) => w.min(o),
             (Some(w), None) => w,
             (None, Some(o)) => o,
-            (None, None) => unreachable!("len > 0 but no entries"),
+            // Only the side heap holds entries.
+            (None, None) => return true,
         };
+        if self.side.peek().is_some_and(|Reverse(e)| e.tick() < target) {
+            return true;
+        }
         self.cur_tick = target;
         // Pull far-future entries that the new window now covers. Each
         // overflow entry migrates at most once, so this is O(1) amortized.
@@ -475,6 +547,16 @@ impl EventQueue {
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
         self.lane.load(bucket);
         true
+    }
+
+    /// After `normalize`: true when the side heap's head is the earliest
+    /// pending entry, false when the lane's is.
+    #[inline]
+    fn side_first(&mut self) -> bool {
+        match self.side.peek() {
+            None => false,
+            Some(Reverse(e)) => self.lane.pending == 0 || (e.time, e.seq) < self.lane.head(),
+        }
     }
 
     /// Index of the first occupied bucket at or (circularly) after
@@ -505,7 +587,7 @@ impl EventQueue {
         self.buckets.iter().map(Vec::capacity).sum::<usize>()
             + self.lane.entries.capacity()
             + self.lane.next.capacity()
-            + self.behind.capacity()
+            + self.side.capacity()
             + self.overflow.capacity()
     }
 }
@@ -513,10 +595,13 @@ impl EventQueue {
 /// Reference scheduler: the original `BinaryHeap` implementation, kept as
 /// the differential oracle for the calendar queue (`tests` below replay
 /// randomized push/pop traces through both and require identical output).
+/// A reserved slot is a `seq` taken in push order, filled by an ordinary
+/// heap push.
 #[cfg(test)]
 pub(crate) struct ReferenceHeapQueue {
     heap: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
+    position: (Time, u64),
 }
 
 #[cfg(test)]
@@ -525,17 +610,32 @@ impl ReferenceHeapQueue {
         ReferenceHeapQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
+            position: (0, 0),
         }
     }
 
     pub(crate) fn push(&mut self, time: Time, event: Event) {
-        let seq = self.next_seq;
+        let seq = self.reserve();
+        self.push_reserved(time, seq, event);
+    }
+
+    pub(crate) fn reserve(&mut self) -> u64 {
         self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    pub(crate) fn push_reserved(&mut self, time: Time, seq: u64, event: Event) {
         self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
     pub(crate) fn pop(&mut self) -> Option<(Time, Event)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
+        let Reverse(e) = self.heap.pop()?;
+        self.position = (e.time, e.seq);
+        Some((e.time, e.event))
+    }
+
+    pub(crate) fn position(&self) -> (Time, u64) {
+        self.position
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -695,6 +795,38 @@ mod tests {
         );
     }
 
+    /// A reserved slot pops where a push at reservation time would have:
+    /// after earlier-`seq` entries of its nanosecond, before later ones,
+    /// and after a wheel tick that precedes it although the side heap
+    /// holds it from the moment it is filled.
+    #[test]
+    fn filled_reserved_slot_pops_in_push_order() {
+        let t = 5 << BUCKET_SHIFT; // tick 5
+        let mut q = EventQueue::new();
+        q.push(t, Event::Sample(0));
+        let slot = q.reserve();
+        q.push(t, Event::Sample(2));
+        q.push(2 << BUCKET_SHIFT, Event::Sample(99)); // tick 2, popped first
+        q.push(3 << BUCKET_SHIFT, Event::Sample(100)); // tick 3, stays in the wheel
+        assert_eq!(q.pop().map(|(time, _)| time), Some(2 << BUCKET_SHIFT));
+        // The lane is empty and tick 3 waits in the wheel when the slot
+        // is filled at tick 5: the cursor must still visit tick 3 first.
+        q.push_reserved(t, slot, Event::Sample(1));
+        q.push(t, Event::Sample(3));
+        let order: Vec<(Time, u32)> = std::iter::from_fn(|| {
+            q.pop().map(|(time, e)| match e {
+                Event::Sample(s) => (time, s),
+                e => panic!("unexpected {e:?}"),
+            })
+        })
+        .collect();
+        assert_eq!(
+            order,
+            vec![(3 << BUCKET_SHIFT, 100), (t, 0), (t, 1), (t, 2), (t, 3)]
+        );
+        assert_eq!(q.position(), (t, 5));
+    }
+
     #[test]
     fn push_at_floor_after_drain_still_works() {
         // Drain the queue completely, then schedule at exactly the floor
@@ -780,22 +912,25 @@ mod tests {
     /// The satellite differential oracle: 1M randomized (time, seq)
     /// push/pop operations replayed through the calendar queue and the
     /// reference heap must produce an identical pop order, once per
-    /// push-time distribution.
+    /// push-time distribution. One push in eight reserves its slot instead
+    /// and fills it later, or never, as the engine does with `LinkFree`.
     #[test]
     fn differential_oracle_vs_reference_heap_1m_ops() {
         let window = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
         // Times span same-tick, same-window, and far-future (overflow)
         // cases, plus exact schedule-at-now ties.
-        replay_against_reference_heap(0xCA1E_0DA2, |rng| match rng.gen_range(0..10u32) {
-            0 => 0,
-            1..=4 => rng.gen_range(0..2_000),
-            5..=7 => rng.gen_range(0..window / 2),
-            8 => rng.gen_range(0..2 * window),
-            _ => rng.gen_range(0..8 * window),
-        });
+        let (_, filled) =
+            replay_against_reference_heap(0xCA1E_0DA2, |rng| match rng.gen_range(0..10u32) {
+                0 => 0,
+                1..=4 => rng.gen_range(0..2_000),
+                5..=7 => rng.gen_range(0..window / 2),
+                8 => rng.gen_range(0..2 * window),
+                _ => rng.gen_range(0..8 * window),
+            });
+        assert!(filled >= 10_000, "only {filled} reserved slots filled");
         // Dense: most pushes land 0-64 ns ahead, so thousands of events
         // pend in one tick and same-nanosecond ties are frequent.
-        let peak_lane =
+        let (peak_lane, filled) =
             replay_against_reference_heap(0xDE45_E71E, |rng| match rng.gen_range(0..10u32) {
                 0..=7 => rng.gen_range(0..64),
                 8 => rng.gen_range(0..2_000),
@@ -805,19 +940,28 @@ mod tests {
             peak_lane >= 1_000,
             "the dense input pended at most {peak_lane} events in one tick"
         );
+        assert!(filled >= 10_000, "only {filled} reserved slots filled");
     }
 
     /// Replay 1M randomized push/pop operations, with push times `dt(rng)`
     /// after the last popped time, through the calendar queue and the
-    /// reference heap, asserting identical pops. Returns the most events
-    /// that pended in the lane at once.
-    fn replay_against_reference_heap(seed: u64, dt: impl Fn(&mut SmallRng) -> Time) -> usize {
+    /// reference heap, asserting identical pops. Some pushes reserve a slot
+    /// at their time instead; a later operation fills it if neither queue
+    /// has passed it yet, and drops it otherwise. Returns the most events
+    /// that pended in the lane at once and the number of filled slots.
+    fn replay_against_reference_heap(
+        seed: u64,
+        dt: impl Fn(&mut SmallRng) -> Time,
+    ) -> (usize, usize) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut cal = EventQueue::new();
         let mut heap = ReferenceHeapQueue::new();
         let mut now: Time = 0;
         let mut ops: u64 = 0;
         let mut peak_lane = 0;
+        // Open reserved slots: (time, seq, tag).
+        let mut reserved: Vec<(Time, u64, u32)> = Vec::new();
+        let mut filled = 0;
         while ops < 1_000_000 {
             // Bias towards pushes while small, pops while large, mirroring
             // an engine run's grow/drain phases.
@@ -825,8 +969,14 @@ mod tests {
             if push {
                 let t = now + dt(&mut rng);
                 let tag = ops as u32;
-                cal.push(t, Event::Sample(tag));
-                heap.push(t, Event::Sample(tag));
+                if rng.gen_range(0..8u32) == 0 {
+                    let seq = cal.reserve();
+                    assert_eq!(heap.reserve(), seq, "reserved seq diverged at op {ops}");
+                    reserved.push((t, seq, tag));
+                } else {
+                    cal.push(t, Event::Sample(tag));
+                    heap.push(t, Event::Sample(tag));
+                }
             } else {
                 let (tc, ec) = cal.pop().expect("calendar queue non-empty");
                 let (th, eh) = heap.pop().expect("reference heap non-empty");
@@ -838,7 +988,16 @@ mod tests {
                     _ => unreachable!(),
                 }
                 assert!(tc >= now, "time went backwards");
+                assert_eq!(cal.position(), heap.position());
                 now = tc;
+            }
+            if !reserved.is_empty() && rng.gen_bool(0.3) {
+                let (t, seq, tag) = reserved.swap_remove(rng.gen_range(0..reserved.len()));
+                if (t, seq) > heap.position() {
+                    cal.push_reserved(t, seq, Event::Sample(tag));
+                    heap.push_reserved(t, seq, Event::Sample(tag));
+                    filled += 1;
+                }
             }
             peak_lane = peak_lane.max(cal.lane.pending);
             assert_eq!(cal.len(), heap.len());
@@ -854,6 +1013,6 @@ mod tests {
             }
         }
         assert!(heap.pop().is_none());
-        peak_lane
+        (peak_lane, filled)
     }
 }

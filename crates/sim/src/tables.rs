@@ -1,7 +1,7 @@
 //! Struct-of-arrays entity tables for the hot simulation state.
 //!
 //! The engine's inner loops touch one or two fields of one entity per event
-//! (a queue, a busy flag, an epoch), so entity state is stored as dense
+//! (a queue, a free position, an epoch), so entity state is stored as dense
 //! parallel `Vec`s indexed directly by the typed ids from [`crate::ids`]
 //! rather than as arrays of structs or id-keyed maps. Every table is
 //! interned once — links and forwarding state at topology-build time, flows
@@ -41,8 +41,13 @@ pub struct LinkTable {
     delay: Vec<Time>,
     class: Vec<LinkClass>,
     queue: Vec<PortQueue>,
-    /// True while a packet is serializing onto the wire.
-    busy: Vec<bool>,
+    /// Where the transmitter frees, as a `(time, seq)` position in the
+    /// scheduler's order: the port is busy while this orders after the
+    /// event being handled. While a packet serializes with none queued
+    /// behind it, this is the slot the scheduler reserved for its
+    /// `LinkFree` event, which nobody has scheduled; otherwise it is
+    /// [`LinkTable::FREE_SCHEDULED`] or [`LinkTable::FREE_PASSED`].
+    free_at: Vec<(Time, u64)>,
     /// False while the link is failed.
     up: Vec<bool>,
     /// Bumped on every down transition; in-flight packets carry the epoch
@@ -68,6 +73,15 @@ pub struct LinkTable {
 }
 
 impl LinkTable {
+    /// Free position of a port whose `LinkFree` event is in the scheduler.
+    /// It orders after every event, so the port reads busy until that
+    /// event pops and sets [`LinkTable::FREE_PASSED`].
+    pub(crate) const FREE_SCHEDULED: (Time, u64) = (Time::MAX, u64::MAX);
+    /// Free position of an idle port with no transition left to account
+    /// for, as every port starts. It orders at or before every event, so
+    /// the port reads idle from the first pop on.
+    pub(crate) const FREE_PASSED: (Time, u64) = (0, 0);
+
     /// Number of links.
     pub fn len(&self) -> usize {
         self.from.len()
@@ -100,7 +114,7 @@ impl LinkTable {
         self.delay.push(delay);
         self.class.push(class);
         self.queue.push(queue);
-        self.busy.push(false);
+        self.free_at.push(Self::FREE_PASSED);
         self.up.push(true);
         self.epoch.push(0);
         self.health.push(LinkHealth::default());
@@ -161,14 +175,30 @@ impl LinkTable {
         self.up[l.index()] = up;
     }
 
-    /// True while a packet occupies the transmitter.
-    pub fn busy(&self, l: LinkId) -> bool {
-        self.busy[l.index()]
+    /// The transmitter's free position (see [`LinkTable::FREE_SCHEDULED`]
+    /// and [`LinkTable::FREE_PASSED`]).
+    #[inline]
+    pub(crate) fn free_at(&self, l: LinkId) -> (Time, u64) {
+        self.free_at[l.index()]
     }
 
-    /// Set the transmitter-busy flag.
-    pub fn set_busy(&mut self, l: LinkId, busy: bool) {
-        self.busy[l.index()] = busy;
+    /// Set the transmitter's free position.
+    #[inline]
+    pub(crate) fn set_free_at(&mut self, l: LinkId, at: (Time, u64)) {
+        self.free_at[l.index()] = at;
+    }
+
+    /// Mark every unscheduled free transition at or before `bound` as
+    /// [`LinkTable::FREE_PASSED`]; returns how many there were.
+    pub(crate) fn settle_free_transitions(&mut self, bound: (Time, u64)) -> u64 {
+        let mut settled = 0;
+        for at in &mut self.free_at {
+            if *at != Self::FREE_PASSED && *at != Self::FREE_SCHEDULED && *at <= bound {
+                *at = Self::FREE_PASSED;
+                settled += 1;
+            }
+        }
+        settled
     }
 
     /// Current failure epoch.
@@ -529,11 +559,11 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!((t.from(l), t.to(l)), (NodeId(3), NodeId(7)));
         assert_eq!((t.bps(l), t.delay(l)), (100, 500));
-        assert!(t.is_up(l) && !t.busy(l));
-        t.set_busy(l, true);
+        assert!(t.is_up(l));
+        assert_eq!(t.free_at(l), LinkTable::FREE_PASSED);
         t.set_up(l, false);
         t.bump_epoch(l);
-        assert!(t.busy(l) && !t.is_up(l));
+        assert!(!t.is_up(l));
         assert_eq!(t.epoch(l), 1);
         t.note_tx(l, 1500);
         t.note_tx(l, 500);
@@ -542,6 +572,30 @@ mod tests {
             (t.tx_packets(l), t.tx_bytes(l), t.lost_packets(l)),
             (2, 2000, 3)
         );
+    }
+
+    #[test]
+    fn settling_passes_only_unscheduled_transitions_up_to_the_bound() {
+        let mut t = LinkTable::default();
+        let free = [
+            LinkTable::FREE_PASSED,
+            LinkTable::FREE_SCHEDULED,
+            (100, 7),
+            (100, 9),
+            (250, 3),
+        ];
+        for at in free {
+            let q = PortQueue::new(64 * 1024, crate::queue::RedParams::default());
+            let l = t.push(NodeId(0), NodeId(1), 100, 500, LinkClass::EdgeAgg, q);
+            t.set_free_at(l, at);
+        }
+        assert_eq!(t.settle_free_transitions((100, 8)), 1);
+        assert_eq!(t.free_at(LinkId(2)), LinkTable::FREE_PASSED);
+        assert_eq!(t.free_at(LinkId(3)), (100, 9));
+        // A bound past every time still leaves the scheduled port busy.
+        assert_eq!(t.settle_free_transitions((Time::MAX, u64::MAX)), 2);
+        assert_eq!(t.free_at(LinkId(1)), LinkTable::FREE_SCHEDULED);
+        assert_eq!(t.settle_free_transitions((Time::MAX, u64::MAX)), 0);
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! uno-inspect run.json --html out.html  # self-contained HTML report
 //! uno-inspect run.json --collapsed out.folded   # flamegraph input
 //! uno-inspect diff a.json b.json        # compare two runs side by side
+//! uno-inspect summarize trace.jsonl          # per-flow/per-queue tables
+//! uno-inspect summarize trace.jsonl --json   # machine-readable digest
+//! uno-inspect summarize trace.jsonl --cwnd 0 # cwnd timeline of flow 0
 //! ```
 //!
 //! The input is the JSON printed by `uno-scenario` (or any JSON carrying
@@ -14,12 +17,15 @@
 //! and per-flow delivery rate, and the span profiler's
 //! inclusive/exclusive time breakdown. `--strict` exits non-zero unless
 //! every section is present and non-empty (used by the CI smoke lane).
+//! `summarize` instead digests a JSONL trace written by
+//! `uno-scenario --trace`; its usage errors exit 2, and `--cwnd` on a flow
+//! the trace lacks exits 1.
 
 use std::fmt::Write as _;
 use std::process::exit;
 
 use serde::Value;
-use uno_trace::ProfileReport;
+use uno_trace::{ProfileReport, TraceSummary};
 
 /// ASCII ramp used for timeline rendering (space = zero).
 const RAMP: &[u8] = b" .:-=+*#%@";
@@ -32,7 +38,8 @@ fn die(msg: &str) -> ! {
     eprintln!("uno-inspect: {msg}");
     eprintln!(
         "usage: uno-inspect <run.json> [--html <out.html>] [--collapsed <out.folded>] [--strict]\n\
-         \x20      uno-inspect diff <a.json> <b.json>"
+         \x20      uno-inspect diff <a.json> <b.json>\n\
+         \x20      uno-inspect summarize <trace.jsonl> [--json] [--cwnd FLOW]"
     );
     exit(1);
 }
@@ -45,6 +52,10 @@ fn load(path: &str) -> Value {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("summarize") {
+        summarize(&args[1..]);
+        return;
+    }
     if args.first().map(String::as_str) == Some("diff") {
         if args.len() != 3 {
             die("diff needs exactly two run files");
@@ -91,6 +102,68 @@ fn main() {
         std::fs::write(out, render_html(&run, path))
             .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
         eprintln!("uno-inspect: HTML report written to {out}");
+    }
+}
+
+/// A `summarize` usage or input error: exit 2.
+fn die_summarize(msg: &str) -> ! {
+    eprintln!("uno-inspect summarize: {msg}");
+    eprintln!("usage: uno-inspect summarize <trace.jsonl> [--json] [--cwnd FLOW]");
+    exit(2);
+}
+
+/// `summarize <trace.jsonl> [--json] [--cwnd FLOW]`: per-flow and per-queue
+/// tables of a JSONL trace, its digest as JSON, or one flow's cwnd
+/// timeline.
+fn summarize(args: &[String]) {
+    let mut path = None;
+    let mut json = false;
+    let mut cwnd_flow: Option<u32> = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--json" => json = true,
+            "--cwnd" => {
+                cwnd_flow = Some(
+                    it.next()
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| die_summarize("--cwnd needs a flow id")),
+                );
+            }
+            other if path.is_none() && !other.starts_with('-') => path = Some(other),
+            other => die_summarize(&format!("unknown argument `{other}`")),
+        }
+    }
+    let Some(path) = path else {
+        die_summarize("no trace file given");
+    };
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die_summarize(&format!("cannot read trace {path}: {e}")));
+    let summary = TraceSummary::from_jsonl(&text)
+        .unwrap_or_else(|e| die_summarize(&format!("malformed trace {path}: {e}")));
+    if summary.skipped_lines > 0 {
+        eprintln!(
+            "uno-inspect summarize: warning: skipped {} malformed line(s) in {path}",
+            summary.skipped_lines
+        );
+    }
+
+    if let Some(flow) = cwnd_flow {
+        let Some(f) = summary.flows.iter().find(|f| f.flow == flow) else {
+            eprintln!("flow {flow} not present in trace");
+            exit(1);
+        };
+        println!("t_ns cwnd_bytes");
+        for (t, w) in &f.cwnd {
+            println!("{t} {w:.0}");
+        }
+        return;
+    }
+    if json {
+        let digest = serde_json::to_string_pretty(&summary).expect("a summary serializes");
+        println!("{digest}");
+    } else {
+        print!("{}", summary.render());
     }
 }
 

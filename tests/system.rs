@@ -288,7 +288,7 @@ fn quickstart_emits_valid_manifest_and_summarizable_trace() {
     assert!(m.events_per_sec > 0.0);
 
     // The JSONL trace parses into per-flow / per-queue summaries
-    // (`uno-trace-summarize`'s engine) covering both flows.
+    // (`uno-inspect summarize`'s engine) covering both flows.
     let text = std::fs::read_to_string(&path).unwrap();
     let summary = TraceSummary::from_jsonl(&text).expect("trace must parse");
     assert!(summary.events > 0);
