@@ -6,19 +6,34 @@
 //! * `qa`       — Quick Adapt on/off under incast;
 //! * `subflows` — UnoLB subflow-count sweep under a link failure.
 //!
-//! Run a single study with `ablations <name>` or all of them with no args.
+//! Run a single study with `ablations <name>` or all of them with no name.
+//! The studies run fixed seeds at the quick preset, so of the shared flags
+//! only `--jobs N` (the ten-seed sweeps of `ec` and `subflows`) and
+//! `--progress` apply.
 
 use uno::metrics::{jain_fairness, rates_from_progress, FctTable};
-use uno::sim::{
-    Ctx, FlowClass, FlowLogic, FlowMeta, GilbertElliott, Packet, PhantomParams, MILLIS, SECONDS,
-};
+use uno::sim::{FlowClass, FlowMeta, GilbertElliott, PhantomParams, MILLIS, SECONDS};
 use uno::transport::{CcConfig, FlowConfig, LbMode, MessageFlow, UnoCc};
-use uno::{dup_thresh_for, Experiment, ExperimentConfig, SchemeSpec};
+use uno::{dup_thresh_for, Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
+use uno_bench::{experiment, HarnessArgs};
 use uno_erasure::EcParams;
 use uno_workloads::{incast, FlowSpec};
 
+const STUDIES: [&str; 6] = ["epoch", "pq", "ec", "qa", "subflows", "all"];
+
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
+    let (args, extra) = HarnessArgs::parse_with_extra();
+    let usage = "usage: ablations [epoch|pq|ec|qa|subflows|all] [--jobs N] [--progress]";
+    assert!(
+        !args.full && args.seed == 1,
+        "{usage}: --full and --seed do not apply"
+    );
+    let which = match extra.as_slice() {
+        [] => "all",
+        [name] if STUDIES.contains(&name.as_str()) => name.as_str(),
+        _ => panic!("{usage}"),
+    };
+    let sweep = args.sweep();
     if which == "epoch" || which == "all" {
         ablation_epoch();
     }
@@ -26,13 +41,13 @@ fn main() {
         ablation_pq();
     }
     if which == "ec" || which == "all" {
-        ablation_ec();
+        ablation_ec(&sweep);
     }
     if which == "qa" || which == "all" {
         ablation_qa();
     }
     if which == "subflows" || which == "all" {
-        ablation_subflows();
+        ablation_subflows(&sweep);
     }
     uno_bench::write_manifests("ablations");
 }
@@ -88,23 +103,9 @@ impl CustomUno {
                     FlowClass::Intra
                 },
             },
-            Box::new(Wrapper(flow)),
+            Box::new(flow),
             record,
         );
-    }
-}
-
-/// Thin FlowLogic wrapper (keeps MessageFlow construction local).
-struct Wrapper(MessageFlow);
-impl FlowLogic for Wrapper {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.0.on_start(ctx)
-    }
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        self.0.on_packet(pkt, ctx)
-    }
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
-        self.0.on_timer(token, ctx)
     }
 }
 
@@ -121,7 +122,7 @@ fn ablation_epoch() {
     for unified in [true, false] {
         let mut cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 2);
         cfg.record_progress = true;
-        let mut exp = Experiment::new(cfg);
+        let mut exp = experiment(cfg);
         let specs = mixed_incast_specs(&exp);
         for s in &specs {
             CustomUno::add_flow(&mut exp, s, unified, true, true);
@@ -168,7 +169,7 @@ fn ablation_pq() {
             drain_factor: drain,
             ..base
         });
-        let mut exp = Experiment::new(cfg);
+        let mut exp = experiment(cfg);
         let hosts = exp.sim.topo.params.hosts_per_dc() as u32;
         exp.add_specs(&incast(8, 0, 32 << 20, hosts));
         let bottleneck = exp.sim.topo.host_downlink(exp.sim.topo.host(0, 0));
@@ -193,7 +194,7 @@ fn ablation_pq() {
 
 /// EC geometry sweep under bursty loss: more parity tolerates more loss
 /// but costs wire overhead.
-fn ablation_ec() {
+fn ablation_ec(sweep: &SweepRunner) {
     println!("== ablation: EC geometry under bursty loss (single 20 MiB WAN flow) ==");
     for (x, y) in [(8u8, 1u8), (8, 2), (8, 4)] {
         let ec = EcParams { data: x, parity: y };
@@ -204,36 +205,34 @@ fn ablation_ec() {
             },
             Some(ec),
         );
-        let fcts: Vec<f64> = (0..10u64)
-            .map(|seed| {
-                let mut exp = Experiment::new(ExperimentConfig::quick(scheme.clone(), seed));
-                for l in exp
-                    .sim
-                    .topo
-                    .border_forward
-                    .clone()
-                    .into_iter()
-                    .chain(exp.sim.topo.border_reverse.clone())
-                {
-                    exp.sim
-                        .set_link_loss(l, GilbertElliott::new(2e-3, 0.4, 0.0, 0.5));
-                }
-                exp.add_specs(&[FlowSpec {
-                    src_dc: 0,
-                    src_idx: 1,
-                    dst_dc: 1,
-                    dst_idx: 2,
-                    size: 20 << 20,
-                    start: 0,
-                }]);
-                let r = exp.run(30 * SECONDS);
-                uno_bench::record_manifest(r.manifest.clone());
-                r.fcts
-                    .first()
-                    .map(|f| f.fct() as f64 / 1e6)
-                    .unwrap_or(f64::NAN)
-            })
-            .collect();
+        let fcts: Vec<f64> = sweep.run((0..10u64).collect(), |_, seed| {
+            let mut exp = experiment(ExperimentConfig::quick(scheme.clone(), seed));
+            for l in exp
+                .sim
+                .topo
+                .border_forward
+                .clone()
+                .into_iter()
+                .chain(exp.sim.topo.border_reverse.clone())
+            {
+                exp.sim
+                    .set_link_loss(l, GilbertElliott::new(2e-3, 0.4, 0.0, 0.5));
+            }
+            exp.add_specs(&[FlowSpec {
+                src_dc: 0,
+                src_idx: 1,
+                dst_dc: 1,
+                dst_idx: 2,
+                size: 20 << 20,
+                start: 0,
+            }]);
+            let r = exp.run(30 * SECONDS);
+            uno_bench::record_manifest(r.manifest.clone());
+            r.fcts
+                .first()
+                .map(|f| f.fct() as f64 / 1e6)
+                .unwrap_or(f64::NAN)
+        });
         println!(
             "  ({x},{y}) overhead {:4.1}%: mean FCT {:7.2} ms | worst {:7.2} ms",
             100.0 * y as f64 / (x + y) as f64,
@@ -250,7 +249,7 @@ fn ablation_qa() {
     println!("== ablation: Quick Adapt under 8-flow inter incast ==");
     for qa in [true, false] {
         let cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 4);
-        let mut exp = Experiment::new(cfg);
+        let mut exp = experiment(cfg);
         let hosts = exp.sim.topo.params.hosts_per_dc() as u32;
         let specs = incast(0, 8, 64 << 20, hosts);
         for s in &specs {
@@ -273,7 +272,7 @@ fn ablation_qa() {
 
 /// UnoLB subflow count under a border failure: more subflows localize the
 /// damage of a dead path but increase reordering.
-fn ablation_subflows() {
+fn ablation_subflows(sweep: &SweepRunner) {
     println!("== ablation: UnoLB subflow count under border failure ==");
     for subflows in [2usize, 4, 10, 16] {
         let scheme = SchemeSpec::unocc_with(
@@ -281,27 +280,25 @@ fn ablation_subflows() {
             LbMode::UnoLb { subflows },
             Some(EcParams::PAPER_DEFAULT),
         );
-        let fcts: Vec<f64> = (0..10u64)
-            .map(|seed| {
-                let mut exp = Experiment::new(ExperimentConfig::quick(scheme.clone(), seed));
-                let victim = exp.sim.topo.border_forward[0];
-                exp.sim.schedule_link_down(victim, MILLIS / 2);
-                exp.add_specs(&[FlowSpec {
-                    src_dc: 0,
-                    src_idx: 2,
-                    dst_dc: 1,
-                    dst_idx: 3,
-                    size: 16 << 20,
-                    start: 0,
-                }]);
-                let r = exp.run(30 * SECONDS);
-                uno_bench::record_manifest(r.manifest.clone());
-                r.fcts
-                    .first()
-                    .map(|f| f.fct() as f64 / 1e6)
-                    .unwrap_or(f64::NAN)
-            })
-            .collect();
+        let fcts: Vec<f64> = sweep.run((0..10u64).collect(), |_, seed| {
+            let mut exp = experiment(ExperimentConfig::quick(scheme.clone(), seed));
+            let victim = exp.sim.topo.border_forward[0];
+            exp.sim.schedule_link_down(victim, MILLIS / 2);
+            exp.add_specs(&[FlowSpec {
+                src_dc: 0,
+                src_idx: 2,
+                dst_dc: 1,
+                dst_idx: 3,
+                size: 16 << 20,
+                start: 0,
+            }]);
+            let r = exp.run(30 * SECONDS);
+            uno_bench::record_manifest(r.manifest.clone());
+            r.fcts
+                .first()
+                .map(|f| f.fct() as f64 / 1e6)
+                .unwrap_or(f64::NAN)
+        });
         println!(
             "  {subflows:2} subflows: mean FCT {:7.2} ms | worst {:7.2} ms",
             uno::metrics::mean(&fcts),

@@ -10,7 +10,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uno::metrics::{FctSummary, TimeSeriesStats};
 use uno::sim::{FlowClass, MICROS, MILLIS, SECONDS};
-use uno::{Experiment, ExperimentConfig, SchemeSpec};
+use uno::{ExperimentConfig, SchemeSpec};
 use uno_bench::HarnessArgs;
 use uno_workloads::{Cdf, FlowSpec};
 
@@ -72,7 +72,7 @@ fn main() {
         let name = scheme.name;
         let mut cfg = ExperimentConfig::quick(scheme, args.seed);
         cfg.topo = topo.clone();
-        let mut exp = Experiment::new(cfg);
+        let mut exp = uno_bench::experiment(cfg);
         for s in &specs {
             exp.add_spec(s);
         }

@@ -3,7 +3,8 @@
 //! Intra-DC flows drawn from the Google web-search size distribution,
 //! inter-DC flows from the Alibaba regional-WAN distribution, 4:1
 //! intra:inter, Poisson arrivals scaled to 20/40/60 % load. For every
-//! scheme, mean and p99 FCT split by flow class.
+//! scheme, mean and p99 FCT split by flow class. `--params` prints the
+//! Table 2 parameter set instead.
 
 use uno::metrics::{FctTable, TextTable};
 use uno::sim::{FlowClass, Time, MILLIS, SECONDS};
@@ -11,8 +12,11 @@ use uno_bench::{run_experiment, HarnessArgs};
 use uno_workloads::{poisson_mix, Cdf, PoissonMixParams};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    if args.params_only {
+    let (args, extra) = HarnessArgs::parse_with_extra();
+    if let Some(other) = extra.iter().find(|a| *a != "--params") {
+        panic!("unknown flag {other} (fig10 adds --params)");
+    }
+    if !extra.is_empty() {
         uno_bench::print_table2(&args.topo());
         return;
     }

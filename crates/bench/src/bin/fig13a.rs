@@ -15,8 +15,8 @@
 
 use uno::metrics::{OutcomeCounts, ViolinSummary};
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, MILLIS, SECONDS};
-use uno::{DegradationConfig, Experiment, ExperimentConfig};
-use uno_bench::{run_seeds_parallel, HarnessArgs};
+use uno::{DegradationConfig, ExperimentConfig};
+use uno_bench::HarnessArgs;
 use uno_workloads::FlowSpec;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,7 +115,7 @@ fn main() {
     for scheme in uno::SchemeSpec::fig13_matrix() {
         let name = scheme.name;
         let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
-        let results: Vec<(f64, OutcomeCounts)> = run_seeds_parallel(&seeds, |seed| {
+        let results: Vec<(f64, OutcomeCounts)> = args.sweep().run(seeds, |_, seed| {
             let mut cfg = ExperimentConfig::quick(scheme.clone(), seed);
             cfg.topo = topo.clone();
             if variant != FaultVariant::Hard {
@@ -123,7 +123,7 @@ fn main() {
                 // to a definite outcome instead of censoring at the horizon.
                 cfg.degradation = Some(DegradationConfig::default());
             }
-            let mut exp = Experiment::new(cfg);
+            let mut exp = uno_bench::experiment(cfg);
             for i in 0..n_flows {
                 exp.add_spec(&FlowSpec {
                     src_dc: 0,

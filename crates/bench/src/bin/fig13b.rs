@@ -8,8 +8,8 @@
 
 use uno::metrics::ViolinSummary;
 use uno::sim::{GilbertElliott, SECONDS};
-use uno::{Experiment, ExperimentConfig};
-use uno_bench::{run_seeds_parallel, HarnessArgs};
+use uno::ExperimentConfig;
+use uno_bench::HarnessArgs;
 use uno_workloads::FlowSpec;
 
 fn main() {
@@ -30,10 +30,10 @@ fn main() {
     for scheme in uno::SchemeSpec::fig13_matrix() {
         let name = scheme.name;
         let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
-        let fcts: Vec<f64> = run_seeds_parallel(&seeds, |seed| {
+        let fcts: Vec<f64> = args.sweep().run(seeds, |_, seed| {
             let mut cfg = ExperimentConfig::quick(scheme.clone(), seed);
             cfg.topo = topo.clone();
-            let mut exp = Experiment::new(cfg);
+            let mut exp = uno_bench::experiment(cfg);
             let base = GilbertElliott::table1_setup1();
             let model = GilbertElliott::new(
                 (base.p_good_to_bad * loss_scale).min(0.01),

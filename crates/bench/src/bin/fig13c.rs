@@ -10,8 +10,8 @@
 use rand::{Rng, SeedableRng};
 use uno::metrics::ViolinSummary;
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, GilbertElliott, MILLIS, SECONDS};
-use uno::{DegradationConfig, Experiment, ExperimentConfig};
-use uno_bench::{run_seeds_parallel, HarnessArgs};
+use uno::{DegradationConfig, ExperimentConfig};
+use uno_bench::HarnessArgs;
 use uno_workloads::{allreduce_ideal_time, allreduce_iteration};
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
     for scheme in uno::SchemeSpec::fig13_matrix() {
         let name = scheme.name;
         let seeds: Vec<u64> = (0..iterations).map(|i| args.seed * 1000 + i).collect();
-        let ratios: Vec<f64> = run_seeds_parallel(&seeds, |seed| {
+        let ratios: Vec<f64> = args.sweep().run(seeds, |_, seed| {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
             // Gradient burst volume per direction: 70..500 MiB (scaled).
             let volume = rng.gen_range((70u64 << 20)..(500u64 << 20)) / scale;
@@ -38,7 +38,7 @@ fn main() {
             // Under failure + loss an iteration can wedge; degrade wedged
             // flows to a definite outcome instead of burning the horizon.
             cfg.degradation = Some(DegradationConfig::default());
-            let mut exp = Experiment::new(cfg);
+            let mut exp = uno_bench::experiment(cfg);
             let specs = allreduce_iteration(groups, volume, topo.hosts_per_dc() as u32, &mut rng);
             exp.add_specs(&specs);
             // One random border link fails mid-iteration (through the fault

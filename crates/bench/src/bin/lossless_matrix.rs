@@ -21,8 +21,8 @@ use uno::metrics::OutcomeCounts;
 use uno::sim::{
     FabricMode, FaultEntry, FaultKind, FaultSpec, FaultTarget, FlowClass, MILLIS, SECONDS,
 };
-use uno::{DegradationConfig, Experiment, ExperimentConfig, SchemeSpec};
-use uno_bench::{run_seeds_parallel, HarnessArgs};
+use uno::{DegradationConfig, ExperimentConfig, SchemeSpec};
+use uno_bench::HarnessArgs;
 use uno_workloads::FlowSpec;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,7 +131,7 @@ fn main() {
         for fabric in [FabricMode::Lossy, FabricMode::Lossless] {
             for &fault in &fault_cols {
                 let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
-                let cells: Vec<Cell> = run_seeds_parallel(&seeds, |seed| {
+                let cells: Vec<Cell> = args.sweep().run(seeds, |_, seed| {
                     run_cell(
                         scheme,
                         fabric,
@@ -202,7 +202,7 @@ fn run_cell(
         // definite outcome instead of censoring at the horizon.
         cfg.degradation = Some(DegradationConfig::default());
     }
-    let mut exp = Experiment::new(cfg);
+    let mut exp = uno_bench::experiment(cfg);
     // Inter-DC transfers crossing the (possibly sick) border.
     for i in 0..n_inter {
         exp.add_spec(&FlowSpec {

@@ -16,13 +16,18 @@ use uno::sim::{RunManifest, Time, TopologyParams, GBPS, SECONDS};
 use uno::{Experiment, ExperimentConfig, SchemeSpec};
 use uno_workloads::FlowSpec;
 
+/// The across-run runner behind [`HarnessArgs::sweep`], re-exported because
+/// the `e2ebench/` benchmark and the `sweep_determinism` test import it
+/// from here.
+pub use uno::SweepRunner;
+
 /// Manifests of every experiment this binary has run, drained by
 /// [`write_manifests`] at the end of `main`.
 static MANIFESTS: Mutex<Vec<RunManifest>> = Mutex::new(Vec::new());
 
-/// Whether `--progress` was passed: [`run_experiment`] then attaches a
+/// Whether `--progress` was passed: [`experiment`] then attaches a
 /// once-per-second wall-clock heartbeat (sim time, events/sec, queued
-/// bytes) to every engine it drives. Stderr-only; never affects simulated
+/// bytes) to every engine it builds. Stderr-only; never affects simulated
 /// state, so results stay byte-identical with and without it.
 static PROGRESS: AtomicBool = AtomicBool::new(false);
 
@@ -77,8 +82,6 @@ pub struct HarnessArgs {
     pub full: bool,
     /// Base RNG seed.
     pub seed: u64,
-    /// Print the Table 2 parameter set and exit.
-    pub params_only: bool,
     /// Worker threads for independent experiment cells (`--jobs N`;
     /// 0 = one per available core).
     pub jobs: usize,
@@ -88,14 +91,12 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parse from `std::env::args` (flags: `--full`, `--seed N`, `--params`,
-    /// `--jobs N`).
+    /// Parse from `std::env::args` (flags: `--full`, `--quick`, `--seed N`,
+    /// `--jobs N`, `--progress`).
     pub fn parse() -> Self {
         let (args, extra) = Self::parse_with_extra();
         if let Some(other) = extra.first() {
-            panic!(
-                "unknown flag {other} (use --full/--quick/--seed N/--jobs N/--params/--progress)"
-            );
+            panic!("unknown flag {other} (use --full/--quick/--seed N/--jobs N/--progress)");
         }
         args
     }
@@ -113,7 +114,6 @@ impl HarnessArgs {
         let mut parsed = HarnessArgs {
             full: false,
             seed: 1,
-            params_only: false,
             jobs: 0,
             progress: false,
         };
@@ -123,7 +123,6 @@ impl HarnessArgs {
             match a.as_str() {
                 "--full" => parsed.full = true,
                 "--quick" => parsed.full = false,
-                "--params" => parsed.params_only = true,
                 "--progress" => parsed.progress = true,
                 "--seed" => {
                     parsed.seed = it
@@ -169,7 +168,7 @@ impl HarnessArgs {
     }
 }
 
-/// Print the Table 2 parameter set (used by `--params`).
+/// Print the Table 2 parameter set (`fig10 --params`).
 pub fn print_table2(topo: &TopologyParams) {
     println!("Table 2: parameter defaults");
     println!("  alpha (UnoCC AI factor)      = 0.001 x BDP");
@@ -207,6 +206,16 @@ pub fn main_schemes() -> Vec<SchemeSpec> {
     ]
 }
 
+/// `Experiment::new(cfg)` with the `--progress` heartbeat attached when
+/// the flag was given. Every figure binary builds its engines here.
+pub fn experiment(cfg: ExperimentConfig) -> Experiment {
+    let mut exp = Experiment::new(cfg);
+    if PROGRESS.load(Ordering::Relaxed) {
+        exp.sim.set_heartbeat(Duration::from_secs(1));
+    }
+    exp
+}
+
 /// Run one experiment over `specs` to completion, timing the wall clock.
 pub fn run_experiment(
     scheme: SchemeSpec,
@@ -223,10 +232,7 @@ pub fn run_experiment(
     let mut cfg = ExperimentConfig::quick(scheme, seed);
     cfg.topo = topo;
     cfg.record_progress = record_progress;
-    let mut exp = Experiment::new(cfg);
-    if PROGRESS.load(Ordering::Relaxed) {
-        exp.sim.set_heartbeat(Duration::from_secs(1));
-    }
+    let mut exp = experiment(cfg);
     exp.add_specs(specs);
     let r = exp.run(horizon);
     eprintln!(
@@ -243,74 +249,6 @@ pub fn run_experiment(
     );
     record_manifest(r.manifest.clone());
     r
-}
-
-/// Fans independent experiment cells — (scheme × load × seed) tuples, or
-/// anything else `Send` — across a rayon thread pool with **deterministic**
-/// semantics: results come back in cell order regardless of which worker
-/// finished first, and each cell derives its randomness from its own seed
-/// ([`cell_seed`]), never from thread identity or wall clock. Consequently
-/// `--jobs 1` and `--jobs 8` produce byte-identical per-cell results (the
-/// bench crate's `sweep_determinism` test holds the runner to this).
-///
-/// The simulator itself stays single-threaded; all parallelism lives here,
-/// across independent runs.
-pub struct SweepRunner {
-    pool: rayon::ThreadPool,
-}
-
-impl SweepRunner {
-    /// Runner with `jobs` worker threads (0 = one per available core).
-    pub fn new(jobs: usize) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs)
-            .build()
-            .expect("sweep thread pool");
-        SweepRunner { pool }
-    }
-
-    /// Worker threads this runner fans out across.
-    pub fn jobs(&self) -> usize {
-        self.pool.current_num_threads()
-    }
-
-    /// Run `f(index, cell)` for every cell, in parallel, collecting results
-    /// in cell order.
-    pub fn run<C, T, F>(&self, cells: Vec<C>, f: F) -> Vec<T>
-    where
-        C: Send,
-        T: Send,
-        F: Fn(usize, C) -> T + Sync,
-    {
-        use rayon::prelude::*;
-        self.pool.install(|| {
-            cells
-                .into_par_iter()
-                .enumerate()
-                .map(|(i, c)| f(i, c))
-                .collect()
-        })
-    }
-}
-
-/// Deterministic per-cell seed derivation: a splitmix64 finalizer over the
-/// base seed and the cell index. Cells get well-separated RNG streams that
-/// depend only on `(base, index)` — not on job count or execution order.
-pub fn cell_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Run `f(seed)` for each seed in parallel, preserving order (convenience
-/// wrapper over [`SweepRunner`] with the default thread budget).
-pub fn run_seeds_parallel<T, F>(seeds: &[u64], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    SweepRunner::new(0).run(seeds.to_vec(), |_, s| f(s))
 }
 
 /// Human-readable bytes.
@@ -336,34 +274,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_seed_runner_preserves_order() {
-        let seeds: Vec<u64> = (0..16).collect();
-        let out = run_seeds_parallel(&seeds, |s| s * 10);
-        assert_eq!(out, (0..16).map(|s| s * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sweep_runner_orders_results_and_reports_jobs() {
-        let runner = SweepRunner::new(3);
-        assert_eq!(runner.jobs(), 3);
-        let cells: Vec<(u64, u64)> = (0..12).map(|i| (i, i * i)).collect();
-        let out = runner.run(cells.clone(), |idx, (a, b)| (idx, a + b));
-        let want: Vec<(usize, u64)> = cells.iter().map(|&(a, b)| (a as usize, a + b)).collect();
-        assert_eq!(out, want);
-    }
-
-    #[test]
-    fn cell_seed_is_deterministic_and_separated() {
-        assert_eq!(cell_seed(42, 0), cell_seed(42, 0));
-        let seeds: Vec<u64> = (0..64).map(|i| cell_seed(1, i)).collect();
-        let mut uniq = seeds.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), seeds.len(), "per-cell seeds must not collide");
-        assert_ne!(cell_seed(1, 0), cell_seed(2, 0), "base seed must matter");
-    }
-
-    #[test]
     fn bytes_formatting() {
         assert_eq!(fmt_bytes(512), "512 B");
         assert_eq!(fmt_bytes(2048), "2.0 KiB");
@@ -384,6 +294,9 @@ mod tests {
         assert!(args.progress);
         assert_eq!(args.jobs, 2);
         assert!(extra.is_empty());
+        // `--params` is fig10's own flag, so every other binary rejects it.
+        let (_, extra) = HarnessArgs::parse_from(std::iter::once("--params".to_string()));
+        assert_eq!(extra, vec!["--params"]);
     }
 
     #[test]

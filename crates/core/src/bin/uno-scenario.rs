@@ -19,7 +19,7 @@ use uno::sim::{
     FabricMode, FaultSpec, GilbertElliott, PfcParams, RunManifest, SampleConfig, Time,
     TopologyParams, TraceConfig, Tracer, MICROS, MILLIS, SECONDS,
 };
-use uno::{DegradationConfig, Experiment, ExperimentConfig, SchemeSpec};
+use uno::{DegradationConfig, Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
 use uno_erasure::EcParams;
 use uno_transport::{LbMode, PlbParams};
 use uno_workloads::{incast, permutation, poisson_mix, Cdf, FlowSpec, PoissonMixParams};
@@ -322,24 +322,13 @@ fn main() {
     println!("{}", serde_json::to_string_pretty(&outs).unwrap());
 }
 
-/// Run `sc` at `n` consecutive seeds (`sc.seed .. sc.seed + n`) across a
-/// `jobs`-wide thread pool (0 = one per core), preserving seed order.
+/// Run `sc` at `n` consecutive seeds (`sc.seed .. sc.seed + n`) on `jobs`
+/// workers (0 = one per core), preserving seed order.
 fn run_seed_sweep(sc: &Scenario, n: usize, jobs: usize, opts: RunOpts) -> Vec<Output> {
-    use rayon::prelude::*;
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(jobs)
-        .build()
-        .unwrap_or_else(|e| die(&format!("cannot build thread pool: {e}")));
-    let cells: Vec<u64> = (0..n as u64).map(|i| sc.seed.wrapping_add(i)).collect();
-    pool.install(|| {
-        cells
-            .into_par_iter()
-            .map(|seed| {
-                let mut cell = sc.clone();
-                cell.seed = seed;
-                run_scenario(&cell, Tracer::disabled(), opts)
-            })
-            .collect()
+    let seeds = (0..n as u64).map(|i| sc.seed.wrapping_add(i)).collect();
+    SweepRunner::new(jobs).run(seeds, |_, seed| {
+        let cell = Scenario { seed, ..sc.clone() };
+        run_scenario(&cell, Tracer::disabled(), opts)
     })
 }
 
@@ -620,6 +609,35 @@ mod tests {
             back.workload,
             WorkloadSel::Incast { intra: 4, .. }
         ));
+    }
+
+    #[test]
+    fn seed_sweep_is_seed_ordered_and_identical_across_job_counts() {
+        let sc = Scenario {
+            workload: WorkloadSel::Incast {
+                intra: 2,
+                inter: 1,
+                size: 256 << 10,
+            },
+            seed: 5,
+            ..template()
+        };
+        // Each run's JSON with the wall-clock meters zeroed.
+        let sweep = |jobs| -> Vec<(u64, String)> {
+            run_seed_sweep(&sc, 3, jobs, RunOpts::default())
+                .into_iter()
+                .map(|mut out| {
+                    out.manifest.wall_seconds = 0.0;
+                    out.manifest.events_per_sec = 0.0;
+                    let json = serde_json::to_string(&out).unwrap();
+                    (out.manifest.seed, json)
+                })
+                .collect()
+        };
+        let serial = sweep(1);
+        let seeds: Vec<u64> = serial.iter().map(|(seed, _)| *seed).collect();
+        assert_eq!(seeds, [5, 6, 7]);
+        assert_eq!(sweep(3), serial);
     }
 
     #[test]

@@ -285,13 +285,6 @@ impl Experiment {
         self.collect(all_completed)
     }
 
-    /// Run until `horizon` regardless of completion (open-loop workloads).
-    pub fn run_for(mut self, horizon: Time) -> ExperimentResults {
-        self.sim.run_until(horizon);
-        let done = self.sim.num_completed() == self.sim.num_flows() && self.sim.failures.is_empty();
-        self.collect(done)
-    }
-
     /// Build a run manifest from the simulator's current state. Also useful
     /// mid-run for drivers that never call [`Experiment::run`].
     pub fn manifest(&self) -> RunManifest {

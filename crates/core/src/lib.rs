@@ -17,7 +17,8 @@
 //! This crate is the facade tying the substrates together: scheme
 //! definitions matching the paper's comparisons ([`SchemeSpec`]), the
 //! experiment driver ([`Experiment`]) binding workloads to the simulated
-//! dual-datacenter fat-tree, and the analytic models behind Fig. 1.
+//! dual-datacenter fat-tree, the [`SweepRunner`] that fans independent runs
+//! over threads, and the analytic models behind Fig. 1.
 //!
 //! ## Quickstart
 //!
@@ -42,11 +43,13 @@
 pub mod analysis;
 pub mod experiment;
 pub mod scheme;
+pub mod sweep;
 
 pub use experiment::{
     dup_thresh_for, ideal_fct, DegradationConfig, Experiment, ExperimentConfig, ExperimentResults,
 };
 pub use scheme::{CcKind, SchemeSpec};
+pub use sweep::SweepRunner;
 
 // Re-export the substrate crates under one roof for downstream users.
 pub use uno_erasure as erasure;

@@ -13,8 +13,7 @@ use uno::sim::{
     FabricMode, FlowId, NodeId, Packet, PacketPool, PortQueue, RedParams, Time, TopologyParams,
     SECONDS,
 };
-use uno::{Experiment, ExperimentConfig, SchemeSpec};
-use uno_bench::SweepRunner;
+use uno::{Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
 use uno_erasure::{gf256, CodecScratch, ReedSolomon, ShardPool};
 use uno_trace::{Profiler, RateMeter};
 use uno_transport::LbMode;

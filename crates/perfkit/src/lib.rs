@@ -25,7 +25,7 @@
 //!   peak RSS of a lossless multi-site permutation, where PFC parks whole
 //!   windows in buffers;
 //! * **fig08 slice** — wall-clock for a scheme × scenario FCT sweep run
-//!   sequentially and through the parallel [`SweepRunner`], plus the
+//!   sequentially and through the parallel [`uno::SweepRunner`], plus the
 //!   resulting speedup.
 //!
 //! `uno-perfkit compare` fails (non-zero exit) when any benchmark regresses

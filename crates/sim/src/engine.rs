@@ -687,13 +687,9 @@ impl Simulator {
         }
         let mut all_done = false;
         loop {
-            // Scheduler span: time spent peeking/popping the event queue.
+            // Scheduler span: time spent popping the event queue.
             self.profiler.enter("scheduler");
-            let head = self.events.peek_time();
-            let popped = match head {
-                Some(t) if t <= end => self.events.pop(),
-                _ => None,
-            };
+            let popped = self.events.pop_until(end);
             self.profiler.exit();
             let Some((t, ev)) = popped else {
                 break;

@@ -32,9 +32,9 @@
 //! range for good when the window first covers it), and they migrate in
 //! heap order; a push into the lane carries the newest `seq`. Two kinds of
 //! entry break that rule and go to a small **side heap** instead, whose
-//! head `pop` and `peek_time` merge with the lane's by `(time, seq)`: a
-//! push into a tick that `peek_time` moved the cursor past, and a push
-//! into a **reserved slot**. `EventQueue::reserve` takes the next `seq`
+//! head `pop_until` merges with the lane's by `(time, seq)`: a push into a
+//! tick that a declined `pop_until` moved the cursor past, and a push into
+//! a **reserved slot**. `EventQueue::reserve` takes the next `seq`
 //! without scheduling anything, and `EventQueue::push_reserved` may fill
 //! it later, so the event pops exactly where it would have had it been
 //! pushed at reservation time. The engine reserves the slot of every
@@ -240,7 +240,8 @@ impl Lane {
         self.entries.push(e);
         self.next.push(NIL);
         self.link(i as u32, slot);
-        // The time may precede the lane's head (a push after `peek_time`).
+        // The time may precede the lane's head (a push after a declined
+        // `pop_until`).
         self.first_word = self.first_word.min(slot / 64);
         self.pending += 1;
     }
@@ -275,21 +276,25 @@ impl Lane {
         (e.time, e.seq)
     }
 
-    /// Pop the head of the earliest occupied nanosecond's FIFO.
-    fn pop(&mut self) -> (Time, u64, Event) {
+    /// Pop the head of the earliest occupied nanosecond's FIFO if its time
+    /// is at or before `end`. The lane must not be empty.
+    fn pop_until(&mut self, end: Time) -> Option<(Time, u64, Event)> {
         let slot = self.first_slot();
         let i = self.head[slot] as usize;
+        if self.entries[i].time > end {
+            return None;
+        }
         match self.next[i] {
             NIL => self.occupied[slot / 64] &= !(1u64 << (slot % 64)),
             next => self.head[slot] = next,
         }
         self.pending -= 1;
         let e = &mut self.entries[i];
-        (
+        Some((
             e.time,
             e.seq,
             std::mem::replace(&mut e.event, Event::Telemetry),
-        )
+        ))
     }
 }
 
@@ -307,15 +312,16 @@ pub struct EventQueue {
     buckets: Vec<Vec<Entry>>,
     /// One bit per bucket: set while the bucket is non-empty.
     occupied: [u64; WORDS],
-    /// Tick of the cursor, whose entries live in `lane`. Only
-    /// `pop`/`peek_time` advance it (to the minimum lane/wheel/overflow
-    /// tick), so it never passes a pending lane, wheel or overflow entry.
+    /// Tick of the cursor, whose entries live in `lane`. Only `pop_until`
+    /// advances it (to the minimum lane/wheel/overflow tick, also when it
+    /// then declines to pop), so it never passes a pending lane, wheel or
+    /// overflow entry.
     cur_tick: u64,
     /// The cursor tick's entries. Pushes at the cursor tick land here.
     lane: Lane,
     /// Entries that cannot join the FIFOs in `seq` order, at any tick:
-    /// pushes at a tick before the cursor tick, which can happen once
-    /// `peek_time` has moved the cursor past the queue floor (see
+    /// pushes at a tick before the cursor tick, which can happen once a
+    /// declined `pop_until` has moved the cursor past the queue floor (see
     /// [`EventQueue::push`]), and fills of reserved slots, whose `seq` is
     /// older than entries already filed. Its head pops when it orders
     /// before the lane's.
@@ -380,11 +386,11 @@ impl EventQueue {
             // so it orders after every queued entry of the same time.
             self.lane.push(e);
         } else if tick < self.cur_tick {
-            // `peek_time` advances the cursor to the minimum *pending* tick
-            // without popping, and a caller may then legally push an
-            // earlier event (still at/after the floor). The engine does
-            // exactly this: `run_until(end)` peeks a head beyond `end` and
-            // stops, and the caller may then schedule at the new `now` —
+            // `pop_until` advances the cursor to the minimum *pending* tick
+            // even when it declines to pop, and a caller may then legally
+            // push an earlier event (still at/after the floor). The engine
+            // does exactly this: `run_until(end)` finds a head beyond `end`
+            // and stops, and the caller may then schedule at the new `now` —
             // between run slices, or before `install_faults` /
             // `schedule_link_down` — in a tick the cursor has skipped.
             // Such an event must not be filed into a wheel bucket the
@@ -432,30 +438,29 @@ impl EventQueue {
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
+        self.pop_until(Time::MAX)
+    }
+
+    /// Pop the earliest event if it is at or before `end`; otherwise leave
+    /// it queued and return `None`. One call per event: the engine's run
+    /// loop would otherwise find the head twice, to read its time and to
+    /// pop it.
+    pub fn pop_until(&mut self, end: Time) -> Option<(Time, Event)> {
         if !self.normalize() {
             return None;
         }
         let (time, seq, event) = if self.side_first() {
+            if self.side.peek().is_some_and(|Reverse(e)| e.time > end) {
+                return None;
+            }
             let Reverse(e) = self.side.pop().expect("side_first saw a head");
             (e.time, e.seq, e.event)
         } else {
-            self.lane.pop()
+            self.lane.pop_until(end)?
         };
         self.len -= 1;
         self.position = (time, seq);
         Some((time, event))
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        if !self.normalize() {
-            return None;
-        }
-        Some(if self.side_first() {
-            self.side.peek().expect("side_first saw a head").0.time
-        } else {
-            self.lane.head().0
-        })
     }
 
     /// `(time, seq)` of the last popped event — for the engine, the
@@ -675,12 +680,13 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
+        // `pop_until` short of the head only peeks at it.
         let mut q = EventQueue::new();
         q.push(5, Event::Sample(0));
-        assert_eq!(q.peek_time(), Some(5));
+        assert!(q.pop_until(4).is_none());
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.pop();
+        assert_eq!(q.pop_until(5).map(|(t, _)| t), Some(5));
         assert!(q.is_empty());
     }
 
@@ -731,13 +737,14 @@ mod tests {
 
     #[test]
     fn push_behind_a_peek_advanced_cursor_stays_ordered() {
-        // `peek_time` advances the cursor to the minimum pending tick
-        // without popping; a later push may land in an *earlier* tick while
-        // still respecting the floor (the engine's run-slice → schedule-at-
-        // now pattern). The earlier event must still pop first.
+        // A `pop_until` that declines to pop still advances the cursor to
+        // the minimum pending tick; a later push may land in an *earlier*
+        // tick while still respecting the floor (the engine's run-slice →
+        // schedule-at-now pattern). The earlier event must still pop first.
         let mut q = EventQueue::new();
         q.push(22_134, Event::Sample(1)); // tick 21
-        assert_eq!(q.peek_time(), Some(22_134)); // cursor now at tick 21
+        assert!(q.pop_until(22_133).is_none());
+        assert_eq!(q.cur_tick, 21); // the peek moved the cursor
         q.push(14_264, Event::Sample(0)); // tick 13, behind the cursor
         assert_eq!(q.pop().unwrap().0, 14_264);
         assert_eq!(q.pop().unwrap().0, 22_134);
@@ -766,9 +773,10 @@ mod tests {
         q.push(t - 1, Event::Sample(89)); // an earlier nanosecond, same tick
         q.push(t, Event::Sample(3));
         assert_eq!(q.wheel_len, 6);
-        // Peeking moves the cursor onto the tick: its bucket becomes the
-        // lane, and later pushes at the tick append to it.
-        assert_eq!(q.peek_time(), Some(t - 1));
+        // Peeking (a `pop_until` short of the head) moves the cursor onto
+        // the tick: its bucket becomes the lane, and later pushes at the
+        // tick append to it.
+        assert!(q.pop_until(t - 2).is_none());
         assert_eq!((q.wheel_len, q.lane.pending), (0, 6));
         q.push(t, Event::Sample(4));
         q.push(t, Event::Sample(5));

@@ -534,7 +534,7 @@ impl Topology {
             for hi in lo + 1..dcs {
                 let (b_lo, b_hi) = (border_ids[lo], border_ids[hi]);
                 for _ in 0..params.border_links {
-                    let (fwd_l, rev_l) = b.add_duplex_bw(
+                    let (fwd_l, rev_l) = b.add_duplex(
                         b_lo,
                         b_hi,
                         params.border_link_bps,
@@ -687,17 +687,6 @@ impl Builder {
     }
 
     fn add_duplex(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        bps: Bps,
-        delay: Time,
-        class: LinkClass,
-    ) -> (LinkId, LinkId) {
-        self.add_duplex_bw(a, b, bps, delay, class)
-    }
-
-    fn add_duplex_bw(
         &mut self,
         a: NodeId,
         b: NodeId,

@@ -254,11 +254,11 @@ fn flow_start_time_is_honoured() {
 
 #[test]
 fn scheduling_behind_a_peeked_head_between_run_slices_fires_in_time() {
-    // `run_until(end)` peeks the queue head to decide whether to stop; the
-    // peek advances the calendar queue's cursor to that head's tick. A
-    // caller may then schedule at the new `now`, in a tick the cursor has
-    // already passed. That event must still fire on time, not a wheel lap
-    // late.
+    // `run_until(end)` stops at a queue head beyond `end`, which it left
+    // queued after peeking at it: `pop_until` advanced the calendar queue's
+    // cursor to that head's tick without popping. A caller may then
+    // schedule at the new `now`, in a tick the cursor has already passed.
+    // That event must still fire on time, not a wheel lap late.
     let mut sim = Simulator::new(topo(), 7);
     let mut ids = sim.topo.links.ids();
     let (a, b) = (ids.next().unwrap(), ids.next().unwrap());
