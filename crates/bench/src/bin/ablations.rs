@@ -8,18 +8,20 @@
 //!
 //! Run a single study with `ablations <name>` or all of them with no name.
 //! The studies run fixed seeds at the quick preset, so of the shared flags
-//! only `--jobs N` (the ten-seed sweeps of `ec` and `subflows`) and
-//! `--progress` apply.
+//! only `--jobs N` (every study sweeps its cells) and `--progress` apply.
 
 use uno::metrics::{jain_fairness, rates_from_progress, FctTable};
-use uno::sim::{FlowClass, FlowMeta, GilbertElliott, PhantomParams, MILLIS, SECONDS};
-use uno::transport::{CcConfig, FlowConfig, LbMode, MessageFlow, UnoCc};
-use uno::{dup_thresh_for, Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
-use uno_bench::{experiment, HarnessArgs};
+use uno::sim::{GilbertElliott, PhantomParams, MILLIS, SECONDS};
+use uno::transport::{CcAlgorithm, CcConfig, LbMode, UnoCc};
+use uno::{Experiment, ExperimentConfig, ExperimentResults, SchemeSpec};
+use uno_bench::{experiment, run_cell, HarnessArgs};
 use uno_erasure::EcParams;
 use uno_workloads::{incast, FlowSpec};
 
 const STUDIES: [&str; 6] = ["epoch", "pq", "ec", "qa", "subflows", "all"];
+
+/// The seeds of the `ec` and `subflows` studies.
+const SEEDS: [u64; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
 
 fn main() {
     let (args, extra) = HarnessArgs::parse_with_extra();
@@ -33,102 +35,52 @@ fn main() {
         [name] if STUDIES.contains(&name.as_str()) => name.as_str(),
         _ => panic!("{usage}"),
     };
-    let sweep = args.sweep();
     if which == "epoch" || which == "all" {
-        ablation_epoch();
+        ablation_epoch(&args);
     }
     if which == "pq" || which == "all" {
-        ablation_pq();
+        ablation_pq(&args);
     }
     if which == "ec" || which == "all" {
-        ablation_ec(&sweep);
+        ablation_ec(&args);
     }
     if which == "qa" || which == "all" {
-        ablation_qa();
+        ablation_qa(&args);
     }
     if which == "subflows" || which == "all" {
-        ablation_subflows(&sweep);
+        ablation_subflows(&args);
     }
     uno_bench::write_manifests("ablations");
 }
 
-/// Flow factory used by the epoch/QA ablations: a `MessageFlow` with a
-/// hand-tuned `UnoCc` (the `Experiment` API wires the paper defaults).
-struct CustomUno;
-
-impl CustomUno {
-    #[allow(clippy::too_many_arguments)]
-    fn add_flow(
-        exp: &mut Experiment,
-        spec: &FlowSpec,
-        unified_epochs: bool,
-        qa_enabled: bool,
-        record: bool,
-    ) {
-        let topo = exp.sim.topo.params.clone();
-        let s = exp.sim.topo.host(spec.src_dc, spec.src_idx);
-        let d = exp.sim.topo.host(spec.dst_dc, spec.dst_idx);
-        let inter = exp.sim.topo.is_inter_dc(s, d);
-        let (rtt, bdp) = if inter {
-            (topo.inter_rtt, topo.inter_bdp() as f64)
-        } else {
-            (topo.intra_rtt, topo.intra_bdp() as f64)
-        };
-        let mut cfg = CcConfig::paper_defaults(bdp, rtt, topo.intra_bdp() as f64, topo.intra_rtt);
-        if !unified_epochs {
-            // Gemini-style granularity: epochs are one own-RTT long.
-            cfg.intra_rtt = rtt;
-        }
-        let mut cc = UnoCc::new(cfg);
-        cc.qa_enabled = qa_enabled;
-        let mut fc = FlowConfig::basic(s, d, spec.size, rtt);
-        fc.lb = LbMode::Spray;
-        fc.dup_thresh = dup_thresh_for(LbMode::Spray);
-        fc.ec = if inter {
-            Some(EcParams::PAPER_DEFAULT)
-        } else {
-            None
-        };
-        fc.min_rto = if inter { 2 * rtt } else { MILLIS };
-        let flow = MessageFlow::new(fc, Box::new(cc));
-        exp.sim.add_flow_recorded(
-            FlowMeta {
-                src: s,
-                dst: d,
-                size: spec.size,
-                start: spec.start,
-                class: if inter {
-                    FlowClass::Inter
-                } else {
-                    FlowClass::Intra
-                },
-            },
-            Box::new(flow),
-            record,
-        );
+/// UnoCC with the epoch granularity and Quick Adapt setting under study,
+/// from the controller config the experiment derived for the flow.
+fn tuned_uno(mut cfg: CcConfig, unified_epochs: bool, qa_enabled: bool) -> Box<dyn CcAlgorithm> {
+    if !unified_epochs {
+        // Gemini-style granularity: epochs are one own-RTT long.
+        cfg.intra_rtt = cfg.base_rtt;
     }
-}
-
-fn mixed_incast_specs(exp: &Experiment) -> Vec<FlowSpec> {
-    let hosts = exp.sim.topo.params.hosts_per_dc() as u32;
-    incast(4, 4, 128 << 20, hosts)
+    let mut cc = UnoCc::new(cfg);
+    cc.qa_enabled = qa_enabled;
+    Box::new(cc)
 }
 
 /// Epoch granularity: the paper's central unification claim — identical
 /// (intra-RTT) epochs for both classes converge to fairness faster than
 /// per-own-RTT epochs.
-fn ablation_epoch() {
+fn ablation_epoch(args: &HarnessArgs) {
     println!("== ablation: epoch granularity (mixed 4+4 incast) ==");
-    for unified in [true, false] {
+    let results = args.sweep().run(vec![true, false], |_, unified| {
         let mut cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 2);
         cfg.record_progress = true;
         let mut exp = experiment(cfg);
-        let specs = mixed_incast_specs(&exp);
-        for s in &specs {
-            CustomUno::add_flow(&mut exp, s, unified, true, true);
+        let hosts = exp.sim.topo.params.hosts_per_dc() as u32;
+        for s in &incast(4, 4, 128 << 20, hosts) {
+            exp.add_spec_with(s, |cfg, _| tuned_uno(cfg, unified, true));
         }
-        let r = exp.run(30 * SECONDS);
-        uno_bench::record_manifest(r.manifest.clone());
+        (unified, run_cell(exp, 30 * SECONDS))
+    });
+    for (unified, r) in results {
         // Mean Jain index across the run (active flows only).
         let series: Vec<_> = r
             .progress
@@ -160,9 +112,10 @@ fn ablation_epoch() {
 
 /// Phantom drain-factor sweep: lower factors give more headroom (lower
 /// queues) at the cost of bandwidth.
-fn ablation_pq() {
+fn ablation_pq(args: &HarnessArgs) {
     println!("== ablation: phantom drain factor (8-flow intra incast) ==");
-    for drain in [0.8, 0.9, 0.95, 1.0] {
+    let drains = vec![0.8, 0.9, 0.95, 1.0];
+    let results = args.sweep().run(drains.clone(), |_, drain| {
         let mut cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 3);
         let base = Experiment::default_phantom(&cfg.topo);
         cfg.topo.phantom = Some(PhantomParams {
@@ -174,10 +127,11 @@ fn ablation_pq() {
         exp.add_specs(&incast(8, 0, 32 << 20, hosts));
         let bottleneck = exp.sim.topo.host_downlink(exp.sim.topo.host(0, 0));
         exp.sim.add_queue_sampler(bottleneck, 100_000, 0);
-        let r = exp.run(30 * SECONDS);
-        uno_bench::record_manifest(r.manifest.clone());
+        run_cell(exp, 30 * SECONDS)
+    });
+    for (drain, r) in drains.into_iter().zip(results) {
         let occ: Vec<f64> = r.samplers[0]
-            .1
+            .samples
             .iter()
             .map(|&(_, v)| v as f64 / 1024.0)
             .collect();
@@ -194,9 +148,10 @@ fn ablation_pq() {
 
 /// EC geometry sweep under bursty loss: more parity tolerates more loss
 /// but costs wire overhead.
-fn ablation_ec(sweep: &SweepRunner) {
+fn ablation_ec(args: &HarnessArgs) {
     println!("== ablation: EC geometry under bursty loss (single 20 MiB WAN flow) ==");
-    for (x, y) in [(8u8, 1u8), (8, 2), (8, 4)] {
+    let geometries = [(8u8, 1u8), (8, 2), (8, 4)];
+    let fcts = args.sweep_grid(&geometries, &SEEDS, |&(x, y), &seed| {
         let ec = EcParams { data: x, parity: y };
         let scheme = SchemeSpec::unocc_with(
             "ec-sweep",
@@ -205,34 +160,20 @@ fn ablation_ec(sweep: &SweepRunner) {
             },
             Some(ec),
         );
-        let fcts: Vec<f64> = sweep.run((0..10u64).collect(), |_, seed| {
-            let mut exp = experiment(ExperimentConfig::quick(scheme.clone(), seed));
-            for l in exp
-                .sim
-                .topo
-                .border_forward
-                .clone()
-                .into_iter()
-                .chain(exp.sim.topo.border_reverse.clone())
-            {
-                exp.sim
-                    .set_link_loss(l, GilbertElliott::new(2e-3, 0.4, 0.0, 0.5));
-            }
-            exp.add_specs(&[FlowSpec {
-                src_dc: 0,
-                src_idx: 1,
-                dst_dc: 1,
-                dst_idx: 2,
-                size: 20 << 20,
-                start: 0,
-            }]);
-            let r = exp.run(30 * SECONDS);
-            uno_bench::record_manifest(r.manifest.clone());
-            r.fcts
-                .first()
-                .map(|f| f.fct() as f64 / 1e6)
-                .unwrap_or(f64::NAN)
-        });
+        let mut exp = experiment(ExperimentConfig::quick(scheme, seed));
+        exp.sim
+            .set_border_loss(GilbertElliott::new(2e-3, 0.4, 0.0, 0.5));
+        exp.add_specs(&[FlowSpec {
+            src_dc: 0,
+            src_idx: 1,
+            dst_dc: 1,
+            dst_idx: 2,
+            size: 20 << 20,
+            start: 0,
+        }]);
+        first_fct_ms(run_cell(exp, 30 * SECONDS))
+    });
+    for ((x, y), fcts) in geometries.into_iter().zip(fcts) {
         println!(
             "  ({x},{y}) overhead {:4.1}%: mean FCT {:7.2} ms | worst {:7.2} ms",
             100.0 * y as f64 / (x + y) as f64,
@@ -245,18 +186,18 @@ fn ablation_ec(sweep: &SweepRunner) {
 
 /// Quick Adapt on/off: QA right-sizes windows within one RTT of an incast
 /// (the paper's "extremely congested" state).
-fn ablation_qa() {
+fn ablation_qa(args: &HarnessArgs) {
     println!("== ablation: Quick Adapt under 8-flow inter incast ==");
-    for qa in [true, false] {
+    let results = args.sweep().run(vec![true, false], |_, qa| {
         let cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 4);
         let mut exp = experiment(cfg);
         let hosts = exp.sim.topo.params.hosts_per_dc() as u32;
-        let specs = incast(0, 8, 64 << 20, hosts);
-        for s in &specs {
-            CustomUno::add_flow(&mut exp, s, true, qa, false);
+        for s in &incast(0, 8, 64 << 20, hosts) {
+            exp.add_spec_with(s, |cfg, _| tuned_uno(cfg, true, qa));
         }
-        let r = exp.run(60 * SECONDS);
-        uno_bench::record_manifest(r.manifest.clone());
+        (qa, run_cell(exp, 60 * SECONDS))
+    });
+    for (qa, r) in results {
         let t = FctTable::new(r.fcts);
         let drops = r.stats.queue_drops;
         println!(
@@ -272,33 +213,29 @@ fn ablation_qa() {
 
 /// UnoLB subflow count under a border failure: more subflows localize the
 /// damage of a dead path but increase reordering.
-fn ablation_subflows(sweep: &SweepRunner) {
+fn ablation_subflows(args: &HarnessArgs) {
     println!("== ablation: UnoLB subflow count under border failure ==");
-    for subflows in [2usize, 4, 10, 16] {
+    let counts = [2usize, 4, 10, 16];
+    let fcts = args.sweep_grid(&counts, &SEEDS, |&subflows, &seed| {
         let scheme = SchemeSpec::unocc_with(
             "subflow-sweep",
             LbMode::UnoLb { subflows },
             Some(EcParams::PAPER_DEFAULT),
         );
-        let fcts: Vec<f64> = sweep.run((0..10u64).collect(), |_, seed| {
-            let mut exp = experiment(ExperimentConfig::quick(scheme.clone(), seed));
-            let victim = exp.sim.topo.border_forward[0];
-            exp.sim.schedule_link_down(victim, MILLIS / 2);
-            exp.add_specs(&[FlowSpec {
-                src_dc: 0,
-                src_idx: 2,
-                dst_dc: 1,
-                dst_idx: 3,
-                size: 16 << 20,
-                start: 0,
-            }]);
-            let r = exp.run(30 * SECONDS);
-            uno_bench::record_manifest(r.manifest.clone());
-            r.fcts
-                .first()
-                .map(|f| f.fct() as f64 / 1e6)
-                .unwrap_or(f64::NAN)
-        });
+        let mut exp = experiment(ExperimentConfig::quick(scheme, seed));
+        let victim = exp.sim.topo.border_forward[0];
+        exp.sim.schedule_link_down(victim, MILLIS / 2);
+        exp.add_specs(&[FlowSpec {
+            src_dc: 0,
+            src_idx: 2,
+            dst_dc: 1,
+            dst_idx: 3,
+            size: 16 << 20,
+            start: 0,
+        }]);
+        first_fct_ms(run_cell(exp, 30 * SECONDS))
+    });
+    for (subflows, fcts) in counts.into_iter().zip(fcts) {
         println!(
             "  {subflows:2} subflows: mean FCT {:7.2} ms | worst {:7.2} ms",
             uno::metrics::mean(&fcts),
@@ -306,4 +243,12 @@ fn ablation_subflows(sweep: &SweepRunner) {
         );
     }
     println!();
+}
+
+/// The FCT of a run's first completed flow in ms (NaN if none completed).
+fn first_fct_ms(r: ExperimentResults) -> f64 {
+    r.fcts
+        .first()
+        .map(|f| f.fct() as f64 / 1e6)
+        .unwrap_or(f64::NAN)
 }

@@ -9,7 +9,7 @@
 
 use uno::sim::{FlowClass, MILLIS, SECONDS};
 use uno::SchemeSpec;
-use uno_bench::{run_experiment, HarnessArgs};
+use uno_bench::HarnessArgs;
 use uno_metrics::{jain_fairness, rates_from_progress};
 use uno_transport::LbMode;
 use uno_workloads::incast;
@@ -35,9 +35,15 @@ fn main() {
         SchemeSpec::uno().with_lb(LbMode::Spray),
     ];
 
-    for scheme in schemes {
-        let name = scheme.name;
-        let r = run_experiment(scheme, topo.clone(), &specs, args.seed, true, 30 * SECONDS);
+    let results = args.sweep().run(schemes, |_, scheme| {
+        let mut cfg = uno_bench::config(&scheme, args.seed, &topo);
+        cfg.record_progress = true;
+        let mut exp = uno_bench::experiment(cfg);
+        exp.add_specs(&specs);
+        uno_bench::run_cell(exp, 30 * SECONDS)
+    });
+    for r in results {
+        let name = &r.scheme;
         let bin = 5 * MILLIS;
         let horizon = r.sim_time.min(30 * SECONDS);
         let series: Vec<(u32, Vec<uno_metrics::RatePoint>)> = r

@@ -9,8 +9,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uno::metrics::{FctSummary, TimeSeriesStats};
-use uno::sim::{FlowClass, MICROS, MILLIS, SECONDS};
-use uno::{ExperimentConfig, SchemeSpec};
+use uno::sim::{FlowClass, MICROS, MILLIS};
+use uno::SchemeSpec;
 use uno_bench::HarnessArgs;
 use uno_workloads::{Cdf, FlowSpec};
 
@@ -61,27 +61,23 @@ fn main() {
     println!("(8 long inter-DC flows incast + {n_rpc} Google-RPC messages to the receiver)");
     println!();
 
-    for phantom in [false, true] {
-        let scheme = if phantom {
-            SchemeSpec::uno().named("UnoCC + phantom queues")
-        } else {
-            SchemeSpec::uno()
-                .with_phantom(false)
-                .named("UnoCC, no phantom queues")
-        };
-        let name = scheme.name;
-        let mut cfg = ExperimentConfig::quick(scheme, args.seed);
-        cfg.topo = topo.clone();
-        let mut exp = uno_bench::experiment(cfg);
-        for s in &specs {
-            exp.add_spec(s);
-        }
+    let schemes = vec![
+        SchemeSpec::uno()
+            .with_phantom(false)
+            .named("UnoCC, no phantom queues"),
+        SchemeSpec::uno().named("UnoCC + phantom queues"),
+    ];
+    let results = args.sweep().run(schemes, |_, scheme| {
+        let mut exp = uno_bench::experiment(uno_bench::config(&scheme, args.seed, &topo));
+        exp.add_specs(&specs);
         let bottleneck = exp.sim.topo.host_downlink(exp.sim.topo.host(0, 0));
         exp.sim.add_queue_sampler(bottleneck, 100 * MICROS, 0);
-        exp.sim.run_until(horizon);
-        uno_bench::record_manifest(exp.manifest());
-
-        let sampler = &exp.sim.samplers[0];
+        // The long flows outlive the horizon, so every cell runs to it.
+        uno_bench::run_cell(exp, horizon)
+    });
+    for r in results {
+        let name = &r.scheme;
+        let sampler = &r.samplers[0];
         // Steady-state statistics: second half of the run (the paper's
         // Fig. 4A/B shows the post-convergence regime).
         let steady: Vec<(u64, u64)> = sampler
@@ -91,12 +87,10 @@ fn main() {
             .filter(|&(t, _)| t >= rpc_from)
             .collect();
         let qstats = TimeSeriesStats::of(&steady);
-        let util = {
-            let links = &exp.sim.topo.links;
-            links.tx_bytes(bottleneck) as f64 * 8.0
-                / (exp.sim.now() as f64 / 1e9)
-                / links.bps(bottleneck) as f64
-        };
+        // The bottleneck is a host link, which runs at the topology's
+        // host line rate.
+        let util =
+            sampler.link.tx_bytes as f64 * 8.0 / (r.sim_time as f64 / 1e9) / topo.link_bps as f64;
         println!("== {name} ==");
         println!(
             "steady-state queue: mean {:7.1} KiB | p99 {:7.1} KiB | max {:7.1} KiB | bottleneck util {:4.1}%",
@@ -125,8 +119,7 @@ fn main() {
         println!("occupancy max per 2ms (KiB): {}", cells.join(" "));
 
         // RPC FCTs (intra-class flows registered after the long flows).
-        let rpc_fcts: Vec<f64> = exp
-            .sim
+        let rpc_fcts: Vec<f64> = r
             .fcts
             .iter()
             .filter(|f| f.class == FlowClass::Intra && f.flow.index() >= first_rpc)
@@ -140,17 +133,9 @@ fn main() {
             s.p99_s * 1e6,
             s.max_s * 1e6
         );
-        let inter_done = exp
-            .sim
-            .fcts
-            .iter()
-            .filter(|f| f.class == FlowClass::Inter)
-            .count();
-        let _ = inter_done; // long flows are designed to outlive the horizon
         println!();
     }
     println!("(paper: phantom queues give ~2x mean and ~8x p99 RPC FCT improvement,");
     println!(" with near-zero physical queues at the incast bottleneck)");
-    let _ = SECONDS;
     uno_bench::write_manifests("fig04");
 }

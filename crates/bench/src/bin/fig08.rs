@@ -9,7 +9,7 @@
 use uno::metrics::{jain_fairness, rates_from_progress, FctTable, TextTable};
 use uno::sim::{MILLIS, SECONDS};
 use uno::SchemeSpec;
-use uno_bench::{fmt_ms, run_experiment, HarnessArgs};
+use uno_bench::{fmt_ms, HarnessArgs};
 use uno_transport::LbMode;
 use uno_workloads::incast;
 
@@ -30,22 +30,18 @@ fn main() {
     );
     println!();
 
-    let sweep = args.sweep();
-
     // Top: Uno fairness per scenario. The three scenarios are independent
     // cells; the sweep returns them in scenario order whatever `--jobs` is.
-    let fairness = sweep.run(scenarios.to_vec(), |_, (label, n_intra, n_inter)| {
-        let specs = incast(n_intra, n_inter, size, hosts);
-        let r = run_experiment(
-            SchemeSpec::uno().with_lb(LbMode::Spray),
-            topo.clone(),
-            &specs,
-            args.seed,
-            true,
-            60 * SECONDS,
-        );
-        (label, r)
-    });
+    let fairness = args
+        .sweep()
+        .run(scenarios.to_vec(), |_, (label, n_intra, n_inter)| {
+            let spray = SchemeSpec::uno().with_lb(LbMode::Spray);
+            let mut cfg = uno_bench::config(&spray, args.seed, &topo);
+            cfg.record_progress = true;
+            let mut exp = uno_bench::experiment(cfg);
+            exp.add_specs(&incast(n_intra, n_inter, size, hosts));
+            (label, uno_bench::run_cell(exp, 60 * SECONDS))
+        });
     for (label, r) in fairness {
         let bin = 10 * MILLIS;
         let horizon = r.sim_time;
@@ -74,42 +70,29 @@ fn main() {
         println!();
     }
 
-    // Bottom: FCT comparison across schemes. Flatten scheme x scenario into
-    // nine independent cells and fan them across the sweep runner.
-    let mut cells = Vec::new();
-    for (_, n_intra, n_inter) in scenarios {
-        for scheme in [
-            SchemeSpec::uno().with_lb(LbMode::Spray),
-            SchemeSpec::gemini().with_lb(LbMode::Spray),
-            SchemeSpec::mprdma_bbr().with_lb(LbMode::Spray),
-        ] {
-            cells.push((n_intra, n_inter, scheme));
-        }
-    }
-    let rows = sweep.run(cells, |_, (n_intra, n_inter, scheme)| {
-        let specs = incast(n_intra, n_inter, size, hosts);
-        let name = scheme.name;
-        let r = run_experiment(
-            scheme,
-            topo.clone(),
-            &specs,
-            args.seed,
-            false,
-            120 * SECONDS,
-        );
-        (name, FctTable::new(r.fcts).summary())
+    // Bottom: FCT comparison across schemes, all nine scenario x scheme
+    // cells in one sweep.
+    let schemes = [
+        SchemeSpec::uno().with_lb(LbMode::Spray),
+        SchemeSpec::gemini().with_lb(LbMode::Spray),
+        SchemeSpec::mprdma_bbr().with_lb(LbMode::Spray),
+    ];
+    let rows = args.sweep_grid(&scenarios, &schemes, |&(_, n_intra, n_inter), scheme| {
+        let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, &topo));
+        exp.add_specs(&incast(n_intra, n_inter, size, hosts));
+        let r = uno_bench::run_cell(exp, 120 * SECONDS);
+        let s = FctTable::new(r.fcts).summary();
+        [
+            r.scheme,
+            format!("{:.3}", s.mean_s * 1e3),
+            format!("{:.3}", s.p99_s * 1e3),
+            format!("{:.3}", s.max_s * 1e3),
+        ]
     });
-    let mut rows = rows.into_iter();
-    for (label, _, _) in scenarios {
+    for ((label, _, _), rows) in scenarios.iter().zip(rows) {
         let mut table = TextTable::new(["scheme", "mean FCT (ms)", "p99 FCT (ms)", "max FCT (ms)"]);
-        for _ in 0..3 {
-            let (name, s) = rows.next().expect("one row per scheme cell");
-            table.row([
-                name.to_string(),
-                format!("{:.3}", s.mean_s * 1e3),
-                format!("{:.3}", s.p99_s * 1e3),
-                format!("{:.3}", s.max_s * 1e3),
-            ]);
+        for row in rows {
+            table.row(row);
         }
         println!("== FCTs: {label} ==");
         print!("{table}");

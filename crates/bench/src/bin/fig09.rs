@@ -7,7 +7,7 @@
 
 use uno::metrics::{FctTable, TextTable};
 use uno::sim::{FlowClass, SECONDS};
-use uno_bench::{run_experiment, HarnessArgs};
+use uno_bench::HarnessArgs;
 use uno_workloads::permutation;
 
 fn main() {
@@ -27,20 +27,34 @@ fn main() {
     );
     println!();
 
-    for provisioned in [false, true] {
-        let mut topo = base_topo.clone();
-        if provisioned {
-            // Enough border links that the WAN is never the bottleneck.
-            topo.border_links = topo.hosts_per_dc();
-        }
+    // As-is (8 border links: an oversubscribed WAN), then fully
+    // provisioned: enough border links that the WAN is never the
+    // bottleneck.
+    let mut provisioned = base_topo.clone();
+    provisioned.border_links = provisioned.hosts_per_dc();
+    let regimes = [("as-is", base_topo), ("fully provisioned", provisioned)];
+    let rows = args.sweep_grid(&regimes, &uno_bench::main_schemes(), |(_, topo), scheme| {
+        let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, topo));
+        exp.add_specs(&specs);
+        let r = uno_bench::run_cell(exp, 60 * SECONDS);
+        let done = format!("{}/{}", r.fcts.len(), r.flows);
+        let t = FctTable::new(r.fcts);
+        let all = t.summary();
+        let ia = t.summary_class(FlowClass::Intra);
+        let ie = t.summary_class(FlowClass::Inter);
+        [
+            r.scheme,
+            format!("{:.3}", all.mean_s * 1e3),
+            format!("{:.3}", all.p99_s * 1e3),
+            format!("{:.3}", ia.mean_s * 1e3),
+            format!("{:.3}", ie.mean_s * 1e3),
+            done,
+        ]
+    });
+    for ((label, topo), rows) in regimes.iter().zip(rows) {
         println!(
-            "== inter-DC provisioning: {} border links ({}) ==",
-            topo.border_links,
-            if provisioned {
-                "fully provisioned"
-            } else {
-                "as-is"
-            },
+            "== inter-DC provisioning: {} border links ({label}) ==",
+            topo.border_links
         );
         let mut table = TextTable::new([
             "scheme",
@@ -50,22 +64,8 @@ fn main() {
             "inter mean (ms)",
             "done",
         ]);
-        for scheme in uno_bench::main_schemes() {
-            let name = scheme.name;
-            let r = run_experiment(scheme, topo.clone(), &specs, args.seed, false, 60 * SECONDS);
-            let done = format!("{}/{}", r.fcts.len(), r.flows);
-            let t = FctTable::new(r.fcts);
-            let all = t.summary();
-            let ia = t.summary_class(FlowClass::Intra);
-            let ie = t.summary_class(FlowClass::Inter);
-            table.row([
-                name.to_string(),
-                format!("{:.3}", all.mean_s * 1e3),
-                format!("{:.3}", all.p99_s * 1e3),
-                format!("{:.3}", ia.mean_s * 1e3),
-                format!("{:.3}", ie.mean_s * 1e3),
-                done,
-            ]);
+        for row in rows {
+            table.row(row);
         }
         print!("{table}");
         println!();

@@ -8,8 +8,7 @@
 
 use uno::metrics::{FctTable, TextTable};
 use uno::sim::{FlowClass, Time, MILLIS, SECONDS};
-use uno_bench::{run_experiment, HarnessArgs};
-use uno_workloads::{poisson_mix, Cdf, PoissonMixParams};
+use uno_bench::HarnessArgs;
 
 fn main() {
     let (args, extra) = HarnessArgs::parse_with_extra();
@@ -32,17 +31,34 @@ fn main() {
     println!("duration {} ms on k={} topology", duration / MILLIS, topo.k);
     println!();
 
-    for load in loads {
-        let p = PoissonMixParams {
-            hosts_per_dc: topo.hosts_per_dc() as u32,
-            dcs: 2,
-            host_bps: topo.link_bps,
-            load,
-            inter_fraction: 0.2,
-            duration,
-        };
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(args.seed);
-        let specs = poisson_mix(&p, &Cdf::websearch(), &Cdf::alibaba_wan(), &mut rng);
+    let workloads: Vec<_> = loads
+        .iter()
+        .map(|&load| uno_bench::poisson_mix_specs(&topo, load, duration, args.seed))
+        .collect();
+    let rows = args.sweep_grid(&workloads, &uno_bench::main_schemes(), |specs, scheme| {
+        let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, &topo));
+        exp.add_specs(specs);
+        let r = uno_bench::run_cell(exp, duration + drain);
+        let done = format!("{}/{}", r.fcts.len(), r.flows);
+        // Unfinished flows enter as FCT lower bounds (end = horizon):
+        // dropping them would flatter slow schemes.
+        let mut fcts = r.fcts;
+        fcts.extend(r.censored);
+        let t = FctTable::new(fcts);
+        let ia = t.summary_class(FlowClass::Intra);
+        let ie = t.summary_class(FlowClass::Inter);
+        let all = t.summary();
+        [
+            r.scheme,
+            format!("{:.3}", ia.mean_s * 1e3),
+            format!("{:.3}", ia.p99_s * 1e3),
+            format!("{:.3}", ie.mean_s * 1e3),
+            format!("{:.3}", ie.p99_s * 1e3),
+            format!("{:.3}", all.mean_s * 1e3),
+            done,
+        ]
+    });
+    for ((load, specs), rows) in loads.iter().zip(&workloads).zip(rows) {
         println!(
             "== load {:.0}%: {} flows ({} inter) ==",
             load * 100.0,
@@ -58,34 +74,8 @@ fn main() {
             "all mean(ms)",
             "done",
         ]);
-        for scheme in uno_bench::main_schemes() {
-            let name = scheme.name;
-            let r = run_experiment(
-                scheme,
-                topo.clone(),
-                &specs,
-                args.seed,
-                false,
-                duration + drain,
-            );
-            let done = format!("{}/{}", r.fcts.len(), r.flows);
-            // Unfinished flows enter as FCT lower bounds (end = horizon):
-            // dropping them would flatter slow schemes.
-            let mut fcts = r.fcts;
-            fcts.extend(r.censored.iter().cloned());
-            let t = FctTable::new(fcts);
-            let ia = t.summary_class(FlowClass::Intra);
-            let ie = t.summary_class(FlowClass::Inter);
-            let all = t.summary();
-            table.row([
-                name.to_string(),
-                format!("{:.3}", ia.mean_s * 1e3),
-                format!("{:.3}", ia.p99_s * 1e3),
-                format!("{:.3}", ie.mean_s * 1e3),
-                format!("{:.3}", ie.p99_s * 1e3),
-                format!("{:.3}", all.mean_s * 1e3),
-                done,
-            ]);
+        for row in rows {
+            table.row(row);
         }
         print!("{table}");
         println!();

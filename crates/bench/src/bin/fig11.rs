@@ -9,8 +9,7 @@
 use uno::metrics::{percentile, TextTable};
 use uno::sim::{FlowClass, Time, MILLIS, SECONDS};
 use uno::{ideal_fct, sim::time::as_secs_f64};
-use uno_bench::{run_experiment, HarnessArgs};
-use uno_workloads::{poisson_mix, Cdf, PoissonMixParams};
+use uno_bench::HarnessArgs;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -26,39 +25,26 @@ fn main() {
     println!("Figure 11: FCT slowdown vs inter/intra RTT ratio (load 40%)");
     println!();
 
-    for &ratio in ratios {
-        let mut topo = base.clone();
-        topo.inter_rtt = topo.intra_rtt * ratio;
-        let p = PoissonMixParams {
-            hosts_per_dc: topo.hosts_per_dc() as u32,
-            dcs: 2,
-            host_bps: topo.link_bps,
-            load: 0.4,
-            inter_fraction: 0.2,
-            duration,
-        };
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(args.seed);
-        let specs = poisson_mix(&p, &Cdf::websearch(), &Cdf::alibaba_wan(), &mut rng);
-        println!(
-            "== RTT ratio {ratio} (inter RTT = {:.2} ms), {} flows ==",
-            topo.inter_rtt as f64 / 1e6,
-            specs.len()
-        );
-        let mut table = TextTable::new(["scheme", "mean slowdown", "p99 slowdown", "done"]);
-        for scheme in uno_bench::main_schemes() {
-            let name = scheme.name;
-            let r = run_experiment(
-                scheme,
-                topo.clone(),
-                &specs,
-                args.seed,
-                false,
-                duration + drain,
-            );
+    let sweeps: Vec<_> = ratios
+        .iter()
+        .map(|&ratio| {
+            let mut topo = base.clone();
+            topo.inter_rtt = topo.intra_rtt * ratio;
+            let specs = uno_bench::poisson_mix_specs(&topo, 0.4, duration, args.seed);
+            (ratio, topo, specs)
+        })
+        .collect();
+    let rows = args.sweep_grid(
+        &sweeps,
+        &uno_bench::main_schemes(),
+        |(_, topo, specs), scheme| {
+            let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, topo));
+            exp.add_specs(specs);
+            let r = uno_bench::run_cell(exp, duration + drain);
             let done = format!("{}/{}", r.fcts.len(), r.flows);
             // Unfinished flows enter as slowdown lower bounds.
             let mut fcts = r.fcts;
-            fcts.extend(r.censored.iter().cloned());
+            fcts.extend(r.censored);
             let slowdowns: Vec<f64> = fcts
                 .iter()
                 .map(|f| {
@@ -73,12 +59,18 @@ fn main() {
                 .collect();
             let mean = uno::metrics::mean(&slowdowns);
             let p99 = percentile(&slowdowns, 0.99);
-            table.row([
-                name.to_string(),
-                format!("{mean:.2}"),
-                format!("{p99:.2}"),
-                done,
-            ]);
+            [r.scheme, format!("{mean:.2}"), format!("{p99:.2}"), done]
+        },
+    );
+    for ((ratio, topo, specs), rows) in sweeps.iter().zip(rows) {
+        println!(
+            "== RTT ratio {ratio} (inter RTT = {:.2} ms), {} flows ==",
+            topo.inter_rtt as f64 / 1e6,
+            specs.len()
+        );
+        let mut table = TextTable::new(["scheme", "mean slowdown", "p99 slowdown", "done"]);
+        for row in rows {
+            table.row(row);
         }
         print!("{table}");
         println!();

@@ -6,8 +6,7 @@
 
 use uno::metrics::{FctTable, TextTable};
 use uno::sim::{FlowClass, Time, MILLIS, SECONDS};
-use uno_bench::{run_experiment, HarnessArgs};
-use uno_workloads::{poisson_mix, Cdf, PoissonMixParams};
+use uno_bench::HarnessArgs;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -27,16 +26,7 @@ fn main() {
     );
     println!();
 
-    let p = PoissonMixParams {
-        hosts_per_dc: topo.hosts_per_dc() as u32,
-        dcs: 2,
-        host_bps: topo.link_bps,
-        load: 0.4,
-        inter_fraction: 0.2,
-        duration,
-    };
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(args.seed);
-    let specs = poisson_mix(&p, &Cdf::websearch(), &Cdf::alibaba_wan(), &mut rng);
+    let specs = uno_bench::poisson_mix_specs(&topo, 0.4, duration, args.seed);
     println!(
         "{} flows ({} inter)",
         specs.len(),
@@ -51,32 +41,29 @@ fn main() {
         "inter p99(ms)",
         "done",
     ]);
-    for scheme in uno_bench::main_schemes() {
-        let name = scheme.name;
-        let r = run_experiment(
-            scheme,
-            topo.clone(),
-            &specs,
-            args.seed,
-            false,
-            duration + drain,
-        );
+    let rows = args.sweep().run(uno_bench::main_schemes(), |_, scheme| {
+        let mut exp = uno_bench::experiment(uno_bench::config(&scheme, args.seed, &topo));
+        exp.add_specs(&specs);
+        let r = uno_bench::run_cell(exp, duration + drain);
         let done = format!("{}/{}", r.fcts.len(), r.flows);
         // Unfinished flows enter as FCT lower bounds (end = horizon):
         // dropping them would flatter slow schemes.
         let mut fcts = r.fcts;
-        fcts.extend(r.censored.iter().cloned());
+        fcts.extend(r.censored);
         let t = FctTable::new(fcts);
         let ia = t.summary_class(FlowClass::Intra);
         let ie = t.summary_class(FlowClass::Inter);
-        table.row([
-            name.to_string(),
+        [
+            r.scheme,
             format!("{:.3}", ia.mean_s * 1e3),
             format!("{:.3}", ia.p99_s * 1e3),
             format!("{:.3}", ie.mean_s * 1e3),
             format!("{:.3}", ie.p99_s * 1e3),
             done,
-        ]);
+        ]
+    });
+    for row in rows {
+        table.row(row);
     }
     print!("{table}");
     println!();

@@ -13,9 +13,9 @@
 //! degradation enabled so every flow reaches a definite outcome, which the
 //! results table reports alongside the FCT distribution.
 
-use uno::metrics::{OutcomeCounts, ViolinSummary};
+use uno::metrics::OutcomeCounts;
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, MILLIS, SECONDS};
-use uno::{DegradationConfig, ExperimentConfig};
+use uno::{DegradationConfig, SchemeSpec};
 use uno_bench::HarnessArgs;
 use uno_workloads::FlowSpec;
 
@@ -54,30 +54,16 @@ impl FaultVariant {
 
     /// Fault-plane entry for this variant, against the seed-chosen victim.
     fn fault_entry(self, idx: usize) -> Option<FaultEntry> {
-        let at = MILLIS / 2;
         match self {
             FaultVariant::Hard => None, // legacy schedule_link_down path
-            FaultVariant::Gray => Some(FaultEntry {
-                target: FaultTarget::BorderForward { idx },
-                kind: FaultKind::GrayLoss { p: 0.05 },
-                at,
-                until: None,
-            }),
+            FaultVariant::Gray => Some(uno_bench::gray_border(idx)),
             FaultVariant::Asymmetric => Some(FaultEntry {
                 target: FaultTarget::BorderReverse { idx },
                 kind: FaultKind::Down,
-                at,
+                at: MILLIS / 2,
                 until: None,
             }),
-            FaultVariant::Flap => Some(FaultEntry {
-                target: FaultTarget::BorderForward { idx },
-                kind: FaultKind::Flapping {
-                    mtbf: 2 * MILLIS,
-                    mttr: 2 * MILLIS,
-                },
-                at,
-                until: None,
-            }),
+            FaultVariant::Flap => Some(uno_bench::flapping_border(idx)),
         }
     }
 }
@@ -112,84 +98,58 @@ fn main() {
     println!("{:>9} | FCT across runs (ms)", "scheme");
     println!("----------+--------------------------------------------");
 
-    for scheme in uno::SchemeSpec::fig13_matrix() {
-        let name = scheme.name;
-        let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
-        let results: Vec<(f64, OutcomeCounts)> = args.sweep().run(seeds, |_, seed| {
-            let mut cfg = ExperimentConfig::quick(scheme.clone(), seed);
-            cfg.topo = topo.clone();
-            if variant != FaultVariant::Hard {
-                // Gray variants can permanently starve a flow; degrade it
-                // to a definite outcome instead of censoring at the horizon.
-                cfg.degradation = Some(DegradationConfig::default());
-            }
-            let mut exp = uno_bench::experiment(cfg);
-            for i in 0..n_flows {
-                exp.add_spec(&FlowSpec {
-                    src_dc: 0,
-                    src_idx: (i * hosts / n_flows) % hosts,
-                    dst_dc: 1,
-                    dst_idx: ((i + 3) * hosts / n_flows) % hosts,
-                    size,
-                    start: 0,
-                });
-            }
-            // The victim border link is seed-chosen, mirroring the paper's
-            // sensitivity to initial path selection.
-            let idx = (seed as usize) % exp.sim.topo.border_forward.len();
-            match variant.fault_entry(idx) {
-                Some(entry) => exp
-                    .sim
-                    .install_faults(&FaultSpec {
-                        faults: vec![entry],
-                    })
-                    .expect("valid fault spec"),
-                None => {
-                    let victim = exp.sim.topo.border_forward[idx];
-                    exp.sim.schedule_link_down(victim, MILLIS / 2);
-                }
-            }
-            let r = exp.run(30 * SECONDS);
-            uno_bench::record_manifest(r.manifest.clone());
-            let fcts: Vec<f64> = r.fcts.iter().map(|f| f.fct() as f64 / 1e6).collect();
-            let outcomes = OutcomeCounts::tally(&r.fcts, &r.failures, &r.censored);
-            let mean = if r.all_completed {
-                uno::metrics::mean(&fcts)
-            } else {
-                f64::NAN
-            };
-            (mean, outcomes)
-        });
-        let ok: Vec<f64> = results
-            .iter()
-            .map(|(m, _)| *m)
-            .filter(|m| m.is_finite())
-            .collect();
-        let v = ViolinSummary::of(&ok);
-        let failed = results.len() - ok.len();
-        let total = results
-            .iter()
-            .fold(OutcomeCounts::default(), |acc, (_, o)| OutcomeCounts {
-                completed: acc.completed + o.completed,
-                stalled: acc.stalled + o.stalled,
-                pfc_stalled: acc.pfc_stalled + o.pfc_stalled,
-                aborted: acc.aborted + o.aborted,
-                censored: acc.censored + o.censored,
+    let schemes = SchemeSpec::fig13_matrix();
+    let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
+    let results = args.sweep_grid(&schemes, &seeds, |scheme, &seed| {
+        let mut cfg = uno_bench::config(scheme, seed, &topo);
+        if variant != FaultVariant::Hard {
+            // Gray variants can permanently starve a flow; degrade it
+            // to a definite outcome instead of censoring at the horizon.
+            cfg.degradation = Some(DegradationConfig::default());
+        }
+        let mut exp = uno_bench::experiment(cfg);
+        for i in 0..n_flows {
+            exp.add_spec(&FlowSpec {
+                src_dc: 0,
+                src_idx: (i * hosts / n_flows) % hosts,
+                dst_dc: 1,
+                dst_idx: ((i + 3) * hosts / n_flows) % hosts,
+                size,
+                start: 0,
             });
-        println!(
-            "{name:>9} | min {:7.2}  p25 {:7.2}  med {:7.2}  p75 {:7.2}  max {:7.2}  mean {:7.2}{}",
-            v.min,
-            v.p25,
-            v.p50,
-            v.p75,
-            v.max,
-            v.mean,
-            if failed > 0 {
-                format!("  ({failed} runs incomplete; flows: {total})")
-            } else {
-                String::new()
+        }
+        // The victim border link is seed-chosen, mirroring the paper's
+        // sensitivity to initial path selection.
+        let idx = (seed as usize) % exp.sim.topo.border_forward.len();
+        match variant.fault_entry(idx) {
+            Some(entry) => exp
+                .sim
+                .install_faults(&FaultSpec {
+                    faults: vec![entry],
+                })
+                .expect("valid fault spec"),
+            None => {
+                let victim = exp.sim.topo.border_forward[idx];
+                exp.sim.schedule_link_down(victim, MILLIS / 2);
             }
-        );
+        }
+        let r = uno_bench::run_cell(exp, 30 * SECONDS);
+        let fcts: Vec<f64> = r.fcts.iter().map(|f| f.fct() as f64 / 1e6).collect();
+        let outcomes = OutcomeCounts::tally(&r.fcts, &r.failures, &r.censored);
+        let mean = if r.all_completed {
+            uno::metrics::mean(&fcts)
+        } else {
+            f64::NAN
+        };
+        (mean, outcomes)
+    });
+    for (scheme, runs) in schemes.iter().zip(results) {
+        let means: Vec<f64> = runs.iter().map(|(m, _)| *m).collect();
+        let total: OutcomeCounts = runs.iter().map(|(_, o)| *o).sum();
+        let row = uno_bench::violin_row(scheme.name, &means, 7, |failed| {
+            format!("{failed} runs incomplete; flows: {total}")
+        });
+        println!("{row}");
     }
     println!();
     println!("(paper: UnoLB+EC beats spraying and PLB with and without EC — up to");

@@ -6,9 +6,8 @@
 //! sizes). With the (8,2) code, a block is lost only when three or more of
 //! its ten packets drop — exactly the paper's framing.
 
-use uno::metrics::ViolinSummary;
 use uno::sim::{GilbertElliott, SECONDS};
-use uno::ExperimentConfig;
+use uno::SchemeSpec;
 use uno_bench::HarnessArgs;
 use uno_workloads::FlowSpec;
 
@@ -27,63 +26,38 @@ fn main() {
     println!("{:>9} | FCT across runs (ms)", "scheme");
     println!("----------+--------------------------------------------");
 
-    for scheme in uno::SchemeSpec::fig13_matrix() {
-        let name = scheme.name;
-        let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
-        let fcts: Vec<f64> = args.sweep().run(seeds, |_, seed| {
-            let mut cfg = ExperimentConfig::quick(scheme.clone(), seed);
-            cfg.topo = topo.clone();
-            let mut exp = uno_bench::experiment(cfg);
-            let base = GilbertElliott::table1_setup1();
-            let model = GilbertElliott::new(
-                (base.p_good_to_bad * loss_scale).min(0.01),
-                base.p_bad_to_good,
-                base.loss_good,
-                base.loss_bad,
-            );
-            for l in exp
-                .sim
-                .topo
-                .border_forward
-                .clone()
-                .into_iter()
-                .chain(exp.sim.topo.border_reverse.clone())
-            {
-                exp.sim.set_link_loss(l, model.clone());
-            }
-            exp.add_spec(&FlowSpec {
-                src_dc: 0,
-                src_idx: (seed % 7) as u32,
-                dst_dc: 1,
-                dst_idx: (seed % 5) as u32,
-                size,
-                start: 0,
-            });
-            let r = exp.run(30 * SECONDS);
-            uno_bench::record_manifest(r.manifest.clone());
-            if r.all_completed {
-                r.fcts[0].fct() as f64 / 1e6
-            } else {
-                f64::NAN
-            }
+    let base = GilbertElliott::table1_setup1();
+    let model = GilbertElliott::new(
+        (base.p_good_to_bad * loss_scale).min(0.01),
+        base.p_bad_to_good,
+        base.loss_good,
+        base.loss_bad,
+    );
+    let schemes = SchemeSpec::fig13_matrix();
+    let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
+    let fcts = args.sweep_grid(&schemes, &seeds, |scheme, &seed| {
+        let mut exp = uno_bench::experiment(uno_bench::config(scheme, seed, &topo));
+        exp.sim.set_border_loss(model.clone());
+        exp.add_spec(&FlowSpec {
+            src_dc: 0,
+            src_idx: (seed % 7) as u32,
+            dst_dc: 1,
+            dst_idx: (seed % 5) as u32,
+            size,
+            start: 0,
         });
-        let ok: Vec<f64> = fcts.iter().copied().filter(|m| m.is_finite()).collect();
-        let v = ViolinSummary::of(&ok);
-        let failed = fcts.len() - ok.len();
-        println!(
-            "{name:>9} | min {:7.2}  p25 {:7.2}  med {:7.2}  p75 {:7.2}  max {:7.2}  mean {:7.2}{}",
-            v.min,
-            v.p25,
-            v.p50,
-            v.p75,
-            v.max,
-            v.mean,
-            if failed > 0 {
-                format!("  ({failed} runs incomplete)")
-            } else {
-                String::new()
-            }
-        );
+        let r = uno_bench::run_cell(exp, 30 * SECONDS);
+        if r.all_completed {
+            r.fcts[0].fct() as f64 / 1e6
+        } else {
+            f64::NAN
+        }
+    });
+    for (scheme, fcts) in schemes.iter().zip(fcts) {
+        let row = uno_bench::violin_row(scheme.name, &fcts, 7, |failed| {
+            format!("{failed} runs incomplete")
+        });
+        println!("{row}");
     }
     println!();
     println!("(paper: Uno ~matches spraying and beats PLB with and without EC;");

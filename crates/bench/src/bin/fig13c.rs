@@ -8,9 +8,8 @@
 //! (contention- and loss-free) time.
 
 use rand::{Rng, SeedableRng};
-use uno::metrics::ViolinSummary;
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, GilbertElliott, MILLIS, SECONDS};
-use uno::{DegradationConfig, ExperimentConfig};
+use uno::{DegradationConfig, SchemeSpec};
 use uno_bench::HarnessArgs;
 use uno_workloads::{allreduce_ideal_time, allreduce_iteration};
 
@@ -26,84 +25,60 @@ fn main() {
     println!("{:>9} | iteration time / ideal", "scheme");
     println!("----------+--------------------------------------------");
 
-    for scheme in uno::SchemeSpec::fig13_matrix() {
-        let name = scheme.name;
-        let seeds: Vec<u64> = (0..iterations).map(|i| args.seed * 1000 + i).collect();
-        let ratios: Vec<f64> = args.sweep().run(seeds, |_, seed| {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            // Gradient burst volume per direction: 70..500 MiB (scaled).
-            let volume = rng.gen_range((70u64 << 20)..(500u64 << 20)) / scale;
-            let mut cfg = ExperimentConfig::quick(scheme.clone(), seed);
-            cfg.topo = topo.clone();
-            // Under failure + loss an iteration can wedge; degrade wedged
-            // flows to a definite outcome instead of burning the horizon.
-            cfg.degradation = Some(DegradationConfig::default());
-            let mut exp = uno_bench::experiment(cfg);
-            let specs = allreduce_iteration(groups, volume, topo.hosts_per_dc() as u32, &mut rng);
-            exp.add_specs(&specs);
-            // One random border link fails mid-iteration (through the fault
-            // plane, so the transition is traced and counted)...
-            let nb = exp.sim.topo.border_forward.len();
-            exp.sim
-                .install_faults(&FaultSpec {
-                    faults: vec![FaultEntry {
-                        target: FaultTarget::BorderForward {
-                            idx: rng.gen_range(0..nb),
-                        },
-                        kind: FaultKind::Down,
-                        at: rng.gen_range(MILLIS / 4..2 * MILLIS),
-                        until: None,
-                    }],
-                })
-                .expect("valid fault spec");
-            // ...and every border link sees correlated random drops.
-            let base = GilbertElliott::table1_setup1();
-            let model = GilbertElliott::new(
-                (base.p_good_to_bad * 50.0).min(0.01),
-                base.p_bad_to_good,
-                base.loss_good,
-                base.loss_bad,
-            );
-            for l in exp
-                .sim
-                .topo
-                .border_forward
-                .clone()
-                .into_iter()
-                .chain(exp.sim.topo.border_reverse.clone())
-            {
-                exp.sim.set_link_loss(l, model.clone());
-            }
-            let r = exp.run(60 * SECONDS);
-            uno_bench::record_manifest(r.manifest.clone());
-            // Ideal assumes the full (pre-failure) aggregate WAN bandwidth
-            // and no drops — the paper's "no ECMP collisions or random
-            // drops" baseline.
-            let agg_bw = topo.border_link_bps * topo.border_links as u64;
-            let ideal = allreduce_ideal_time(volume, agg_bw, topo.inter_rtt);
-            if r.all_completed {
-                r.sim_time as f64 / ideal as f64
-            } else {
-                f64::NAN
-            }
+    let base = GilbertElliott::table1_setup1();
+    let model = GilbertElliott::new(
+        (base.p_good_to_bad * 50.0).min(0.01),
+        base.p_bad_to_good,
+        base.loss_good,
+        base.loss_bad,
+    );
+    let schemes = SchemeSpec::fig13_matrix();
+    let seeds: Vec<u64> = (0..iterations).map(|i| args.seed * 1000 + i).collect();
+    let ratios = args.sweep_grid(&schemes, &seeds, |scheme, &seed| {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        // Gradient burst volume per direction: 70..500 MiB (scaled).
+        let volume = rng.gen_range((70u64 << 20)..(500u64 << 20)) / scale;
+        let mut cfg = uno_bench::config(scheme, seed, &topo);
+        // Under failure + loss an iteration can wedge; degrade wedged
+        // flows to a definite outcome instead of burning the horizon.
+        cfg.degradation = Some(DegradationConfig::default());
+        let mut exp = uno_bench::experiment(cfg);
+        let specs = allreduce_iteration(groups, volume, topo.hosts_per_dc() as u32, &mut rng);
+        exp.add_specs(&specs);
+        // One random border link fails mid-iteration (through the fault
+        // plane, so the transition is traced and counted)...
+        let nb = exp.sim.topo.border_forward.len();
+        exp.sim
+            .install_faults(&FaultSpec {
+                faults: vec![FaultEntry {
+                    target: FaultTarget::BorderForward {
+                        idx: rng.gen_range(0..nb),
+                    },
+                    kind: FaultKind::Down,
+                    at: rng.gen_range(MILLIS / 4..2 * MILLIS),
+                    until: None,
+                }],
+            })
+            .expect("valid fault spec");
+        // ...and every border link sees correlated random drops.
+        exp.sim.set_border_loss(model.clone());
+        let r = uno_bench::run_cell(exp, 60 * SECONDS);
+        // Ideal assumes the full (pre-failure) aggregate WAN bandwidth
+        // and no drops — the paper's "no ECMP collisions or random
+        // drops" baseline.
+        let agg_bw = topo.border_link_bps * topo.border_links as u64;
+        let ideal = allreduce_ideal_time(volume, agg_bw, topo.inter_rtt);
+        if r.all_completed {
+            r.sim_time as f64 / ideal as f64
+        } else {
+            f64::NAN
+        }
+    });
+    for (scheme, ratios) in schemes.iter().zip(ratios) {
+        let row = uno_bench::violin_row(scheme.name, &ratios, 6, |failed| {
+            format!("{failed} iterations incomplete")
         });
-        let ok: Vec<f64> = ratios.iter().copied().filter(|m| m.is_finite()).collect();
-        let v = ViolinSummary::of(&ok);
-        let failed = ratios.len() - ok.len();
-        println!(
-            "{name:>9} | min {:6.2}  p25 {:6.2}  med {:6.2}  p75 {:6.2}  max {:6.2}  mean {:6.2}{}",
-            v.min,
-            v.p25,
-            v.p50,
-            v.p75,
-            v.max,
-            v.mean,
-            if failed > 0 {
-                format!("  ({failed} iterations incomplete)")
-            } else {
-                String::new()
-            }
-        );
+        println!("{row}");
     }
     println!();
     println!("(paper: with EC, Uno is >2x better than the runner-up and within");

@@ -18,10 +18,8 @@
 //! ```
 
 use uno::metrics::OutcomeCounts;
-use uno::sim::{
-    FabricMode, FaultEntry, FaultKind, FaultSpec, FaultTarget, FlowClass, MILLIS, SECONDS,
-};
-use uno::{DegradationConfig, ExperimentConfig, SchemeSpec};
+use uno::sim::{FabricMode, FaultEntry, FaultSpec, FlowClass, MILLIS, SECONDS};
+use uno::{DegradationConfig, SchemeSpec};
 use uno_bench::HarnessArgs;
 use uno_workloads::FlowSpec;
 
@@ -54,24 +52,10 @@ impl FaultCol {
     }
 
     fn fault_entry(self, idx: usize) -> Option<FaultEntry> {
-        let at = MILLIS / 2;
         match self {
             FaultCol::None => None,
-            FaultCol::Gray => Some(FaultEntry {
-                target: FaultTarget::BorderForward { idx },
-                kind: FaultKind::GrayLoss { p: 0.05 },
-                at,
-                until: None,
-            }),
-            FaultCol::Flap => Some(FaultEntry {
-                target: FaultTarget::BorderForward { idx },
-                kind: FaultKind::Flapping {
-                    mtbf: 2 * MILLIS,
-                    mttr: 2 * MILLIS,
-                },
-                at,
-                until: None,
-            }),
+            FaultCol::Gray => Some(uno_bench::gray_border(idx)),
+            FaultCol::Flap => Some(uno_bench::flapping_border(idx)),
         }
     }
 }
@@ -127,53 +111,54 @@ fn main() {
     );
     println!("{}", "-".repeat(96));
 
+    let mut rows = Vec::new();
     for scheme in &schemes {
         for fabric in [FabricMode::Lossy, FabricMode::Lossless] {
             for &fault in &fault_cols {
-                let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
-                let cells: Vec<Cell> = args.sweep().run(seeds, |_, seed| {
-                    run_cell(
-                        scheme,
-                        fabric,
-                        fault,
-                        &topo,
-                        seed,
-                        hosts,
-                        n_inter,
-                        n_bystander,
-                    )
-                });
-                let total = cells.iter().fold(Cell::default(), |mut acc, c| {
-                    acc.inter_fct_ms.extend_from_slice(&c.inter_fct_ms);
-                    acc.bystander_fct_ms.extend_from_slice(&c.bystander_fct_ms);
-                    acc.pauses += c.pauses;
-                    acc.paused_ms += c.paused_ms;
-                    acc.outcomes = OutcomeCounts {
-                        completed: acc.outcomes.completed + c.outcomes.completed,
-                        stalled: acc.outcomes.stalled + c.outcomes.stalled,
-                        pfc_stalled: acc.outcomes.pfc_stalled + c.outcomes.pfc_stalled,
-                        aborted: acc.outcomes.aborted + c.outcomes.aborted,
-                        censored: acc.outcomes.censored + c.outcomes.censored,
-                    };
-                    acc
-                });
-                println!(
-                    "{:>10} {:>9} {:>9} | {:>9.2} {:>10.2} | {:>8} {:>10.2} | {}",
-                    scheme.name,
-                    match fabric {
-                        FabricMode::Lossy => "lossy",
-                        FabricMode::Lossless => "lossless",
-                    },
-                    fault.label(),
-                    uno::metrics::mean(&total.inter_fct_ms),
-                    uno::metrics::mean(&total.bystander_fct_ms),
-                    total.pauses,
-                    total.paused_ms,
-                    total.outcomes
-                );
+                rows.push((scheme, fabric, fault));
             }
         }
-        println!("{}", "-".repeat(96));
+    }
+    let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
+    let per_seed = args.sweep_grid(&rows, &seeds, |&(scheme, fabric, fault), &seed| {
+        run_seed(
+            scheme,
+            fabric,
+            fault,
+            &topo,
+            seed,
+            hosts,
+            n_inter,
+            n_bystander,
+        )
+    });
+    for (i, (&(scheme, fabric, fault), seeds)) in rows.iter().zip(per_seed).enumerate() {
+        let total = seeds.iter().fold(Cell::default(), |mut acc, c| {
+            acc.inter_fct_ms.extend_from_slice(&c.inter_fct_ms);
+            acc.bystander_fct_ms.extend_from_slice(&c.bystander_fct_ms);
+            acc.pauses += c.pauses;
+            acc.paused_ms += c.paused_ms;
+            acc.outcomes += c.outcomes;
+            acc
+        });
+        println!(
+            "{:>10} {:>9} {:>9} | {:>9.2} {:>10.2} | {:>8} {:>10.2} | {}",
+            scheme.name,
+            match fabric {
+                FabricMode::Lossy => "lossy",
+                FabricMode::Lossless => "lossless",
+            },
+            fault.label(),
+            uno::metrics::mean(&total.inter_fct_ms),
+            uno::metrics::mean(&total.bystander_fct_ms),
+            total.pauses,
+            total.paused_ms,
+            total.outcomes
+        );
+        // A rule closes each scheme's two fabrics' worth of rows.
+        if (i + 1) % (2 * fault_cols.len()) == 0 {
+            println!("{}", "-".repeat(96));
+        }
     }
     println!();
     println!("(headline: on the lossy fabric a sick border link leaves bystander");
@@ -184,7 +169,7 @@ fn main() {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_cell(
+fn run_seed(
     scheme: &SchemeSpec,
     fabric: FabricMode,
     fault: FaultCol,
@@ -194,8 +179,7 @@ fn run_cell(
     n_inter: u32,
     n_bystander: u32,
 ) -> Cell {
-    let mut cfg = ExperimentConfig::quick(scheme.clone(), seed);
-    cfg.topo = topo.clone();
+    let mut cfg = uno_bench::config(scheme, seed, topo);
     cfg.topo.fabric = fabric;
     if fault != FaultCol::None {
         // Gray variants can permanently starve a flow; degrade it to a
@@ -233,8 +217,7 @@ fn run_cell(
             })
             .expect("valid fault spec");
     }
-    let r = exp.run(30 * SECONDS);
-    uno_bench::record_manifest(r.manifest.clone());
+    let r = uno_bench::run_cell(exp, 30 * SECONDS);
     let mut cell = Cell {
         pauses: r.manifest.counters.get("pfc.pauses"),
         paused_ms: r.manifest.counters.get("pfc.paused_ns") as f64 / 1e6,

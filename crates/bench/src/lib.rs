@@ -10,18 +10,22 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use uno::sim::{RunManifest, Time, TopologyParams, GBPS, SECONDS};
-use uno::{Experiment, ExperimentConfig, SchemeSpec};
-use uno_workloads::FlowSpec;
+use rand::SeedableRng;
+use uno::metrics::ViolinSummary;
+use uno::sim::{
+    FaultEntry, FaultKind, FaultTarget, RunManifest, Time, TopologyParams, GBPS, MILLIS, SECONDS,
+};
+use uno::{Experiment, ExperimentConfig, ExperimentResults, SchemeSpec};
+use uno_workloads::{poisson_mix, Cdf, FlowSpec, PoissonMixParams};
 
 /// The across-run runner behind [`HarnessArgs::sweep`], re-exported because
 /// the `e2ebench/` benchmark and the `sweep_determinism` test import it
 /// from here.
 pub use uno::SweepRunner;
 
-/// Manifests of every experiment this binary has run, drained by
+/// Manifests of every cell [`run_cell`] has run, drained by
 /// [`write_manifests`] at the end of `main`.
 static MANIFESTS: Mutex<Vec<RunManifest>> = Mutex::new(Vec::new());
 
@@ -30,13 +34,6 @@ static MANIFESTS: Mutex<Vec<RunManifest>> = Mutex::new(Vec::new());
 /// bytes) to every engine it builds. Stderr-only; never affects simulated
 /// state, so results stay byte-identical with and without it.
 static PROGRESS: AtomicBool = AtomicBool::new(false);
-
-/// Record a run manifest for inclusion in this binary's manifest file.
-/// [`run_experiment`] records automatically; binaries that drive
-/// [`Experiment`] directly call this with `results.manifest`.
-pub fn record_manifest(m: RunManifest) {
-    MANIFESTS.lock().expect("manifest lock").push(m);
-}
 
 /// Drain every recorded manifest into `results/MANIFEST_<figure>.json`.
 /// Parallel sweeps record manifests in completion order, so the sort key
@@ -147,6 +144,26 @@ impl HarnessArgs {
         SweepRunner::new(self.jobs)
     }
 
+    /// Run `cell(group, item)` for every item of every group as one sweep,
+    /// so `--jobs` spreads the whole grid, and return each group's results
+    /// in item order.
+    pub fn sweep_grid<G: Sync, I: Sync, T: Send>(
+        &self,
+        groups: &[G],
+        items: &[I],
+        cell: impl Fn(&G, &I) -> T + Sync,
+    ) -> Vec<Vec<T>> {
+        let cells = groups
+            .iter()
+            .flat_map(|g| items.iter().map(move |i| (g, i)))
+            .collect();
+        let mut results = self.sweep().run(cells, |_, (g, i)| cell(g, i)).into_iter();
+        groups
+            .iter()
+            .map(|_| results.by_ref().take(items.len()).collect())
+            .collect()
+    }
+
     /// Topology for this run: the paper's k=8 dual fat-tree under `--full`,
     /// otherwise the k=4 quick preset (identical RTTs and buffer rules).
     pub fn topo(&self) -> TopologyParams {
@@ -206,6 +223,14 @@ pub fn main_schemes() -> Vec<SchemeSpec> {
     ]
 }
 
+/// The config of one figure cell: `scheme` at `seed` on `topo`.
+pub fn config(scheme: &SchemeSpec, seed: u64, topo: &TopologyParams) -> ExperimentConfig {
+    ExperimentConfig {
+        topo: topo.clone(),
+        ..ExperimentConfig::quick(scheme.clone(), seed)
+    }
+}
+
 /// `Experiment::new(cfg)` with the `--progress` heartbeat attached when
 /// the flag was given. Every figure binary builds its engines here.
 pub fn experiment(cfg: ExperimentConfig) -> Experiment {
@@ -216,39 +241,106 @@ pub fn experiment(cfg: ExperimentConfig) -> Experiment {
     exp
 }
 
-/// Run one experiment over `specs` to completion, timing the wall clock.
-pub fn run_experiment(
-    scheme: SchemeSpec,
-    topo: TopologyParams,
-    specs: &[FlowSpec],
-    seed: u64,
-    record_progress: bool,
-    horizon: Time,
-) -> uno::ExperimentResults {
-    // Wall-clock policy: `started` only feeds the progress log line below;
-    // every simulated result derives from the virtual clock alone.
-    let started = Instant::now();
-    let name = scheme.name;
-    let mut cfg = ExperimentConfig::quick(scheme, seed);
-    cfg.topo = topo;
-    cfg.record_progress = record_progress;
-    let mut exp = experiment(cfg);
-    exp.add_specs(specs);
+/// Run one figure cell: `exp`, built with every flow, fault and sampler,
+/// runs until its flows terminate or `horizon`; one stderr line reports it
+/// and its manifest is kept for [`write_manifests`]. Every simulation cell
+/// of every figure binary ends here.
+pub fn run_cell(exp: Experiment, horizon: Time) -> ExperimentResults {
     let r = exp.run(horizon);
     eprintln!(
-        "[{}] {} flows, sim {:.3}s, wall {:.1}s{}",
-        name,
+        "[{}] seed {}, {} flows, sim {:.3}s, wall {:.1}s{}",
+        r.scheme,
+        r.manifest.seed,
         r.flows,
         r.sim_time as f64 / SECONDS as f64,
-        started.elapsed().as_secs_f64(),
+        r.manifest.wall_seconds,
         if r.all_completed {
             ""
         } else {
             " (horizon hit before completion)"
         },
     );
-    record_manifest(r.manifest.clone());
+    MANIFESTS
+        .lock()
+        .expect("manifest lock")
+        .push(r.manifest.clone());
     r
+}
+
+/// The realistic workload of Figs. 10–12: web-search intra-DC and
+/// Alibaba-WAN inter-DC flow sizes, 4:1, arriving as a Poisson process at
+/// `load` of the hosts' line rate for `duration`, drawn from `seed`.
+pub fn poisson_mix_specs(
+    topo: &TopologyParams,
+    load: f64,
+    duration: Time,
+    seed: u64,
+) -> Vec<FlowSpec> {
+    let p = PoissonMixParams {
+        hosts_per_dc: topo.hosts_per_dc() as u32,
+        dcs: 2,
+        host_bps: topo.link_bps,
+        load,
+        inter_fraction: 0.2,
+        duration,
+    };
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    poisson_mix(&p, &Cdf::websearch(), &Cdf::alibaba_wan(), &mut rng)
+}
+
+/// Gray failure of forward border link `idx` (Fig. 13A, lossless matrix):
+/// from 0.5 ms on the link stays up but silently drops 5% of packets.
+pub fn gray_border(idx: usize) -> FaultEntry {
+    FaultEntry {
+        target: FaultTarget::BorderForward { idx },
+        kind: FaultKind::GrayLoss { p: 0.05 },
+        at: MILLIS / 2,
+        until: None,
+    }
+}
+
+/// Flapping forward border link `idx` (Fig. 13A, lossless matrix): from
+/// 0.5 ms on it goes down and up with 2 ms mean time between failures and
+/// 2 ms mean time to repair.
+pub fn flapping_border(idx: usize) -> FaultEntry {
+    FaultEntry {
+        target: FaultTarget::BorderForward { idx },
+        kind: FaultKind::Flapping {
+            mtbf: 2 * MILLIS,
+            mttr: 2 * MILLIS,
+        },
+        at: MILLIS / 2,
+        until: None,
+    }
+}
+
+/// One violin row of Figs. 13A–C: the finite `values` (one per run)
+/// summarized at `width` digits, and `incomplete(n)` in parentheses when
+/// `n` runs gave NaN because they did not complete.
+pub fn violin_row(
+    name: &str,
+    values: &[f64],
+    width: usize,
+    incomplete: impl FnOnce(usize) -> String,
+) -> String {
+    let ok: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    let v = ViolinSummary::of(&ok);
+    let failed = values.len() - ok.len();
+    let note = if failed > 0 {
+        format!("  ({})", incomplete(failed))
+    } else {
+        String::new()
+    };
+    format!(
+        "{name:>9} | min {:w$.2}  p25 {:w$.2}  med {:w$.2}  p75 {:w$.2}  max {:w$.2}  mean {:w$.2}{note}",
+        v.min,
+        v.p25,
+        v.p50,
+        v.p75,
+        v.max,
+        v.mean,
+        w = width
+    )
 }
 
 /// Human-readable bytes.
@@ -297,6 +389,16 @@ mod tests {
         // `--params` is fig10's own flag, so every other binary rejects it.
         let (_, extra) = HarnessArgs::parse_from(std::iter::once("--params".to_string()));
         assert_eq!(extra, vec!["--params"]);
+    }
+
+    #[test]
+    fn sweep_grid_returns_each_groups_results_in_item_order() {
+        for jobs in [1, 3] {
+            let (mut args, _) = HarnessArgs::parse_from(std::iter::empty());
+            args.jobs = jobs;
+            let grid = args.sweep_grid(&[10, 20], &[1, 2, 3], |g, i| g + i);
+            assert_eq!(grid, [[11, 12, 13], [21, 22, 23]], "--jobs {jobs}");
+        }
     }
 
     #[test]

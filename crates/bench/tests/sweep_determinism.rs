@@ -1,17 +1,30 @@
-//! Satellite: parallel sweeps must be bit-for-bit deterministic.
+//! Parallel sweeps must be bit-for-bit deterministic.
 //!
 //! Runs a scaled-down Figure 8 slice (scheme x incast-scenario cells) through
 //! [`SweepRunner`] at `--jobs 1` and `--jobs 8` and asserts the per-cell FCT
-//! summaries and counter snapshots are byte-identical. Wall-clock fields
+//! summaries and counter snapshots are byte-identical, and does the same for
+//! cells built the way the other figure binaries build theirs: a queue
+//! sampler, a fault-plane border fault under border loss, and a controller
+//! supplied through [`Experiment::add_spec_with`]. Wall-clock fields
 //! (`wall_seconds`, `events_per_sec`) legitimately differ between runs and
 //! are zeroed before comparison; everything simulated must match exactly.
 
 use uno::metrics::FctTable;
-use uno::sim::{SampleConfig, TopologyParams, MICROS, SECONDS};
-use uno::{Experiment, ExperimentConfig, SchemeSpec};
-use uno_bench::{run_experiment, SweepRunner};
+use uno::sim::{
+    FaultSpec, GilbertElliott, RunManifest, SampleConfig, TopologyParams, MICROS, SECONDS,
+};
+use uno::transport::UnoCc;
+use uno::{DegradationConfig, Experiment, ExperimentConfig, ExperimentResults, SchemeSpec};
+use uno_bench::{run_cell, SweepRunner};
 use uno_transport::LbMode;
 use uno_workloads::incast;
+
+/// The JSON of a run's manifest with its wall-clock fields zeroed.
+fn simulated(mut manifest: RunManifest) -> String {
+    manifest.wall_seconds = 0.0;
+    manifest.events_per_sec = 0.0;
+    manifest.to_json()
+}
 
 /// One sweep cell: (scenario label, intra senders, inter senders, scheme).
 fn cells() -> Vec<(&'static str, usize, usize, SchemeSpec)> {
@@ -37,19 +50,17 @@ fn run_slice(jobs: usize) -> Vec<String> {
     let hosts = topo.hosts_per_dc() as u32;
     let runner = SweepRunner::new(jobs);
     runner.run(cells(), |_, (label, n_intra, n_inter, scheme)| {
-        let specs = incast(n_intra, n_inter, size, hosts);
-        let r = run_experiment(scheme, topo.clone(), &specs, 1, false, 60 * SECONDS);
+        let mut exp = uno_bench::experiment(uno_bench::config(&scheme, 1, &topo));
+        exp.add_specs(&incast(n_intra, n_inter, size, hosts));
+        let r = run_cell(exp, 60 * SECONDS);
         let summary = FctTable::new(r.fcts).summary();
-        let mut manifest = r.manifest;
-        manifest.wall_seconds = 0.0;
-        manifest.events_per_sec = 0.0;
         format!(
             "{label}|{scheme}|mean={:.9}|p99={:.9}|max={:.9}|manifest={}",
             summary.mean_s,
             summary.p99_s,
             summary.max_s,
-            manifest.to_json(),
-            scheme = manifest.scheme,
+            simulated(r.manifest),
+            scheme = r.scheme,
         )
     })
 }
@@ -129,5 +140,100 @@ fn telemetry_series_are_byte_identical_across_job_counts() {
             "telemetry missing link series: {s}"
         );
         assert!(s.contains("\"cwnd\""), "telemetry missing flow series: {s}");
+    }
+}
+
+/// How a cell of [`run_built_cells`] is built, after the figure binaries
+/// that build theirs that way.
+#[derive(Clone, Copy, Debug)]
+enum Build {
+    /// A queue sampler on the incast receiver's downlink (fig04, ablation
+    /// `pq`).
+    Sampler,
+    /// A fault-plane gray failure of one border link plus Gilbert–Elliott
+    /// loss on every border link (fig13a/c).
+    BorderFaultAndLoss,
+    /// A hand-tuned UnoCC supplied through `add_spec_with`, with progress
+    /// recorded (ablations `epoch` and `qa`).
+    SuppliedController,
+}
+
+/// Run each [`Build`] at seeds 1 and 2 through `run_cell`, returning one
+/// string per cell with every simulated output of the run: FCTs, failures,
+/// progress and sampler series, and the manifest.
+fn run_built_cells(jobs: usize) -> Vec<String> {
+    let builds = [
+        Build::Sampler,
+        Build::BorderFaultAndLoss,
+        Build::SuppliedController,
+    ];
+    let cells = builds
+        .iter()
+        .flat_map(|&b| [1u64, 2].map(|seed| (b, seed)))
+        .collect();
+    SweepRunner::new(jobs).run(cells, |_, (build, seed)| {
+        let mut cfg = ExperimentConfig::quick(SchemeSpec::uno(), seed);
+        cfg.degradation = Some(DegradationConfig::default());
+        cfg.record_progress = matches!(build, Build::SuppliedController);
+        let mut exp = uno_bench::experiment(cfg);
+        let hosts = exp.sim.topo.params.hosts_per_dc() as u32;
+        let specs = incast(2, 2, 512 << 10, hosts);
+        match build {
+            Build::Sampler => {
+                exp.add_specs(&specs);
+                let downlink = exp.sim.topo.host_downlink(exp.sim.topo.host(0, 0));
+                exp.sim.add_queue_sampler(downlink, 10 * MICROS, 0);
+            }
+            Build::BorderFaultAndLoss => {
+                exp.add_specs(&specs);
+                let idx = seed as usize % exp.sim.topo.border_forward.len();
+                exp.sim
+                    .install_faults(&FaultSpec {
+                        faults: vec![uno_bench::gray_border(idx)],
+                    })
+                    .expect("valid fault spec");
+                exp.sim
+                    .set_border_loss(GilbertElliott::new(2e-3, 0.4, 0.0, 0.5));
+            }
+            Build::SuppliedController => {
+                for s in &specs {
+                    exp.add_spec_with(s, |mut cc, _| {
+                        cc.intra_rtt = cc.base_rtt;
+                        let mut uno = UnoCc::new(cc);
+                        uno.qa_enabled = false;
+                        Box::new(uno)
+                    });
+                }
+            }
+        }
+        let r: ExperimentResults = run_cell(exp, 60 * SECONDS);
+        // Each build must leave its mark, or the comparison shows nothing.
+        let counters = &r.manifest.counters;
+        match build {
+            Build::Sampler => assert!(r.samplers[0].samples.iter().any(|&(_, b)| b > 0)),
+            Build::BorderFaultAndLoss => {
+                assert!(counters.get("link.losses") > 0);
+                assert!(counters.get("fault.transitions") > 0);
+            }
+            Build::SuppliedController => assert_eq!(r.progress.len(), specs.len()),
+        }
+        format!(
+            "{build:?}|{seed}|fcts={}|failures={}|progress={}|samplers={}|manifest={}",
+            serde_json::to_string(&r.fcts).unwrap(),
+            serde_json::to_string(&r.failures).unwrap(),
+            serde_json::to_string(&r.progress).unwrap(),
+            serde_json::to_string(&r.samplers).unwrap(),
+            simulated(r.manifest),
+        )
+    })
+}
+
+#[test]
+fn built_cells_match_across_job_counts() {
+    let serial = run_built_cells(1);
+    let parallel = run_built_cells(8);
+    assert_eq!(serial.len(), 6);
+    for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+        assert_eq!(a, b, "cell {i} diverged between --jobs 1 and --jobs 8");
     }
 }

@@ -371,23 +371,35 @@ fn check_fields(sc: &Scenario) -> Result<(), String> {
             sc.border_loss
         ));
     }
-    if let SchemeSel::Custom {
-        ec: Some((data, parity)),
-        ..
-    } = sc.scheme
-    {
-        if data == 0 || data as u16 + parity as u16 > u8::MAX as u16 {
-            return Err(format!(
-                "scheme.custom.ec ({data}, {parity}) needs at least 1 data shard \
-                 and at most 255 shards per block"
-            ));
+    if let SchemeSel::Custom { lb, ec } = sc.scheme {
+        if let LbSel::UnoLb { subflows: 0 } = lb {
+            return Err("scheme.custom.lb.uno_lb.subflows 0 must be at least 1".into());
+        }
+        if let Some((data, parity)) = ec {
+            if data == 0 || data as u16 + parity as u16 > u8::MAX as u16 {
+                return Err(format!(
+                    "scheme.custom.ec ({data}, {parity}) needs at least 1 data shard \
+                     and at most 255 shards per block"
+                ));
+            }
         }
     }
-    let hosts = TopologyParams {
-        k: sc.k,
-        ..TopologyParams::default()
+    if !(0.0..=0.95).contains(&sc.pfc_xoff_frac) {
+        return Err(format!(
+            "pfc_xoff_frac {} must be in [0, 0.95] (0 keeps the default)",
+            sc.pfc_xoff_frac
+        ));
     }
-    .hosts_per_dc();
+    let topo = topology(sc);
+    let border_links = topo.border_links.saturating_mul(sc.dcs * (sc.dcs - 1) / 2);
+    if sc.fail_border_links > border_links {
+        return Err(format!(
+            "fail_border_links {} exceeds the {border_links} forward border links of k {} \
+             with dcs {}",
+            sc.fail_border_links, sc.k, sc.dcs
+        ));
+    }
+    let hosts = topo.hosts_per_dc();
     let positive = |field: &str, size: u64| match size {
         0 => Err(format!("{field} must be at least 1 byte")),
         _ => Ok(()),
@@ -456,9 +468,9 @@ fn check_fields(sc: &Scenario) -> Result<(), String> {
     Ok(())
 }
 
-/// Run `sc`, or explain why the scenario cannot run.
-fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Output, String> {
-    check_fields(sc)?;
+/// The fabric `sc` names: the paper's k=8 topology, or k-ary fat-trees
+/// with `k` border links per site pair, over `sc.dcs` sites.
+fn topology(sc: &Scenario) -> TopologyParams {
     let mut topo = if sc.k == 8 {
         TopologyParams::default()
     } else {
@@ -469,13 +481,19 @@ fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Outp
         }
     };
     topo.dcs = sc.dcs;
+    topo
+}
+
+/// Run `sc`, or explain why the scenario cannot run.
+fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Output, String> {
+    check_fields(sc)?;
+    let mut topo = topology(sc);
     if sc.lossless {
         topo.fabric = FabricMode::Lossless;
         if sc.pfc_xoff_frac > 0.0 {
-            let xoff = sc.pfc_xoff_frac.min(0.95);
             topo.pfc = PfcParams {
-                xoff_frac: xoff,
-                xon_frac: 0.7 * xoff,
+                xoff_frac: sc.pfc_xoff_frac,
+                xon_frac: 0.7 * sc.pfc_xoff_frac,
             };
         }
     } else if sc.pfc_xoff_frac > 0.0 {
@@ -551,22 +569,13 @@ fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Outp
             .map_err(|e| format!("invalid fault spec: {e}"))?;
     }
     exp.add_specs(&specs);
-    for i in 0..sc.fail_border_links.min(exp.sim.topo.border_forward.len()) {
+    for i in 0..sc.fail_border_links {
         let l = exp.sim.topo.border_forward[i];
         exp.sim.schedule_link_down(l, MILLIS);
     }
     if sc.border_loss > 0.0 {
-        for l in exp
-            .sim
-            .topo
-            .border_forward
-            .clone()
-            .into_iter()
-            .chain(exp.sim.topo.border_reverse.clone())
-        {
-            exp.sim
-                .set_link_loss(l, GilbertElliott::uniform(sc.border_loss));
-        }
+        exp.sim
+            .set_border_loss(GilbertElliott::uniform(sc.border_loss));
     }
     let r = exp.run(horizon);
 
@@ -934,6 +943,34 @@ mod tests {
                 format!(r#""scheme":{{"custom":{{"lb":"ecmp","ec":[200,100]}}}},{incast}"#),
                 "scheme.custom.ec (200, 100) ",
             ),
+            (
+                format!(r#""scheme":{{"custom":{{"lb":{{"uno_lb":{{"subflows":0}}}}}}}},{incast}"#),
+                "scheme.custom.lb.uno_lb.subflows 0 ",
+            ),
+            (
+                format!(r#""lossless":true,"pfc_xoff_frac":-0.5,{incast}"#),
+                "pfc_xoff_frac -0.5 ",
+            ),
+            (
+                format!(r#""pfc_xoff_frac":-0.5,{incast}"#),
+                "pfc_xoff_frac -0.5 ",
+            ),
+            (
+                format!(r#""lossless":true,"pfc_xoff_frac":3.0,{incast}"#),
+                "pfc_xoff_frac 3 ",
+            ),
+            (
+                format!(r#""fail_border_links":5,{incast}"#),
+                "fail_border_links 5 ",
+            ),
+            (
+                format!(r#""k":8,"fail_border_links":9,{incast}"#),
+                "fail_border_links 9 ",
+            ),
+            (
+                format!(r#""dcs":3,"fail_border_links":13,{incast}"#),
+                "fail_border_links 13 ",
+            ),
         ];
         let scenario = |fields: &str| match fields.contains(r#""scheme""#) {
             true => format!("{{{fields}}}"),
@@ -952,6 +989,11 @@ mod tests {
             flow(r#""src_dc":1,"src_idx":15,"dst_dc":0,"dst_idx":15,"size":1"#),
             poisson("1.49", "1"),
             format!(r#""scheme":{{"custom":{{"lb":"ecmp","ec":[128,127]}}}},{incast}"#),
+            format!(r#""scheme":{{"custom":{{"lb":{{"uno_lb":{{"subflows":1}}}}}}}},{incast}"#),
+            format!(r#""lossless":true,"pfc_xoff_frac":0.95,{incast}"#),
+            format!(r#""fail_border_links":4,{incast}"#),
+            format!(r#""k":8,"fail_border_links":8,{incast}"#),
+            format!(r#""dcs":3,"fail_border_links":12,{incast}"#),
         ] {
             let json = scenario(&fields);
             let sc: Scenario = serde_json::from_str(&json).unwrap();

@@ -6,8 +6,8 @@
 
 use serde::{Deserialize, Serialize, Value};
 use uno_sim::{
-    FailRecord, FctRecord, FlowClass, FlowId, FlowMeta, NetworkStats, PhantomParams, QueueSampler,
-    RunManifest, SampleConfig, Simulator, Time, Topology, TopologyParams, MILLIS,
+    FailRecord, FctRecord, FlowClass, FlowId, FlowMeta, LinkStats, NetworkStats, PhantomParams,
+    QueueSampler, RunManifest, SampleConfig, Simulator, Time, Topology, TopologyParams, MILLIS,
 };
 use uno_transport::{
     Bbr, CcAlgorithm, CcConfig, FaultInjection, FlowConfig, Gemini, LbMode, MessageFlow, Mprdma,
@@ -71,21 +71,6 @@ impl Default for DegradationConfig {
 }
 
 impl ExperimentConfig {
-    /// Config over the paper's full topology.
-    pub fn paper(scheme: SchemeSpec, seed: u64) -> Self {
-        ExperimentConfig {
-            topo: TopologyParams::default(),
-            scheme,
-            seed,
-            record_progress: false,
-            faults: FaultInjection::default(),
-            degradation: None,
-            telemetry: None,
-            profile: false,
-            lp_jobs: 0,
-        }
-    }
-
     /// Config over the scaled-down (k=4) topology for fast runs.
     pub fn quick(scheme: SchemeSpec, seed: u64) -> Self {
         ExperimentConfig {
@@ -102,9 +87,17 @@ impl ExperimentConfig {
     }
 }
 
-/// One queue sampler's output: link id, physical-occupancy samples, and
-/// phantom-occupancy samples.
-pub type SamplerSeries = (u32, Vec<(Time, u64)>, Vec<(Time, u64)>);
+/// One queue sampler's output.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct SamplerSeries {
+    /// The sampled link's totals at the end of the run (its id included).
+    pub link: LinkStats,
+    /// (time, physical queue bytes) samples.
+    pub samples: Vec<(Time, u64)>,
+    /// (time, phantom queue bytes) samples; empty when the port has no
+    /// phantom queue.
+    pub phantom: Vec<(Time, u64)>,
+}
 
 /// Everything a finished run yields.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -206,12 +199,28 @@ impl Experiment {
 
     /// Register one workload flow; returns its id.
     pub fn add_spec(&mut self, spec: &FlowSpec) -> FlowId {
-        let record = self.cfg.record_progress;
-        self.add_spec_recorded(spec, record)
+        let kind = self.cfg.scheme.cc;
+        self.add_spec_with(spec, |cc_cfg, inter| -> Box<dyn CcAlgorithm> {
+            match kind {
+                CcKind::UnoCc => Box::new(UnoCc::new(cc_cfg)),
+                CcKind::Gemini => Box::new(Gemini::new(cc_cfg, inter)),
+                CcKind::MprdmaBbr if inter => Box::new(Bbr::new(cc_cfg)),
+                CcKind::MprdmaBbr => Box::new(Mprdma::new(cc_cfg)),
+            }
+        })
     }
 
-    /// Register one workload flow with explicit progress recording.
-    pub fn add_spec_recorded(&mut self, spec: &FlowSpec, record: bool) -> FlowId {
+    /// Register one workload flow wired as [`Experiment::add_spec`] wires
+    /// it, except that `make_cc` builds its congestion controller from the
+    /// [`CcConfig`] derived for the flow (paper defaults at its path's RTT
+    /// and BDP) and whether the flow crosses datacenters. Ablations use it
+    /// to run a hand-tuned controller under the scheme's load balancing,
+    /// erasure coding and timers.
+    pub fn add_spec_with(
+        &mut self,
+        spec: &FlowSpec,
+        make_cc: impl FnOnce(CcConfig, bool) -> Box<dyn CcAlgorithm>,
+    ) -> FlowId {
         let topo = &self.sim.topo;
         let src = topo.host(spec.src_dc, spec.src_idx);
         let dst = topo.host(spec.dst_dc, spec.dst_idx);
@@ -227,17 +236,7 @@ impl Experiment {
             mtu: p.mtu,
             ..CcConfig::paper_defaults(bdp, base_rtt, p.intra_bdp() as f64, p.intra_rtt)
         };
-        let cc: Box<dyn CcAlgorithm> = match self.cfg.scheme.cc {
-            CcKind::UnoCc => Box::new(UnoCc::new(cc_cfg)),
-            CcKind::Gemini => Box::new(Gemini::new(cc_cfg, inter)),
-            CcKind::MprdmaBbr => {
-                if inter {
-                    Box::new(Bbr::new(cc_cfg))
-                } else {
-                    Box::new(Mprdma::new(cc_cfg))
-                }
-            }
-        };
+        let cc = make_cc(cc_cfg, inter);
         let lb = self.cfg.scheme.lb_for(inter);
         let mut fc = FlowConfig::basic(src, dst, spec.size, base_rtt);
         fc.mtu = p.mtu;
@@ -256,7 +255,7 @@ impl Experiment {
         }
 
         let flow = MessageFlow::new(fc, cc);
-        let mut meta = FlowMeta {
+        let meta = FlowMeta {
             src,
             dst,
             size: spec.size,
@@ -267,7 +266,7 @@ impl Experiment {
                 FlowClass::Intra
             },
         };
-        meta.start = spec.start;
+        let record = self.cfg.record_progress;
         self.sim.add_flow_recorded(meta, Box::new(flow), record)
     }
 
@@ -285,15 +284,21 @@ impl Experiment {
         self.collect(all_completed)
     }
 
-    /// Build a run manifest from the simulator's current state. Also useful
-    /// mid-run for drivers that never call [`Experiment::run`].
-    pub fn manifest(&self) -> RunManifest {
-        build_manifest(&self.sim, &self.cfg)
-    }
-
     fn collect(self, all_completed: bool) -> ExperimentResults {
         let Experiment { mut sim, cfg } = self;
-        let manifest = build_manifest(&sim, &cfg);
+        let manifest = RunManifest {
+            name: cfg.scheme.name.to_string(),
+            scheme: cfg.scheme.name.to_string(),
+            seed: cfg.seed,
+            topo: sim.topo.params.serialize_value(),
+            sim_time_ns: sim.now(),
+            wall_seconds: sim.wall_seconds(),
+            events_processed: sim.events_processed,
+            events_per_sec: sim.events_per_sec(),
+            flows: sim.num_flows() as u64,
+            completed: sim.fcts.len() as u64,
+            counters: sim.counter_snapshot(),
+        };
         // The simulator is consumed here, so this is the last point where a
         // trace write error can reach the caller.
         let trace_error = sim.tracer.flush().err().map(|e| e.to_string());
@@ -322,27 +327,14 @@ impl Experiment {
             samplers: sim
                 .samplers
                 .iter()
-                .map(|s: &QueueSampler| (s.link.0, s.samples.clone(), s.phantom_samples.clone()))
+                .map(|s: &QueueSampler| SamplerSeries {
+                    link: sim.link_stats(s.link),
+                    samples: s.samples.clone(),
+                    phantom: s.phantom_samples.clone(),
+                })
                 .collect(),
             fcts: sim.fcts,
         }
-    }
-}
-
-/// Shared manifest construction for [`Experiment::manifest`] and `collect`.
-fn build_manifest(sim: &Simulator, cfg: &ExperimentConfig) -> RunManifest {
-    RunManifest {
-        name: cfg.scheme.name.to_string(),
-        scheme: cfg.scheme.name.to_string(),
-        seed: cfg.seed,
-        topo: sim.topo.params.serialize_value(),
-        sim_time_ns: sim.now(),
-        wall_seconds: sim.wall_seconds(),
-        events_processed: sim.events_processed,
-        events_per_sec: sim.events_per_sec(),
-        flows: sim.num_flows() as u64,
-        completed: sim.fcts.len() as u64,
-        counters: sim.counter_snapshot(),
     }
 }
 
@@ -423,6 +415,46 @@ mod tests {
             e.add_specs(&[spec(0, 0, 1, 1, 2 << 20), spec(0, 2, 0, 3, 2 << 20)]);
             let r = e.run(5 * SECONDS);
             assert!(r.all_completed, "{name} did not complete");
+        }
+    }
+
+    #[test]
+    fn supplying_the_schemes_own_controller_reproduces_add_spec() {
+        let specs = [
+            spec(0, 0, 1, 5, 1 << 20),
+            spec(0, 2, 0, 3, 512 << 10),
+            spec(1, 4, 0, 3, 256 << 10),
+        ];
+        for scheme in [
+            SchemeSpec::uno(),
+            SchemeSpec::uno_ecmp(),
+            SchemeSpec::gemini(),
+            SchemeSpec::mprdma_bbr(),
+        ] {
+            let kind = scheme.cc;
+            let own_cc = |cfg, inter| -> Box<dyn CcAlgorithm> {
+                match (kind, inter) {
+                    (CcKind::UnoCc, _) => Box::new(UnoCc::new(cfg)),
+                    (CcKind::Gemini, _) => Box::new(Gemini::new(cfg, inter)),
+                    (CcKind::MprdmaBbr, true) => Box::new(Bbr::new(cfg)),
+                    (CcKind::MprdmaBbr, false) => Box::new(Mprdma::new(cfg)),
+                }
+            };
+            // FCT records (as JSON) and the counter snapshot of one run.
+            let run = |through_seam: bool| {
+                let mut e = quick(scheme.clone(), 13);
+                for s in &specs {
+                    if through_seam {
+                        e.add_spec_with(s, own_cc);
+                    } else {
+                        e.add_spec(s);
+                    }
+                }
+                let r = e.run(5 * SECONDS);
+                assert!(r.all_completed, "{}", scheme.name);
+                (serde_json::to_string(&r.fcts).unwrap(), r.manifest.counters)
+            };
+            assert_eq!(run(true), run(false), "{}", scheme.name);
         }
     }
 

@@ -8,12 +8,10 @@
 //!
 //! Two API layers share the same math and produce identical bytes:
 //!
-//! * the original allocating calls ([`ReedSolomon::encode`],
-//!   [`ReedSolomon::reconstruct`], [`ReedSolomon::encode_message`]) — easy
-//!   to use, fresh `Vec`s per call;
+//! * the allocating calls ([`ReedSolomon::encode`],
+//!   [`ReedSolomon::reconstruct`]) — easy to use, fresh `Vec`s per call;
 //! * the pooled calls ([`ReedSolomon::encode_into`],
-//!   [`ReedSolomon::reconstruct_with`], [`ReedSolomon::encode_message_with`],
-//!   [`ReedSolomon::decode_message_with`]) — caller-owned
+//!   [`ReedSolomon::reconstruct_with`]) — caller-owned
 //!   [`ShardPool`]/[`CodecScratch`] buffers, zero heap allocations at steady
 //!   state (enforced by `tests/zero_alloc.rs`).
 //!
@@ -373,110 +371,6 @@ impl ReedSolomon {
         }
         row
     }
-
-    /// Encode a contiguous message into `(x, y)` blocks of `shard_len`-byte
-    /// shards. The message is zero-padded to a whole number of blocks.
-    /// Returns, per block, the `x + y` shards.
-    pub fn encode_message(&self, msg: &[u8], shard_len: usize) -> Vec<Vec<Vec<u8>>> {
-        let mut pool = ShardPool::new();
-        let mut blocks = Vec::new();
-        self.encode_message_with(msg, shard_len, &mut pool, &mut blocks);
-        blocks
-    }
-
-    /// [`ReedSolomon::encode_message`] reusing caller-owned buffers: shard
-    /// buffers come from (and excess ones return to) `pool`, and the
-    /// `blocks` structure is resized in place rather than rebuilt. Encoding
-    /// same-shaped messages back to back is allocation-free after the first
-    /// call. Byte-identical output.
-    pub fn encode_message_with(
-        &self,
-        msg: &[u8],
-        shard_len: usize,
-        pool: &mut ShardPool,
-        blocks: &mut Vec<Vec<Vec<u8>>>,
-    ) {
-        assert!(shard_len > 0);
-        let x = self.data_shards;
-        let n = self.total_shards();
-        let block_bytes = shard_len * x;
-        let nblocks = msg.len().div_ceil(block_bytes).max(1);
-        while blocks.len() > nblocks {
-            let mut b = blocks.pop().unwrap();
-            for s in b.drain(..) {
-                pool.put(s);
-            }
-        }
-        while blocks.len() < nblocks {
-            blocks.push(Vec::with_capacity(n));
-        }
-        for (b, block) in blocks.iter_mut().enumerate() {
-            while block.len() > n {
-                pool.put(block.pop().unwrap());
-            }
-            while block.len() < n {
-                block.push(pool.take(shard_len));
-            }
-            for (s, shard) in block.iter_mut().enumerate().take(x) {
-                shard.clear();
-                shard.resize(shard_len, 0);
-                let start = b * block_bytes + s * shard_len;
-                if start < msg.len() {
-                    let end = (start + shard_len).min(msg.len());
-                    shard[..end - start].copy_from_slice(&msg[start..end]);
-                }
-            }
-            let (data, parity) = block.split_at_mut(x);
-            for (i, out) in parity.iter_mut().enumerate() {
-                out.clear();
-                out.resize(shard_len, 0);
-                for (j, shard) in data.iter().enumerate() {
-                    if j == 0 {
-                        gf::mul_slice(out, shard, self.parity_matrix[(i, 0)]);
-                    } else {
-                        gf::mul_acc(out, shard, self.parity_matrix[(i, j)]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Reassemble a message of `msg_len` bytes from blocks of shard slots
-    /// (each block as produced by [`Self::encode_message`], with erasures).
-    pub fn decode_message(
-        &self,
-        blocks: &mut [Vec<Option<Vec<u8>>>],
-        msg_len: usize,
-    ) -> Result<Vec<u8>, CodecError> {
-        let mut scratch = CodecScratch::new();
-        let mut pool = ShardPool::new();
-        let mut out = Vec::with_capacity(msg_len);
-        self.decode_message_with(blocks, msg_len, &mut scratch, &mut pool, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`ReedSolomon::decode_message`] into a caller-owned output buffer,
-    /// with pooled reconstruction. `out` is cleared and refilled; its
-    /// capacity (like the pool's) persists across calls, so steady-state
-    /// decoding allocates nothing.
-    pub fn decode_message_with(
-        &self,
-        blocks: &mut [Vec<Option<Vec<u8>>>],
-        msg_len: usize,
-        scratch: &mut CodecScratch,
-        pool: &mut ShardPool,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        out.clear();
-        for block in blocks.iter_mut() {
-            self.reconstruct_with(block, scratch, pool)?;
-            for shard in block.iter().take(self.data_shards) {
-                out.extend_from_slice(shard.as_ref().unwrap());
-            }
-        }
-        out.truncate(msg_len);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -596,24 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn message_round_trip_with_erasures() {
-        let rs = ReedSolomon::new(8, 2);
-        let msg: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-        let mut blocks: Vec<Vec<Option<Vec<u8>>>> = rs
-            .encode_message(&msg, 128)
-            .into_iter()
-            .map(|b| b.into_iter().map(Some).collect())
-            .collect();
-        // Knock out two shards per block.
-        for (bi, block) in blocks.iter_mut().enumerate() {
-            block[bi % 10] = None;
-            block[(bi + 5) % 10] = None;
-        }
-        let decoded = rs.decode_message(&mut blocks, msg.len()).unwrap();
-        assert_eq!(decoded, msg);
-    }
-
-    #[test]
     fn overhead_matches_paper_default() {
         let rs = ReedSolomon::new(8, 2);
         assert_eq!(rs.total_shards(), 10);
@@ -621,22 +497,6 @@ mod tests {
         // Parity fraction of the wire total is 20% as stated in the paper.
         let parity_frac = rs.parity_shards() as f64 / rs.total_shards() as f64;
         assert!((parity_frac - 0.20).abs() < 1e-12);
-    }
-
-    #[test]
-    fn short_message_pads() {
-        let rs = ReedSolomon::new(8, 2);
-        let msg = b"hello".to_vec();
-        let mut blocks: Vec<Vec<Option<Vec<u8>>>> = rs
-            .encode_message(&msg, 16)
-            .into_iter()
-            .map(|b| b.into_iter().map(Some).collect())
-            .collect();
-        assert_eq!(blocks.len(), 1);
-        blocks[0][0] = None; // erase the shard containing the payload
-        blocks[0][1] = None;
-        let decoded = rs.decode_message(&mut blocks, msg.len()).unwrap();
-        assert_eq!(decoded, msg);
     }
 
     #[test]
@@ -723,23 +583,5 @@ mod tests {
         assert_eq!(rs.cached_inversions(), 1);
         let clone = rs.clone();
         assert_eq!(clone.cached_inversions(), 0);
-    }
-
-    #[test]
-    fn encode_message_with_matches_encode_message() {
-        let rs = ReedSolomon::new(8, 2);
-        let msg: Vec<u8> = (0..5_000u32).map(|i| (i * 17 % 256) as u8).collect();
-        let expect = rs.encode_message(&msg, 96);
-        let mut pool = ShardPool::new();
-        let mut blocks = Vec::new();
-        rs.encode_message_with(&msg, 96, &mut pool, &mut blocks);
-        assert_eq!(blocks, expect);
-        // Re-encode a shorter message into the same structure: excess
-        // buffers flow back to the pool and the output still matches.
-        let short = &msg[..500];
-        let expect_short = rs.encode_message(short, 96);
-        rs.encode_message_with(short, 96, &mut pool, &mut blocks);
-        assert_eq!(blocks, expect_short);
-        assert!(pool.idle() > 0, "shrinking must recycle shard buffers");
     }
 }

@@ -68,22 +68,6 @@ proptest! {
         }
     }
 
-    /// encode_message/decode_message round-trips arbitrary messages.
-    #[test]
-    fn message_round_trip(
-        msg in vec(any::<u8>(), 0..4096),
-        shard_len in 1usize..256,
-    ) {
-        let rs = ReedSolomon::new(8, 2);
-        let mut blocks: Vec<Vec<Option<Vec<u8>>>> = rs
-            .encode_message(&msg, shard_len)
-            .into_iter()
-            .map(|b| b.into_iter().map(Some).collect())
-            .collect();
-        let decoded = rs.decode_message(&mut blocks, msg.len()).unwrap();
-        prop_assert_eq!(decoded, msg);
-    }
-
     /// Parity is linear: encoding the XOR of two datasets equals the XOR of
     /// their encodings (GF(2^8) addition is XOR).
     #[test]

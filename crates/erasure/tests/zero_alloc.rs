@@ -1,5 +1,5 @@
 //! Regression wall for the pooled codec path: after warm-up, a full
-//! encode → erase → decode round-trip must perform **zero** heap
+//! `encode_into` → erase → `reconstruct_with` round trip must perform **zero** heap
 //! allocations. A counting `#[global_allocator]` makes the property
 //! directly measurable; any future change that sneaks a per-block `Vec`
 //! back into the hot path fails this test immediately.
@@ -40,37 +40,41 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 const SHARD_LEN: usize = 256;
+const DATA: usize = 8;
+const PARITY: usize = 2;
+const BLOCKS: usize = 20;
 const ERASED: [usize; 2] = [1, 9]; // one data, one parity — stable pattern
 
-/// One full round trip over reusable state. Encoded shards are swapped into
-/// the receive slots (capacities travel both ways), two shards per block are
-/// "lost" back into the pool, and decode recovers them from the pool.
-#[allow(clippy::too_many_arguments)]
+/// One full round trip over reusable state, block by block. Parity is
+/// encoded into the encoder's buffers, which are swapped with the block's
+/// receive slots (capacities travel both ways); data shards are copied into
+/// their slots; two shards per block are "lost" back into the pool, and
+/// reconstruction recovers them from the pool.
 fn round_trip(
     rs: &ReedSolomon,
     msg: &[u8],
     pool: &mut ShardPool,
     scratch: &mut CodecScratch,
-    blocks: &mut Vec<Vec<Vec<u8>>>,
+    parity: &mut [Vec<u8>],
     rx: &mut Vec<Vec<Option<Vec<u8>>>>,
-    out: &mut Vec<u8>,
 ) {
-    let n = rs.total_shards();
-    rs.encode_message_with(msg, SHARD_LEN, pool, blocks);
+    rx.resize_with(BLOCKS, || vec![None; DATA + PARITY]);
+    for (block, slots) in msg.chunks_exact(DATA * SHARD_LEN).zip(rx.iter_mut()) {
+        let data: [&[u8]; DATA] =
+            std::array::from_fn(|s| &block[s * SHARD_LEN..(s + 1) * SHARD_LEN]);
+        rs.encode_into(&data, parity).expect("encode");
 
-    // Deliver: move each encoded shard into its receive slot, handing the
-    // slot's previous buffer back to the encoder side (swap keeps both
-    // capacities alive — nothing is dropped, nothing is allocated).
-    while rx.len() < blocks.len() {
-        rx.push(vec![None; n]);
-    }
-    rx.truncate(blocks.len());
-    for (block, slots) in blocks.iter_mut().zip(rx.iter_mut()) {
-        for (shard, slot) in block.iter_mut().zip(slots.iter_mut()) {
-            if let Some(old) = slot.as_mut() {
-                std::mem::swap(old, shard);
-            } else {
-                *slot = Some(std::mem::take(shard));
+        // Deliver: nothing is dropped, nothing is allocated once every slot
+        // holds a buffer of shard capacity.
+        for (slot, shard) in slots.iter_mut().zip(data) {
+            let buf = slot.get_or_insert_with(|| pool.take(SHARD_LEN));
+            buf.clear();
+            buf.extend_from_slice(shard);
+        }
+        for (slot, out) in slots[DATA..].iter_mut().zip(parity.iter_mut()) {
+            match slot.as_mut() {
+                Some(old) => std::mem::swap(old, out),
+                None => *slot = Some(std::mem::take(out)),
             }
         }
         for &e in &ERASED {
@@ -78,51 +82,42 @@ fn round_trip(
                 pool.put(lost);
             }
         }
-    }
 
-    rs.decode_message_with(rx, msg.len(), scratch, pool, out)
-        .expect("round trip must decode");
-    assert_eq!(out.as_slice(), msg, "decode corrupted the message");
+        rs.reconstruct_with(slots, scratch, pool)
+            .expect("round trip must reconstruct");
+        for (slot, shard) in slots.iter().zip(data) {
+            assert_eq!(
+                slot.as_deref(),
+                Some(shard),
+                "reconstruction corrupted the block"
+            );
+        }
+    }
 }
 
 #[test]
 fn warm_round_trip_allocates_nothing() {
-    let rs = ReedSolomon::new(8, 2);
-    let msg: Vec<u8> = (0..40_000u32).map(|i| (i * 37 % 251) as u8).collect();
+    let rs = ReedSolomon::new(DATA, PARITY);
+    let msg: Vec<u8> = (0..(BLOCKS * DATA * SHARD_LEN) as u32)
+        .map(|i| (i * 37 % 251) as u8)
+        .collect();
     let mut pool = ShardPool::new();
     let mut scratch = CodecScratch::new();
-    let mut blocks: Vec<Vec<Vec<u8>>> = Vec::new();
+    let mut parity: Vec<Vec<u8>> = vec![Vec::new(); PARITY];
     let mut rx: Vec<Vec<Option<Vec<u8>>>> = Vec::new();
-    let mut out: Vec<u8> = Vec::new();
 
-    // Warm-up: buffers, pool, scratch, output capacity, and the decoding
+    // Warm-up: buffers, pool, scratch, receive slots, and the decoding
     // matrix cache all reach steady state.
     for _ in 0..3 {
-        round_trip(
-            &rs,
-            &msg,
-            &mut pool,
-            &mut scratch,
-            &mut blocks,
-            &mut rx,
-            &mut out,
-        );
+        round_trip(&rs, &msg, &mut pool, &mut scratch, &mut parity, &mut rx);
     }
     assert_eq!(rs.cached_inversions(), 1, "one stable erasure pattern");
 
     // Measured steady state: not a single allocation across full
-    // encode → erase → decode round trips.
+    // encode → erase → reconstruct round trips.
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     for round in 0..5 {
-        round_trip(
-            &rs,
-            &msg,
-            &mut pool,
-            &mut scratch,
-            &mut blocks,
-            &mut rx,
-            &mut out,
-        );
+        round_trip(&rs, &msg, &mut pool, &mut scratch, &mut parity, &mut rx);
         let after = ALLOC_CALLS.load(Ordering::Relaxed);
         assert_eq!(
             after - before,
@@ -135,7 +130,10 @@ fn warm_round_trip_allocates_nothing() {
     // The pool really was exercised (losses flowed through it), and no
     // take ever missed after the warm-up phase established capacity.
     let (takes, misses) = pool.stats();
-    assert!(takes > 0, "decode must draw recovered shards from the pool");
+    assert!(
+        takes > 0,
+        "reconstruction must draw recovered shards from the pool"
+    );
     assert!(
         misses < takes,
         "steady state must reuse pooled buffers, not allocate fresh ones"

@@ -65,6 +65,26 @@ impl OutcomeCounts {
     }
 }
 
+/// Field-by-field sum, for totals over the runs of one figure cell.
+impl std::ops::AddAssign for OutcomeCounts {
+    fn add_assign(&mut self, o: OutcomeCounts) {
+        self.completed += o.completed;
+        self.stalled += o.stalled;
+        self.pfc_stalled += o.pfc_stalled;
+        self.aborted += o.aborted;
+        self.censored += o.censored;
+    }
+}
+
+impl std::iter::Sum for OutcomeCounts {
+    fn sum<I: Iterator<Item = OutcomeCounts>>(iter: I) -> Self {
+        iter.fold(OutcomeCounts::default(), |mut total, o| {
+            total += o;
+            total
+        })
+    }
+}
+
 impl std::fmt::Display for OutcomeCounts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -311,5 +331,16 @@ mod tests {
         );
         let done = OutcomeCounts { censored: 0, ..c };
         assert!(done.all_terminated());
+        let total: OutcomeCounts = [c, done].into_iter().sum();
+        assert_eq!(
+            total,
+            OutcomeCounts {
+                completed: 2,
+                stalled: 4,
+                pfc_stalled: 2,
+                aborted: 2,
+                censored: 1
+            }
+        );
     }
 }

@@ -445,11 +445,6 @@ impl Simulator {
         id
     }
 
-    /// Metadata of flow `id`.
-    pub fn flow_meta(&self, id: FlowId) -> &FlowMeta {
-        self.flows.meta(id.index())
-    }
-
     /// Records for flows that have **not** completed, with `end` set to the
     /// current time — i.e. FCT lower bounds. Reporting these alongside the
     /// real completions avoids censoring bias when a run hits its horizon
@@ -473,6 +468,15 @@ impl Simulator {
     /// Attach a stochastic loss process to a link.
     pub fn set_link_loss(&mut self, link: LinkId, model: GilbertElliott) {
         self.topo.links.set_loss(link, Some(model));
+    }
+
+    /// Attach a copy of one loss process to every border link, in both
+    /// directions.
+    pub fn set_border_loss(&mut self, model: GilbertElliott) {
+        let topo = &mut self.topo;
+        for &l in topo.border_forward.iter().chain(&topo.border_reverse) {
+            topo.links.set_loss(l, Some(model.clone()));
+        }
     }
 
     /// Schedule a link failure at absolute time `t`.
@@ -591,23 +595,23 @@ impl Simulator {
 
     /// Per-link breakdown of [`Simulator::network_stats`], in link-id order.
     pub fn per_link_stats(&self) -> Vec<LinkStats> {
+        self.topo.links.ids().map(|l| self.link_stats(l)).collect()
+    }
+
+    /// One link's entry of [`Simulator::per_link_stats`].
+    pub fn link_stats(&self, l: LinkId) -> LinkStats {
         let links = &self.topo.links;
-        links
-            .ids()
-            .map(|l| {
-                let q = links.queue(l);
-                LinkStats {
-                    link: l.0,
-                    drops: q.drops,
-                    ecn_marks: q.marks,
-                    phantom_marks: q.phantom_marks,
-                    losses: links.lost_packets(l),
-                    tx_packets: links.tx_packets(l),
-                    tx_bytes: links.tx_bytes(l),
-                    max_queue_bytes: q.max_bytes_seen,
-                }
-            })
-            .collect()
+        let q = links.queue(l);
+        LinkStats {
+            link: l.0,
+            drops: q.drops,
+            ecn_marks: q.marks,
+            phantom_marks: q.phantom_marks,
+            losses: links.lost_packets(l),
+            tx_packets: links.tx_packets(l),
+            tx_bytes: links.tx_bytes(l),
+            max_queue_bytes: q.max_bytes_seen,
+        }
     }
 
     /// Snapshot every counter the run registered: engine totals, queue/link

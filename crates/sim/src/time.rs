@@ -22,12 +22,6 @@ pub fn as_secs_f64(t: Time) -> f64 {
     t as f64 / SECONDS as f64
 }
 
-/// Convert a [`Time`] to fractional microseconds (for reporting only).
-#[inline]
-pub fn as_micros_f64(t: Time) -> f64 {
-    t as f64 / MICROS as f64
-}
-
 /// Convert fractional seconds to a [`Time`]. Saturates at zero for negatives.
 #[inline]
 pub fn from_secs_f64(s: f64) -> Time {

@@ -297,25 +297,9 @@ impl MessageFlow {
         self.lb.as_ref()
     }
 
-    /// True once the transfer completed.
-    pub fn is_complete(&self) -> bool {
-        self.completed
-    }
-
-    /// True once the flow terminated without completing (stall watchdog or
-    /// bounded-retry abort fired).
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
     /// Bytes currently believed in flight (diagnostics).
     pub fn inflight(&self) -> u64 {
         self.inflight
-    }
-
-    /// Length of the retransmission queue (diagnostics).
-    pub fn rtx_backlog(&self) -> usize {
-        self.rtx_queue.len()
     }
 
     /// Cumulative acknowledged wire bytes (diagnostics).

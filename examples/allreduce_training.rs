@@ -34,17 +34,8 @@ fn main() {
         );
         exp.add_specs(&specs);
         // WAN links drop packets in correlated bursts (Table 1 model).
-        let model = GilbertElliott::new(2e-4, 0.4, 0.0, 0.5);
-        for l in exp
-            .sim
-            .topo
-            .border_forward
-            .clone()
-            .into_iter()
-            .chain(exp.sim.topo.border_reverse.clone())
-        {
-            exp.sim.set_link_loss(l, model.clone());
-        }
+        exp.sim
+            .set_border_loss(GilbertElliott::new(2e-4, 0.4, 0.0, 0.5));
         let r = exp.run(30 * SECONDS);
         let agg_bw = topo.border_link_bps * topo.border_links as u64;
         let ideal = allreduce_ideal_time(volume, agg_bw, topo.inter_rtt);

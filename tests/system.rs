@@ -139,17 +139,8 @@ fn uno_survives_border_failure_where_ecmp_may_stall() {
 #[test]
 fn ec_flows_tolerate_correlated_loss_without_rtos() {
     let mut e = quick(SchemeSpec::uno(), 11);
-    for l in e
-        .sim
-        .topo
-        .border_forward
-        .clone()
-        .into_iter()
-        .chain(e.sim.topo.border_reverse.clone())
-    {
-        e.sim
-            .set_link_loss(l, GilbertElliott::new(1e-3, 0.4, 0.0, 0.5));
-    }
+    e.sim
+        .set_border_loss(GilbertElliott::new(1e-3, 0.4, 0.0, 0.5));
     e.add_specs(&[FlowSpec {
         src_dc: 0,
         src_idx: 3,
