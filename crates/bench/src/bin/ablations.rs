@@ -78,7 +78,12 @@ fn ablation_epoch(args: &HarnessArgs) {
         for s in &incast(4, 4, 128 << 20, hosts) {
             exp.add_spec_with(s, |cfg, _| tuned_uno(cfg, unified, true));
         }
-        (unified, run_cell(exp, 30 * SECONDS))
+        let label = if unified {
+            "unified epochs"
+        } else {
+            "own-RTT epochs"
+        };
+        (unified, run_cell(exp, 30 * SECONDS, label))
     });
     for (unified, r) in results {
         // Mean Jain index across the run (active flows only).
@@ -127,7 +132,7 @@ fn ablation_pq(args: &HarnessArgs) {
         exp.add_specs(&incast(8, 0, 32 << 20, hosts));
         let bottleneck = exp.sim.topo.host_downlink(exp.sim.topo.host(0, 0));
         exp.sim.add_queue_sampler(bottleneck, 100_000, 0);
-        run_cell(exp, 30 * SECONDS)
+        run_cell(exp, 30 * SECONDS, &format!("drain {drain:.2}"))
     });
     for (drain, r) in drains.into_iter().zip(results) {
         let occ: Vec<f64> = r.samplers[0]
@@ -171,7 +176,7 @@ fn ablation_ec(args: &HarnessArgs) {
             size: 20 << 20,
             start: 0,
         }]);
-        first_fct_ms(run_cell(exp, 30 * SECONDS))
+        first_fct_ms(run_cell(exp, 30 * SECONDS, &format!("EC ({x},{y})")))
     });
     for ((x, y), fcts) in geometries.into_iter().zip(fcts) {
         println!(
@@ -195,7 +200,8 @@ fn ablation_qa(args: &HarnessArgs) {
         for s in &incast(0, 8, 64 << 20, hosts) {
             exp.add_spec_with(s, |cfg, _| tuned_uno(cfg, true, qa));
         }
-        (qa, run_cell(exp, 60 * SECONDS))
+        let label = if qa { "QA on" } else { "QA off" };
+        (qa, run_cell(exp, 60 * SECONDS, label))
     });
     for (qa, r) in results {
         let t = FctTable::new(r.fcts);
@@ -233,7 +239,7 @@ fn ablation_subflows(args: &HarnessArgs) {
             size: 16 << 20,
             start: 0,
         }]);
-        first_fct_ms(run_cell(exp, 30 * SECONDS))
+        first_fct_ms(run_cell(exp, 30 * SECONDS, &format!("{subflows} subflows")))
     });
     for (subflows, fcts) in counts.into_iter().zip(fcts) {
         println!(

@@ -40,7 +40,7 @@ fn main() {
         cfg.record_progress = true;
         let mut exp = uno_bench::experiment(cfg);
         exp.add_specs(&specs);
-        uno_bench::run_cell(exp, 30 * SECONDS)
+        uno_bench::run_cell(exp, 30 * SECONDS, "4 intra + 4 inter")
     });
     for r in results {
         let name = &r.scheme;

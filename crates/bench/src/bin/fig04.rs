@@ -73,7 +73,7 @@ fn main() {
         let bottleneck = exp.sim.topo.host_downlink(exp.sim.topo.host(0, 0));
         exp.sim.add_queue_sampler(bottleneck, 100 * MICROS, 0);
         // The long flows outlive the horizon, so every cell runs to it.
-        uno_bench::run_cell(exp, horizon)
+        uno_bench::run_cell(exp, horizon, "8 long inter + RPC")
     });
     for r in results {
         let name = &r.scheme;

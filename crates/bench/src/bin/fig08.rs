@@ -40,7 +40,8 @@ fn main() {
             cfg.record_progress = true;
             let mut exp = uno_bench::experiment(cfg);
             exp.add_specs(&incast(n_intra, n_inter, size, hosts));
-            (label, uno_bench::run_cell(exp, 60 * SECONDS))
+            let cell = format!("send rates: {label}");
+            (label, uno_bench::run_cell(exp, 60 * SECONDS, &cell))
         });
     for (label, r) in fairness {
         let bin = 10 * MILLIS;
@@ -77,18 +78,22 @@ fn main() {
         SchemeSpec::gemini().with_lb(LbMode::Spray),
         SchemeSpec::mprdma_bbr().with_lb(LbMode::Spray),
     ];
-    let rows = args.sweep_grid(&scenarios, &schemes, |&(_, n_intra, n_inter), scheme| {
-        let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, &topo));
-        exp.add_specs(&incast(n_intra, n_inter, size, hosts));
-        let r = uno_bench::run_cell(exp, 120 * SECONDS);
-        let s = FctTable::new(r.fcts).summary();
-        [
-            r.scheme,
-            format!("{:.3}", s.mean_s * 1e3),
-            format!("{:.3}", s.p99_s * 1e3),
-            format!("{:.3}", s.max_s * 1e3),
-        ]
-    });
+    let rows = args.sweep_grid(
+        &scenarios,
+        &schemes,
+        |&(label, n_intra, n_inter), scheme| {
+            let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, &topo));
+            exp.add_specs(&incast(n_intra, n_inter, size, hosts));
+            let r = uno_bench::run_cell(exp, 120 * SECONDS, &format!("FCTs: {label}"));
+            let s = FctTable::new(r.fcts).summary();
+            [
+                r.scheme,
+                format!("{:.3}", s.mean_s * 1e3),
+                format!("{:.3}", s.p99_s * 1e3),
+                format!("{:.3}", s.max_s * 1e3),
+            ]
+        },
+    );
     for ((label, _, _), rows) in scenarios.iter().zip(rows) {
         let mut table = TextTable::new(["scheme", "mean FCT (ms)", "p99 FCT (ms)", "max FCT (ms)"]);
         for row in rows {

@@ -33,24 +33,29 @@ fn main() {
     let mut provisioned = base_topo.clone();
     provisioned.border_links = provisioned.hosts_per_dc();
     let regimes = [("as-is", base_topo), ("fully provisioned", provisioned)];
-    let rows = args.sweep_grid(&regimes, &uno_bench::main_schemes(), |(_, topo), scheme| {
-        let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, topo));
-        exp.add_specs(&specs);
-        let r = uno_bench::run_cell(exp, 60 * SECONDS);
-        let done = format!("{}/{}", r.fcts.len(), r.flows);
-        let t = FctTable::new(r.fcts);
-        let all = t.summary();
-        let ia = t.summary_class(FlowClass::Intra);
-        let ie = t.summary_class(FlowClass::Inter);
-        [
-            r.scheme,
-            format!("{:.3}", all.mean_s * 1e3),
-            format!("{:.3}", all.p99_s * 1e3),
-            format!("{:.3}", ia.mean_s * 1e3),
-            format!("{:.3}", ie.mean_s * 1e3),
-            done,
-        ]
-    });
+    let rows = args.sweep_grid(
+        &regimes,
+        &uno_bench::main_schemes(),
+        |(label, topo), scheme| {
+            let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, topo));
+            exp.add_specs(&specs);
+            let cell = format!("{} border links ({label})", topo.border_links);
+            let r = uno_bench::run_cell(exp, 60 * SECONDS, &cell);
+            let done = format!("{}/{}", r.fcts.len(), r.flows);
+            let t = FctTable::new(r.fcts);
+            let all = t.summary();
+            let ia = t.summary_class(FlowClass::Intra);
+            let ie = t.summary_class(FlowClass::Inter);
+            [
+                r.scheme,
+                format!("{:.3}", all.mean_s * 1e3),
+                format!("{:.3}", all.p99_s * 1e3),
+                format!("{:.3}", ia.mean_s * 1e3),
+                format!("{:.3}", ie.mean_s * 1e3),
+                done,
+            ]
+        },
+    );
     for ((label, topo), rows) in regimes.iter().zip(rows) {
         println!(
             "== inter-DC provisioning: {} border links ({label}) ==",

@@ -33,32 +33,39 @@ fn main() {
 
     let workloads: Vec<_> = loads
         .iter()
-        .map(|&load| uno_bench::poisson_mix_specs(&topo, load, duration, args.seed))
+        .map(|&load| {
+            let specs = uno_bench::poisson_mix_specs(&topo, load, duration, args.seed);
+            (format!("load {:.0}%", load * 100.0), specs)
+        })
         .collect();
-    let rows = args.sweep_grid(&workloads, &uno_bench::main_schemes(), |specs, scheme| {
-        let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, &topo));
-        exp.add_specs(specs);
-        let r = uno_bench::run_cell(exp, duration + drain);
-        let done = format!("{}/{}", r.fcts.len(), r.flows);
-        // Unfinished flows enter as FCT lower bounds (end = horizon):
-        // dropping them would flatter slow schemes.
-        let mut fcts = r.fcts;
-        fcts.extend(r.censored);
-        let t = FctTable::new(fcts);
-        let ia = t.summary_class(FlowClass::Intra);
-        let ie = t.summary_class(FlowClass::Inter);
-        let all = t.summary();
-        [
-            r.scheme,
-            format!("{:.3}", ia.mean_s * 1e3),
-            format!("{:.3}", ia.p99_s * 1e3),
-            format!("{:.3}", ie.mean_s * 1e3),
-            format!("{:.3}", ie.p99_s * 1e3),
-            format!("{:.3}", all.mean_s * 1e3),
-            done,
-        ]
-    });
-    for ((load, specs), rows) in loads.iter().zip(&workloads).zip(rows) {
+    let rows = args.sweep_grid(
+        &workloads,
+        &uno_bench::main_schemes(),
+        |(label, specs), scheme| {
+            let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, &topo));
+            exp.add_specs(specs);
+            let r = uno_bench::run_cell(exp, duration + drain, label);
+            let done = format!("{}/{}", r.fcts.len(), r.flows);
+            // Unfinished flows enter as FCT lower bounds (end = horizon):
+            // dropping them would flatter slow schemes.
+            let mut fcts = r.fcts;
+            fcts.extend(r.censored);
+            let t = FctTable::new(fcts);
+            let ia = t.summary_class(FlowClass::Intra);
+            let ie = t.summary_class(FlowClass::Inter);
+            let all = t.summary();
+            [
+                r.scheme,
+                format!("{:.3}", ia.mean_s * 1e3),
+                format!("{:.3}", ia.p99_s * 1e3),
+                format!("{:.3}", ie.mean_s * 1e3),
+                format!("{:.3}", ie.p99_s * 1e3),
+                format!("{:.3}", all.mean_s * 1e3),
+                done,
+            ]
+        },
+    );
+    for ((load, (_, specs)), rows) in loads.iter().zip(&workloads).zip(rows) {
         println!(
             "== load {:.0}%: {} flows ({} inter) ==",
             load * 100.0,

@@ -37,10 +37,10 @@ fn main() {
     let rows = args.sweep_grid(
         &sweeps,
         &uno_bench::main_schemes(),
-        |(_, topo, specs), scheme| {
+        |(ratio, topo, specs), scheme| {
             let mut exp = uno_bench::experiment(uno_bench::config(scheme, args.seed, topo));
             exp.add_specs(specs);
-            let r = uno_bench::run_cell(exp, duration + drain);
+            let r = uno_bench::run_cell(exp, duration + drain, &format!("RTT ratio {ratio}"));
             let done = format!("{}/{}", r.fcts.len(), r.flows);
             // Unfinished flows enter as slowdown lower bounds.
             let mut fcts = r.fcts;

@@ -44,7 +44,7 @@ fn main() {
     let rows = args.sweep().run(uno_bench::main_schemes(), |_, scheme| {
         let mut exp = uno_bench::experiment(uno_bench::config(&scheme, args.seed, &topo));
         exp.add_specs(&specs);
-        let r = uno_bench::run_cell(exp, duration + drain);
+        let r = uno_bench::run_cell(exp, duration + drain, "load 40%");
         let done = format!("{}/{}", r.fcts.len(), r.flows);
         // Unfinished flows enter as FCT lower bounds (end = horizon):
         // dropping them would flatter slow schemes.

@@ -133,7 +133,7 @@ fn main() {
                 exp.sim.schedule_link_down(victim, MILLIS / 2);
             }
         }
-        let r = uno_bench::run_cell(exp, 30 * SECONDS);
+        let r = uno_bench::run_cell(exp, 30 * SECONDS, variant.label());
         let fcts: Vec<f64> = r.fcts.iter().map(|f| f.fct() as f64 / 1e6).collect();
         let outcomes = OutcomeCounts::tally(&r.fcts, &r.failures, &r.censored);
         let mean = if r.all_completed {

@@ -46,7 +46,7 @@ fn main() {
             size,
             start: 0,
         });
-        let r = uno_bench::run_cell(exp, 30 * SECONDS);
+        let r = uno_bench::run_cell(exp, 30 * SECONDS, &format!("burst loss x{loss_scale}"));
         if r.all_completed {
             r.fcts[0].fct() as f64 / 1e6
         } else {

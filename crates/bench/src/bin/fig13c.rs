@@ -62,7 +62,7 @@ fn main() {
             .expect("valid fault spec");
         // ...and every border link sees correlated random drops.
         exp.sim.set_border_loss(model.clone());
-        let r = uno_bench::run_cell(exp, 60 * SECONDS);
+        let r = uno_bench::run_cell(exp, 60 * SECONDS, "border failure + burst loss x50");
         // Ideal assumes the full (pre-failure) aggregate WAN bandwidth
         // and no drops — the paper's "no ECMP collisions or random
         // drops" baseline.

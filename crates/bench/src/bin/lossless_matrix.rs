@@ -144,10 +144,7 @@ fn main() {
         println!(
             "{:>10} {:>9} {:>9} | {:>9.2} {:>10.2} | {:>8} {:>10.2} | {}",
             scheme.name,
-            match fabric {
-                FabricMode::Lossy => "lossy",
-                FabricMode::Lossless => "lossless",
-            },
+            fabric_name(fabric),
             fault.label(),
             uno::metrics::mean(&total.inter_fct_ms),
             uno::metrics::mean(&total.bystander_fct_ms),
@@ -166,6 +163,13 @@ fn main() {
     println!(" backs up and PAUSE frames spread the congestion to flows that");
     println!(" never cross the WAN — the pauses / paused-ms columns measure it)");
     uno_bench::write_manifests("lossless_matrix");
+}
+
+fn fabric_name(fabric: FabricMode) -> &'static str {
+    match fabric {
+        FabricMode::Lossy => "lossy",
+        FabricMode::Lossless => "lossless",
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -217,7 +221,8 @@ fn run_seed(
             })
             .expect("valid fault spec");
     }
-    let r = uno_bench::run_cell(exp, 30 * SECONDS);
+    let label = format!("{} fabric, {}", fabric_name(fabric), fault.label());
+    let r = uno_bench::run_cell(exp, 30 * SECONDS, &label);
     let mut cell = Cell {
         pauses: r.manifest.counters.get("pfc.pauses"),
         paused_ms: r.manifest.counters.get("pfc.paused_ns") as f64 / 1e6,

@@ -35,30 +35,12 @@ static MANIFESTS: Mutex<Vec<RunManifest>> = Mutex::new(Vec::new());
 /// state, so results stay byte-identical with and without it.
 static PROGRESS: AtomicBool = AtomicBool::new(false);
 
-/// Drain every recorded manifest into `results/MANIFEST_<figure>.json`.
-/// Parallel sweeps record manifests in completion order, so the sort key
-/// covers enough simulated fields (name, scheme, seed, sim time, event
-/// count) to make the file stable apart from wall-clock fields no matter
-/// how the cells interleaved. Returns the path written.
+/// Drain every recorded manifest into `results/MANIFEST_<figure>.json`,
+/// sorted by cell label (`name`), scheme, seed, sim time and event count.
+/// Returns the path written.
 pub fn write_manifests(figure: &str) -> PathBuf {
     let mut v = std::mem::take(&mut *MANIFESTS.lock().expect("manifest lock"));
-    v.sort_by(|a, b| {
-        let ka = (
-            a.name.as_str(),
-            a.scheme.as_str(),
-            a.seed,
-            a.sim_time_ns,
-            a.events_processed,
-        );
-        let kb = (
-            b.name.as_str(),
-            b.scheme.as_str(),
-            b.seed,
-            b.sim_time_ns,
-            b.events_processed,
-        );
-        ka.cmp(&kb)
-    });
+    v.sort_by(|a, b| manifest_key(a).cmp(&manifest_key(b)));
     let dir = Path::new("results");
     std::fs::create_dir_all(dir).expect("create results/");
     let path = dir.join(format!("MANIFEST_{figure}.json"));
@@ -70,6 +52,21 @@ pub fn write_manifests(figure: &str) -> PathBuf {
         path.display()
     );
     path
+}
+
+/// Where a cell's manifest goes in its figure's file: by cell label (the
+/// manifest's `name`), scheme and seed, which tell every cell of a figure
+/// apart, then sim time and event count. Parallel sweeps record manifests
+/// in completion order; sorting on simulated fields alone makes the file
+/// the same, apart from wall-clock fields, however the cells interleaved.
+fn manifest_key(m: &RunManifest) -> (&str, &str, u64, u64, u64) {
+    (
+        &m.name,
+        &m.scheme,
+        m.seed,
+        m.sim_time_ns,
+        m.events_processed,
+    )
 }
 
 /// Common command-line options for the figure binaries.
@@ -244,11 +241,15 @@ pub fn experiment(cfg: ExperimentConfig) -> Experiment {
 /// Run one figure cell: `exp`, built with every flow, fault and sampler,
 /// runs until its flows terminate or `horizon`; one stderr line reports it
 /// and its manifest is kept for [`write_manifests`]. Every simulation cell
-/// of every figure binary ends here.
-pub fn run_cell(exp: Experiment, horizon: Time) -> ExperimentResults {
-    let r = exp.run(horizon);
+/// of every figure binary ends here. `label` names the swept parameters
+/// that tell the cell apart from the figure's other cells of the same
+/// scheme and seed (load, EC geometry, fault variant, ...); it becomes the
+/// manifest's `name`.
+pub fn run_cell(exp: Experiment, horizon: Time, label: &str) -> ExperimentResults {
+    let mut r = exp.run(horizon);
+    r.manifest.name = label.to_string();
     eprintln!(
-        "[{}] seed {}, {} flows, sim {:.3}s, wall {:.1}s{}",
+        "[{}] {label}, seed {}, {} flows, sim {:.3}s, wall {:.1}s{}",
         r.scheme,
         r.manifest.seed,
         r.flows,
@@ -364,6 +365,47 @@ pub fn fmt_ms(t: Time) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn manifests_sort_by_label_then_scheme_then_seed() {
+        let manifest = |name: &str, scheme: &str, seed, events| RunManifest {
+            name: name.to_string(),
+            scheme: scheme.to_string(),
+            seed,
+            topo: serde_json::Value::Null,
+            sim_time_ns: 1,
+            wall_seconds: 0.0,
+            events_processed: events,
+            events_per_sec: 0.0,
+            flows: 1,
+            completed: 1,
+            counters: Default::default(),
+        };
+        // Completion order: the label decides first, even against a
+        // smaller seed or event count.
+        let mut v = [
+            manifest("load 60%", "Uno", 1, 10),
+            manifest("load 20%", "Uno", 2, 30),
+            manifest("load 20%", "Gemini", 1, 50),
+            manifest("load 20%", "Uno", 1, 40),
+            manifest("load 40%", "Uno", 1, 20),
+        ];
+        v.sort_by(|a, b| manifest_key(a).cmp(&manifest_key(b)));
+        let keys: Vec<(&str, &str, u64)> = v
+            .iter()
+            .map(|m| (m.name.as_str(), m.scheme.as_str(), m.seed))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                ("load 20%", "Gemini", 1),
+                ("load 20%", "Uno", 1),
+                ("load 20%", "Uno", 2),
+                ("load 40%", "Uno", 1),
+                ("load 60%", "Uno", 1),
+            ]
+        );
+    }
 
     #[test]
     fn bytes_formatting() {

@@ -52,7 +52,7 @@ fn run_slice(jobs: usize) -> Vec<String> {
     runner.run(cells(), |_, (label, n_intra, n_inter, scheme)| {
         let mut exp = uno_bench::experiment(uno_bench::config(&scheme, 1, &topo));
         exp.add_specs(&incast(n_intra, n_inter, size, hosts));
-        let r = run_cell(exp, 60 * SECONDS);
+        let r = run_cell(exp, 60 * SECONDS, label);
         let summary = FctTable::new(r.fcts).summary();
         format!(
             "{label}|{scheme}|mean={:.9}|p99={:.9}|max={:.9}|manifest={}",
@@ -206,7 +206,7 @@ fn run_built_cells(jobs: usize) -> Vec<String> {
                 }
             }
         }
-        let r: ExperimentResults = run_cell(exp, 60 * SECONDS);
+        let r: ExperimentResults = run_cell(exp, 60 * SECONDS, &format!("{build:?}"));
         // Each build must leave its mark, or the comparison shows nothing.
         let counters = &r.manifest.counters;
         match build {

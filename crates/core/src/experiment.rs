@@ -127,8 +127,9 @@ pub struct ExperimentResults {
     /// Number of flows registered.
     pub flows: usize,
     /// Run manifest: seed, topology, throughput and final counter snapshot.
-    /// `manifest.name` defaults to the scheme name; figure binaries override
-    /// it with the experiment's name before writing the manifest out.
+    /// `manifest.name` is the scheme name here; the figure binaries' cell
+    /// runner (`uno_bench::run_cell`) replaces it with the cell's label,
+    /// the swept parameters that tell the figure's cells apart.
     pub manifest: RunManifest,
     /// Serialized telemetry section (present when
     /// [`ExperimentConfig::telemetry`] was set): per-link/per-flow/fault

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use uno::sim::event::{Event, EventQueue};
 use uno::sim::{
     FabricMode, FlowId, NodeId, Packet, PacketPool, PortQueue, RedParams, Time, TopologyParams,
-    SECONDS,
+    MILLIS, SECONDS,
 };
 use uno::{Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
 use uno_erasure::{gf256, CodecScratch, ReedSolomon, ShardPool};
@@ -93,6 +93,12 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
     let mut profiled = incast_profiled_rate(quick);
     profiled.gated = false;
     benches.push(profiled);
+
+    // Macrobench: peak memory of fig04's long-lived WAN incast, where each
+    // flow's message dwarfs its window — the gate on per-flow sender state
+    // following data in flight, not message size. It runs before the
+    // multi-site rows, whose freed heap stays resident and would dilute it.
+    benches.push(longflow_peak_rss(quick));
 
     // Macrobench: engine throughput and peak memory on a multi-site fabric
     // (quick: 4×k=16 = 4096 hosts; full: 4×k=32 = 32768 hosts). Gates the
@@ -814,6 +820,64 @@ fn permutation_peak_rss(quick: bool) -> BenchResult {
     );
     BenchResult {
         name: "permutation_peak_rss".to_string(),
+        value: rss as f64,
+        unit: "KiB".to_string(),
+        higher_is_better: false,
+        gated: true,
+        wall_seconds: wall,
+    }
+}
+
+/// Peak RSS of fig04's long-flow shape at fig04's horizon: eight inter-DC
+/// 4 GiB Uno flows incast into DC0 host 0 (quick: the k=4 topology for
+/// 300 ms; full: k=8 for 500 ms). Each message has 1.31 M wire packets
+/// under (8, 2) EC, but the flows share one 100 Gbps bottleneck and send a
+/// few percent of them before the horizon. Isolated like
+/// `permutation_peak_rss`. The quick horizon is long enough that sender
+/// state kept for every packet sent so far (2.7x this row when measured)
+/// fails `compare` at the CI's 25% tolerance, as does sender state sized
+/// by the message (23x).
+fn longflow_peak_rss(quick: bool) -> BenchResult {
+    let (topo, horizon) = if quick {
+        (TopologyParams::small(), 300 * MILLIS)
+    } else {
+        (TopologyParams::default(), 500 * MILLIS)
+    };
+    let hosts = topo.hosts_per_dc() as u32;
+    let specs: Vec<FlowSpec> = (0..8u32)
+        .map(|i| FlowSpec {
+            src_dc: 1,
+            src_idx: i * hosts / 8,
+            dst_dc: 0,
+            dst_idx: 0,
+            size: 4 << 30,
+            start: 0,
+        })
+        .collect();
+
+    let isolated = reset_peak_rss();
+    let mut cfg = ExperimentConfig::quick(SchemeSpec::uno(), 1);
+    cfg.topo = topo;
+    let mut exp = Experiment::new(cfg);
+    exp.add_specs(&specs);
+    let started = Instant::now();
+    let r = exp.run(horizon);
+    let wall = started.elapsed().as_secs_f64();
+    assert_eq!(
+        r.sim_time, horizon,
+        "the long flows must outlive the horizon"
+    );
+    let rss = peak_rss_kib();
+    eprintln!(
+        "[uno-perfkit] longflow_peak_rss (8 inter x 4 GiB, {} ms): peak RSS {:.1} MiB{} \
+         ({} events)",
+        horizon / MILLIS,
+        rss as f64 / 1024.0,
+        if isolated { "" } else { " (process-wide)" },
+        r.manifest.events_processed,
+    );
+    BenchResult {
+        name: "longflow_peak_rss".to_string(),
         value: rss as f64,
         unit: "KiB".to_string(),
         higher_is_better: false,

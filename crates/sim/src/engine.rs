@@ -175,7 +175,30 @@ pub struct Ctx<'a> {
     actions: &'a mut Vec<Action>,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    /// A context for calling `flow`'s [`FlowLogic`] at `now`. The engine
+    /// builds one per callback; a unit test can build its own to drive a
+    /// flow by hand, reading what the flow did from `actions`.
+    pub fn new(
+        now: Time,
+        flow: FlowId,
+        rng: &'a mut SmallRng,
+        topo: &'a Topology,
+        tracer: &'a mut Tracer,
+        profiler: &'a mut Profiler,
+        actions: &'a mut Vec<Action>,
+    ) -> Self {
+        Ctx {
+            now,
+            flow,
+            rng,
+            topo,
+            tracer,
+            profiler,
+            actions,
+        }
+    }
+
     /// Send `pkt` (injected at `pkt.src`'s NIC uplink).
     pub fn send(&mut self, pkt: Packet) {
         self.actions.push(Action::Send(pkt));
@@ -1272,15 +1295,15 @@ impl Simulator {
         actions.clear();
         self.profiler.enter("transport");
         {
-            let mut ctx = Ctx {
-                now: self.now,
+            let mut ctx = Ctx::new(
+                self.now,
                 flow,
-                rng: &mut self.rng,
-                topo: &self.topo,
-                tracer: &mut self.tracer,
-                profiler: &mut self.profiler,
-                actions: &mut actions,
-            };
+                &mut self.rng,
+                &self.topo,
+                &mut self.tracer,
+                &mut self.profiler,
+                &mut actions,
+            );
             f(logic.as_mut(), &mut ctx);
         }
         self.profiler.exit();

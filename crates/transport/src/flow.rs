@@ -118,23 +118,93 @@ impl FlowConfig {
     }
 }
 
-/// Per-wire-packet sender state.
+/// Where one wire packet stands in the send pipeline.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Phase {
+    /// Never transmitted.
+    #[default]
+    Fresh,
+    /// Transmitted and counted in `inflight`.
+    InFlight,
+    /// Presumed lost and waiting in `rtx_queue`.
+    Queued,
+    /// Acknowledged, or settled with its EC block. Final.
+    Acked,
+}
+
+/// Sender record of one wire packet.
 #[derive(Clone, Copy, Debug, Default)]
 struct PktState {
-    acked: bool,
-    outstanding: bool,
-    queued_rtx: bool,
-    /// Invalid slots exist when the last EC block has fewer than `x` data
-    /// packets; they are never sent.
-    valid: bool,
-    /// Set on first transmission; `next_new` never revisits such packets.
-    ever_sent: bool,
-    rtx: u8,
     sent_at: Time,
     order: u64,
     delivered_at_send: u64,
-    entropy: u16,
+    /// Wire bytes. 0 marks the data slots that a short last EC block leaves
+    /// empty; they are never sent.
     size: u32,
+    entropy: u16,
+    phase: Phase,
+}
+
+const _: () = assert!(std::mem::size_of::<PktState>() == 32);
+
+/// The sender records of wire sequences `[base, base + len)`, where `base`
+/// is the oldest sequence not yet acked or settled. A sequence below the
+/// ring reads as acked and one at or past its end as never sent, so the
+/// ring spans the open window, not the message: it grows while a hole stays
+/// open and its base jumps forward once the hole closes.
+#[derive(Debug, Default)]
+struct SendRing {
+    base: u64,
+    slots: VecDeque<PktState>,
+}
+
+impl SendRing {
+    /// One past the highest sequence touched.
+    fn hi(&self) -> u64 {
+        self.base + self.slots.len() as u64
+    }
+
+    fn get(&self, seq: u64) -> Option<&PktState> {
+        self.slots.get(seq.checked_sub(self.base)? as usize)
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut PktState> {
+        self.slots.get_mut(seq.checked_sub(self.base)? as usize)
+    }
+
+    fn is_acked(&self, seq: u64) -> bool {
+        seq < self.base || self.get(seq).is_some_and(|s| s.phase == Phase::Acked)
+    }
+
+    /// Append the record of sequence `hi()`. Storage starts at 16 slots and
+    /// doubles, but never past `max`, the message's wire count.
+    fn push(&mut self, s: PktState, max: u64) {
+        if self.slots.len() == self.slots.capacity() {
+            let cap = (self.slots.capacity() * 2).max(16).min(max as usize);
+            self.slots.reserve_exact(cap - self.slots.len());
+        }
+        self.slots.push_back(s);
+    }
+
+    /// Move `base` past the acked and empty slots at the front.
+    fn advance(&mut self) {
+        while self
+            .slots
+            .front()
+            .is_some_and(|s| s.phase == Phase::Acked || s.size == 0)
+        {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
+fn bit(words: &[u64], i: u64) -> bool {
+    words[(i / 64) as usize] & (1 << (i % 64)) != 0
+}
+
+fn set_bit(words: &mut [u64], i: u64) {
+    words[(i / 64) as usize] |= 1 << (i % 64);
 }
 
 /// Controller/balancer state captured before a congestion signal is applied,
@@ -163,7 +233,11 @@ pub struct MessageFlow {
     block_n: u64,
 
     // --- sender ---
-    st: Vec<PktState>,
+    ring: SendRing,
+    /// One bit per wire packet: ever retransmitted. Karn's rule reads it on
+    /// every ACK, also for packets already below the ring (a block settled
+    /// by [`MessageFlow::finish_block`] still gets ACKs for its packets).
+    rtx_bitmap: Vec<u64>,
     total_wire: u64,
     next_new: u64,
     rtx_queue: VecDeque<u64>,
@@ -239,8 +313,10 @@ impl MessageFlow {
             }
             None => (0, 0, data_pkts),
         };
-        let mut flow = MessageFlow {
-            st: vec![PktState::default(); total_wire as usize],
+        let words = (total_wire as usize).div_ceil(64);
+        MessageFlow {
+            ring: SendRing::default(),
+            rtx_bitmap: vec![0; words],
             total_wire,
             data_pkts,
             nblocks,
@@ -273,7 +349,7 @@ impl MessageFlow {
             stall_strikes: 0,
             rtos_since_progress: 0,
             delivered_at_last_rto: 0,
-            rx_bitmap: vec![0; (total_wire as usize).div_ceil(64)],
+            rx_bitmap: vec![0; words],
             rx_block_count: vec![0; nblocks as usize],
             rx_block_done: vec![false; nblocks as usize],
             rx_block_seen: vec![false; nblocks as usize],
@@ -282,9 +358,7 @@ impl MessageFlow {
             nack_count: 0,
             cfg,
             cc,
-        };
-        flow.init_layout();
-        flow
+        }
     }
 
     /// Access the congestion controller (diagnostics).
@@ -307,39 +381,36 @@ impl MessageFlow {
         self.delivered
     }
 
-    fn init_layout(&mut self) {
-        match self.cfg.ec {
-            Some(ec) => {
-                let x = ec.data as u64;
-                let n = ec.total() as u64;
-                for seq in 0..self.total_wire {
-                    let b = seq / n;
-                    let i = seq % n;
-                    let db = self.block_data_count(b);
-                    let (valid, size) = if i < x {
-                        // Data slot (only the first `db` are real).
-                        if i < db {
-                            (true, self.data_pkt_size(b * x + i))
-                        } else {
-                            (false, 0)
-                        }
-                    } else {
-                        // Parity slots: same size as the block's first shard.
-                        (true, self.data_pkt_size(b * x))
-                    };
-                    let s = &mut self.st[seq as usize];
-                    s.valid = valid;
-                    s.size = size;
-                }
-            }
-            None => {
-                for seq in 0..self.total_wire {
-                    let size = self.data_pkt_size(seq);
-                    let s = &mut self.st[seq as usize];
-                    s.valid = true;
-                    s.size = size;
-                }
-            }
+    /// Wire bytes of sequence `seq`, or 0 for an empty data slot of a short
+    /// last EC block.
+    fn wire_size(&self, seq: u64) -> u32 {
+        let Some(ec) = self.cfg.ec else {
+            return self.data_pkt_size(seq);
+        };
+        let x = ec.data as u64;
+        let n = ec.total() as u64;
+        let (b, i) = (seq / n, seq % n);
+        if i >= x {
+            // Parity: the same size as the block's first shard.
+            self.data_pkt_size(b * x)
+        } else if i < self.block_data_count(b) {
+            self.data_pkt_size(b * x + i)
+        } else {
+            0
+        }
+    }
+
+    /// Enter every sequence below `hi` into the ring, as never sent.
+    fn extend_ring(&mut self, hi: u64) {
+        while self.ring.hi() < hi {
+            let size = self.wire_size(self.ring.hi());
+            self.ring.push(
+                PktState {
+                    size,
+                    ..PktState::default()
+                },
+                self.total_wire,
+            );
         }
     }
 
@@ -420,15 +491,14 @@ impl MessageFlow {
                 return;
             }
             // Window gate.
-            let Some(seq) = self.peek_next_seq() else {
+            let Some((seq, size)) = self.peek_next_seq() else {
                 return;
             };
-            let size = self.st[seq as usize].size as u64;
-            if self.inflight > 0 && (self.inflight + size) as f64 > self.cc.cwnd() {
+            if self.inflight > 0 && (self.inflight + size as u64) as f64 > self.cc.cwnd() {
                 return;
             }
             self.pop_next_seq(seq);
-            self.transmit(seq, ctx);
+            self.transmit(seq, size, ctx);
             if let Some(rate) = self.cc.pacing_bps() {
                 if rate > 0.0 {
                     let gap = (size as f64 * 8.0 * uno_sim::SECONDS as f64 / rate) as Time;
@@ -438,23 +508,31 @@ impl MessageFlow {
         }
     }
 
-    /// Next sequence to transmit, preferring retransmissions.
-    fn peek_next_seq(&mut self) -> Option<u64> {
+    /// Next sequence to transmit and its wire size, preferring
+    /// retransmissions.
+    fn peek_next_seq(&mut self) -> Option<(u64, u32)> {
         // Drop stale rtx entries (already acked since queued).
         while let Some(&seq) = self.rtx_queue.front() {
-            if self.st[seq as usize].acked {
-                self.rtx_queue.pop_front();
-                self.st[seq as usize].queued_rtx = false;
-            } else {
-                return Some(seq);
+            match self.ring.get(seq) {
+                Some(s) if s.phase != Phase::Acked => return Some((seq, s.size)),
+                _ => {
+                    self.rtx_queue.pop_front();
+                }
             }
         }
-        // Next fresh packet, skipping invalid slots and anything already
-        // handled out of order (e.g. NACK-driven retransmissions).
+        // Next fresh packet, skipping empty slots and packets settled with
+        // their block before they were sent. Only a sequence past the ring
+        // can be fresh: inside it, those at or past `next_new` were all
+        // settled by `finish_block`, and below it every one is acked.
         while self.next_new < self.total_wire {
-            let s = &self.st[self.next_new as usize];
-            if s.valid && !s.ever_sent && !s.queued_rtx && !s.acked {
-                return Some(self.next_new);
+            let seq = self.next_new;
+            let size = if seq >= self.ring.hi() {
+                self.wire_size(seq)
+            } else {
+                0
+            };
+            if size > 0 {
+                return Some((seq, size));
             }
             self.next_new += 1;
         }
@@ -464,36 +542,47 @@ impl MessageFlow {
     fn pop_next_seq(&mut self, seq: u64) {
         if self.rtx_queue.front() == Some(&seq) {
             self.rtx_queue.pop_front();
-            self.st[seq as usize].queued_rtx = false;
         } else {
             debug_assert_eq!(seq, self.next_new);
             self.next_new += 1;
         }
     }
 
-    fn transmit(&mut self, seq: u64, ctx: &mut Ctx) {
+    fn transmit(&mut self, seq: u64, size: u32, ctx: &mut Ctx) {
         let entropy = self.lb.as_mut().expect("started").next_entropy(ctx.rng);
         let order = self.send_order;
         self.send_order += 1;
         let delivered = self.delivered;
         let (block, idx, parity) = self.seq_block(seq);
-        let s = &mut self.st[seq as usize];
-        debug_assert!(s.valid && !s.acked);
-        let is_rtx = s.ever_sent;
-        s.ever_sent = true;
-        if !s.outstanding {
-            self.inflight += s.size as u64;
+        if seq >= self.ring.hi() {
+            // First transmission: the packet enters the ring, after any
+            // empty slots the fresh-packet scan skipped.
+            self.extend_ring(seq);
+            self.ring.push(
+                PktState {
+                    size,
+                    ..PktState::default()
+                },
+                self.total_wire,
+            );
         }
-        s.outstanding = true;
+        let s = self
+            .ring
+            .get_mut(seq)
+            .expect("unacked packets are in the ring");
+        debug_assert!(s.size == size && matches!(s.phase, Phase::Fresh | Phase::Queued));
+        let is_rtx = s.phase == Phase::Queued;
+        s.phase = Phase::InFlight;
         s.sent_at = ctx.now;
         s.order = order;
         s.delivered_at_send = delivered;
         s.entropy = entropy;
+        self.inflight += size as u64;
         if is_rtx {
-            s.rtx = s.rtx.saturating_add(1);
+            set_bit(&mut self.rtx_bitmap, seq);
             self.rtx_packets += 1;
         }
-        let mut p = Packet::data(ctx.flow, seq, s.size, self.cfg.src, self.cfg.dst);
+        let mut p = Packet::data(ctx.flow, seq, size, self.cfg.src, self.cfg.dst);
         p.entropy = entropy;
         p.sent_at = ctx.now;
         p.block = block;
@@ -556,11 +645,9 @@ impl MessageFlow {
         };
         let mut fifo = std::mem::take(&mut self.sent_fifo);
         for (order, seq) in fifo.drain(..) {
-            let s = &mut self.st[seq as usize];
-            if s.outstanding && !s.acked && s.order == order {
-                s.outstanding = false;
-                if !s.queued_rtx {
-                    s.queued_rtx = true;
+            if let Some(s) = self.ring.get_mut(seq) {
+                if s.phase == Phase::InFlight && s.order == order {
+                    s.phase = Phase::Queued;
                     self.rtx_queue.push_back(seq);
                 }
             }
@@ -594,12 +681,11 @@ impl MessageFlow {
         // is ambiguous (it may acknowledge any copy), so it must not feed
         // the RTT estimator — a stale-copy ACK measured against the newest
         // transmission would collapse the RTO below the real RTT.
-        if self.st[seq as usize].rtx == 0 {
+        if !bit(&self.rtx_bitmap, seq) {
             self.rtt.sample(rtt_sample);
         }
         self.rto_backoff = 0;
-        let s = &mut self.st[seq as usize];
-        if s.acked {
+        if self.ring.is_acked(seq) {
             // Duplicate (e.g. spurious retransmission): no byte accounting,
             // but a piggybacked block-completion signal still counts.
             if ctx.tracing() {
@@ -623,12 +709,13 @@ impl MessageFlow {
             self.pump(ctx);
             return;
         }
-        s.acked = true;
-        if s.outstanding {
-            s.outstanding = false;
+        let s = self.ring.get_mut(seq).expect("an ACKed packet was sent");
+        if s.phase == Phase::InFlight {
             self.inflight = self.inflight.saturating_sub(s.size as u64);
         }
+        s.phase = Phase::Acked;
         let (order, entropy, delivered_at_send) = (s.order, s.entropy, s.delivered_at_send);
+        self.ring.advance();
         self.delivered += pkt.acked_size as u64;
         self.max_acked_order = self.max_acked_order.max(order);
 
@@ -714,8 +801,8 @@ impl MessageFlow {
     /// consumes the log's front.
     fn trim_sent_fifo(&mut self) {
         while let Some(&(order, seq)) = self.sent_fifo.front() {
-            let s = &self.st[seq as usize];
-            if s.outstanding && !s.acked && s.order == order {
+            let live = self.ring.get(seq);
+            if live.is_some_and(|s| s.phase == Phase::InFlight && s.order == order) {
                 break;
             }
             self.sent_fifo.pop_front();
@@ -738,14 +825,13 @@ impl MessageFlow {
                 break;
             }
             self.sent_fifo.pop_front();
-            let s = &mut self.st[seq as usize];
-            if !s.acked && s.outstanding && s.order == order {
-                s.outstanding = false;
+            let Some(s) = self.ring.get_mut(seq) else {
+                continue;
+            };
+            if s.phase == Phase::InFlight && s.order == order {
+                s.phase = Phase::Queued;
                 self.inflight = self.inflight.saturating_sub(s.size as u64);
-                if !s.queued_rtx {
-                    s.queued_rtx = true;
-                    self.rtx_queue.push_back(seq);
-                }
+                self.rtx_queue.push_back(seq);
                 loss = true;
             }
         }
@@ -795,17 +881,22 @@ impl MessageFlow {
         if self.block_acked[b as usize] < needed {
             self.block_acked[b as usize] = needed;
         }
-        for seq in self.block_seqs(b) {
-            let s = &mut self.st[seq as usize];
-            if s.valid && !s.acked {
-                s.acked = true;
-                if s.outstanding {
-                    s.outstanding = false;
-                    self.inflight = self.inflight.saturating_sub(s.size as u64);
-                }
-                // Stale rtx-queue entries are dropped lazily by the pump.
+        // Parity the window has not let out yet is settled too: it enters
+        // the ring as acked and is never sent.
+        let seqs = self.block_seqs(b);
+        self.extend_ring(seqs.end);
+        for seq in seqs {
+            // Below the ring every packet is acked already.
+            let Some(s) = self.ring.get_mut(seq) else {
+                continue;
+            };
+            if s.phase == Phase::InFlight {
+                self.inflight = self.inflight.saturating_sub(s.size as u64);
             }
+            // Stale rtx-queue entries are dropped lazily by the pump.
+            s.phase = Phase::Acked;
         }
+        self.ring.advance();
         self.block_settled[b as usize] = true;
     }
 
@@ -820,20 +911,20 @@ impl MessageFlow {
         // balancer's decision stream — and hence the RNG stream — intact.
         if !self.block_settled[b as usize] {
             for seq in self.block_seqs(b) {
-                let s = &mut self.st[seq as usize];
-                // Never-sent packets will go out in order anyway.
-                if !s.valid || !s.ever_sent || s.acked || s.queued_rtx {
+                // Below the ring every packet is acked; past it none was
+                // sent, and never-sent packets will go out in order anyway.
+                let Some(s) = self.ring.get_mut(seq) else {
+                    continue;
+                };
+                if s.phase != Phase::InFlight {
                     continue;
                 }
                 // Don't duplicate packets that are plausibly still in flight.
-                if s.outstanding && ctx.now.saturating_sub(s.sent_at) < self.cfg.base_rtt {
+                if ctx.now.saturating_sub(s.sent_at) < self.cfg.base_rtt {
                     continue;
                 }
-                if s.outstanding {
-                    s.outstanding = false;
-                    self.inflight = self.inflight.saturating_sub(s.size as u64);
-                }
-                s.queued_rtx = true;
+                s.phase = Phase::Queued;
+                self.inflight = self.inflight.saturating_sub(s.size as u64);
                 self.rtx_queue.push_back(seq);
             }
         }
@@ -930,11 +1021,8 @@ impl MessageFlow {
     // ------------------------------------------------------------------
 
     fn on_data(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let seq = pkt.seq as usize;
-        let word = seq / 64;
-        let bit = 1u64 << (seq % 64);
-        let first = self.rx_bitmap[word] & bit == 0;
-        self.rx_bitmap[word] |= bit;
+        let first = !bit(&self.rx_bitmap, pkt.seq);
+        set_bit(&mut self.rx_bitmap, pkt.seq);
         if self.cfg.ec.is_some() && first {
             ctx.profiler.enter("erasure_decode");
             let b = pkt.block as usize;
@@ -1047,7 +1135,8 @@ impl FlowLogic for MessageFlow {
         // cc/lb/rtt, which stay). Releasing the per-packet and per-block
         // arrays here keeps resident memory flat across scenarios that churn
         // through many short flows: completed flows cost O(1), not O(size).
-        self.st = Vec::new();
+        self.ring.slots = VecDeque::new();
+        self.rtx_bitmap = Vec::new();
         self.rtx_queue = VecDeque::new();
         self.sent_fifo = VecDeque::new();
         self.block_acked = Vec::new();
@@ -1089,43 +1178,155 @@ impl FlowLogic for MessageFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uno_sim::{NodeId, MICROS, MILLIS};
+    use rand::SeedableRng;
+    use uno_sim::{
+        Action, FlowId, NodeId, Profiler, Topology, TopologyParams, Tracer, MICROS, MILLIS,
+    };
 
     fn flow_with(size: u64, ec: Option<EcParams>) -> MessageFlow {
-        let mut cfg = FlowConfig::basic(NodeId(0), NodeId(1), size, 14 * MICROS);
-        cfg.ec = ec;
         let cc = crate::unocc::UnoCc::new(crate::cc::CcConfig::paper_defaults(
             175_000.0,
             14 * MICROS,
             175_000.0,
             14 * MICROS,
         ));
-        MessageFlow::new(cfg, Box::new(cc))
+        flow_with_cc(size, ec, Box::new(cc))
+    }
+
+    fn flow_with_cc(size: u64, ec: Option<EcParams>, cc: Box<dyn CcAlgorithm>) -> MessageFlow {
+        let mut cfg = FlowConfig::basic(NodeId(0), NodeId(1), size, 14 * MICROS);
+        cfg.ec = ec;
+        MessageFlow::new(cfg, cc)
+    }
+
+    /// A window of full packets that never moves and never paces,
+    /// so a test alone decides when packets go out.
+    struct FixedWindow(f64);
+
+    impl CcAlgorithm for FixedWindow {
+        fn on_ack(&mut self, _: &AckEvent) {}
+        fn on_loss(&mut self, _: Time) {}
+        fn cwnd(&self) -> f64 {
+            self.0
+        }
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+    }
+
+    fn flow_with_window(pkts: u64, ec: Option<EcParams>, window_pkts: u32) -> MessageFlow {
+        let window = FixedWindow(window_pkts as f64 * 4096.0);
+        flow_with_cc(pkts * 4096, ec, Box::new(window))
+    }
+
+    /// Enter every wire sequence into the ring; returns the slots' sizes.
+    fn slot_sizes(f: &mut MessageFlow) -> Vec<u32> {
+        f.extend_ring(f.total_wire);
+        f.ring.slots.iter().map(|s| s.size).collect()
+    }
+
+    /// The ring slot of `seq`, entering it first.
+    fn slot(f: &mut MessageFlow, seq: u64) -> &mut PktState {
+        f.extend_ring(seq + 1);
+        f.ring.get_mut(seq).expect("not below the ring")
+    }
+
+    /// Drives a flow by hand. One `MessageFlow` is both endpoints, so a test
+    /// moves packets between its halves itself: it hands data packets to
+    /// the receiver half and ACKs back to the sender, and may drop, hold or
+    /// replay any of them. Timers are not fired.
+    struct Wire {
+        rng: rand::rngs::SmallRng,
+        topo: Topology,
+        tracer: Tracer,
+        profiler: Profiler,
+        now: Time,
+    }
+
+    impl Wire {
+        fn new() -> Self {
+            Wire {
+                rng: rand::rngs::SmallRng::seed_from_u64(1),
+                topo: Topology::build(TopologyParams::small()),
+                tracer: Tracer::disabled(),
+                profiler: Profiler::disabled(),
+                now: 0,
+            }
+        }
+
+        /// Runs `call` on `f` now; returns the packets it sent.
+        fn call(
+            &mut self,
+            f: &mut MessageFlow,
+            call: impl FnOnce(&mut MessageFlow, &mut Ctx),
+        ) -> Vec<Packet> {
+            let mut actions = Vec::new();
+            let mut ctx = Ctx::new(
+                self.now,
+                FlowId(0),
+                &mut self.rng,
+                &self.topo,
+                &mut self.tracer,
+                &mut self.profiler,
+                &mut actions,
+            );
+            call(f, &mut ctx);
+            actions
+                .into_iter()
+                .filter_map(|a| match a {
+                    Action::Send(p) => Some(p),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn start(&mut self, f: &mut MessageFlow) -> Vec<Packet> {
+            self.call(f, |f, ctx| f.on_start(ctx))
+        }
+
+        fn deliver(&mut self, f: &mut MessageFlow, pkt: Packet) -> Vec<Packet> {
+            self.call(f, |f, ctx| f.on_packet(pkt, ctx))
+        }
+
+        /// Hands each data packet in `data` to the receiver half and its
+        /// ACK straight back to the sender; returns what the sender sent.
+        fn round_trip(&mut self, f: &mut MessageFlow, data: Vec<Packet>) -> Vec<Packet> {
+            let mut sent = Vec::new();
+            for p in data {
+                for ack in self.deliver(f, p) {
+                    sent.extend(self.deliver(f, ack));
+                }
+            }
+            sent
+        }
+    }
+
+    fn seqs(pkts: &[Packet]) -> Vec<u64> {
+        pkts.iter().map(|p| p.seq).collect()
     }
 
     #[test]
     fn layout_without_ec() {
-        let f = flow_with(10_000, None);
+        let mut f = flow_with(10_000, None);
         // 10 KB at 4 KiB MTU = 3 packets: 4096 + 4096 + 1808.
         assert_eq!(f.data_pkts, 3);
         assert_eq!(f.total_wire, 3);
         assert_eq!(f.nblocks, 0);
-        assert_eq!(f.st[0].size, 4096);
-        assert_eq!(f.st[1].size, 4096);
-        assert_eq!(f.st[2].size, 10_000 - 8192);
-        assert!(f.st.iter().all(|s| s.valid));
+        // Every slot is sent (none is empty).
+        assert_eq!(slot_sizes(&mut f), [4096, 4096, 10_000 - 8192]);
+        // The ring is capped at the wire count, below its 16-slot start.
+        assert_eq!(f.ring.slots.capacity(), 3);
     }
 
     #[test]
     fn layout_with_ec_full_blocks() {
         // 64 KiB = 16 data packets = exactly two (8,2) blocks.
-        let f = flow_with(64 << 10, Some(EcParams::PAPER_DEFAULT));
+        let mut f = flow_with(64 << 10, Some(EcParams::PAPER_DEFAULT));
         assert_eq!(f.data_pkts, 16);
         assert_eq!(f.nblocks, 2);
         assert_eq!(f.total_wire, 20);
-        // All 20 wire slots valid; parity sized like the data shards.
-        assert!(f.st.iter().all(|s| s.valid));
-        assert!(f.st.iter().all(|s| s.size == 4096));
+        // All 20 wire slots are sent; parity sized like the data shards.
+        assert_eq!(slot_sizes(&mut f), [4096; 20]);
         let (b, i, parity) = f.seq_block(13);
         assert_eq!((b, i, parity), (1, 3, false));
         let (b, i, parity) = f.seq_block(18);
@@ -1134,13 +1335,13 @@ mod tests {
 
     #[test]
     fn layout_with_partial_last_block() {
-        // 5 data packets in an (8,2) geometry: one block, 3 invalid data
+        // 5 data packets in an (8,2) geometry: one block, 3 empty data
         // slots, 2 parity slots.
-        let f = flow_with(5 * 4096, Some(EcParams::PAPER_DEFAULT));
+        let mut f = flow_with(5 * 4096, Some(EcParams::PAPER_DEFAULT));
         assert_eq!(f.data_pkts, 5);
         assert_eq!(f.nblocks, 1);
         assert_eq!(f.block_data_count(0), 5);
-        let valid: Vec<bool> = f.st.iter().map(|s| s.valid).collect();
+        let valid: Vec<bool> = slot_sizes(&mut f).iter().map(|&s| s > 0).collect();
         assert_eq!(
             valid,
             vec![true, true, true, true, true, false, false, false, true, true]
@@ -1149,13 +1350,14 @@ mod tests {
 
     #[test]
     fn tiny_message_single_short_packet() {
-        let f = flow_with(100, Some(EcParams::PAPER_DEFAULT));
+        let mut f = flow_with(100, Some(EcParams::PAPER_DEFAULT));
         assert_eq!(f.data_pkts, 1);
         assert_eq!(f.block_data_count(0), 1);
-        assert_eq!(f.st[0].size, 100);
+        let sizes = slot_sizes(&mut f);
+        assert_eq!(sizes[0], 100);
         // Parity mirrors the first shard's size.
-        assert_eq!(f.st[8].size, 100);
-        assert_eq!(f.st[9].size, 100);
+        assert_eq!(sizes[8], 100);
+        assert_eq!(sizes[9], 100);
     }
 
     #[test]
@@ -1185,16 +1387,20 @@ mod tests {
     fn finish_block_clears_pipeline_state() {
         let mut f = flow_with(64 << 10, Some(EcParams::PAPER_DEFAULT));
         // Pretend block 0's packets are all in flight.
-        for seq in 0..10usize {
-            f.st[seq].ever_sent = true;
-            f.st[seq].outstanding = true;
-            f.inflight += f.st[seq].size as u64;
+        for seq in 0..10 {
+            let s = slot(&mut f, seq);
+            s.phase = Phase::InFlight;
+            let size = s.size as u64;
+            f.inflight += size;
         }
         let before = f.inflight;
         assert_eq!(before, 10 * 4096);
         f.finish_block(0);
         assert_eq!(f.inflight, 0);
-        assert!(f.st[..10].iter().all(|s| s.acked));
+        assert!((0..10).all(|seq| f.ring.is_acked(seq)));
+        // The settled block left the ring.
+        assert_eq!(f.ring.base, 10);
+        assert!(f.ring.slots.is_empty());
         assert_eq!(f.blocks_done, 1);
         // Idempotent.
         f.finish_block(0);
@@ -1206,25 +1412,27 @@ mod tests {
         let mut f = flow_with(64 << 10, Some(EcParams::PAPER_DEFAULT));
         // Seqs 0..4 sent in order 0..4, then seq 1 resent as order 4.
         for seq in 0..4u64 {
-            f.st[seq as usize].outstanding = true;
-            f.st[seq as usize].order = seq;
+            let s = slot(&mut f, seq);
+            s.phase = Phase::InFlight;
+            s.order = seq;
             f.sent_fifo.push_back((seq, seq));
         }
-        f.st[1].order = 4;
+        slot(&mut f, 1).order = 4;
         f.sent_fifo.push_back((4, 1));
-        // Seq 0 acked, seq 2 presumed lost (no longer outstanding).
-        f.st[0].acked = true;
-        f.st[0].outstanding = false;
-        f.st[2].outstanding = false;
+        // Seq 0 acked (so it leaves the ring), seq 2 presumed lost.
+        slot(&mut f, 0).phase = Phase::Acked;
+        f.ring.advance();
+        assert_eq!(f.ring.base, 1);
+        slot(&mut f, 2).phase = Phase::Queued;
         // (0, 0) acked, (1, 1) superseded by the resend, (2, 2) not
         // outstanding: all three go, and the trim stops at live (3, 3).
         f.trim_sent_fifo();
         assert_eq!(f.sent_fifo, VecDeque::from([(3, 3), (4, 1)]));
         // A live front entry keeps dead ones behind it in place.
-        f.st[1].acked = true;
+        slot(&mut f, 1).phase = Phase::Acked;
         f.trim_sent_fifo();
         assert_eq!(f.sent_fifo, VecDeque::from([(3, 3), (4, 1)]));
-        f.st[3].acked = true;
+        slot(&mut f, 3).phase = Phase::Acked;
         f.trim_sent_fifo();
         assert!(f.sent_fifo.is_empty());
     }
@@ -1232,11 +1440,14 @@ mod tests {
     #[test]
     fn on_terminated_releases_per_packet_state() {
         let mut f = flow_with(4 << 20, Some(EcParams::PAPER_DEFAULT));
-        assert!(f.st.capacity() > 0);
+        assert!(!Wire::new().start(&mut f).is_empty());
+        assert!(f.ring.slots.capacity() > 0);
+        assert!(f.rtx_bitmap.capacity() > 0);
         assert!(f.rx_bitmap.capacity() > 0);
         f.rto_count = 7;
         f.on_terminated();
-        assert_eq!(f.st.capacity(), 0);
+        assert_eq!(f.ring.slots.capacity(), 0);
+        assert_eq!(f.rtx_bitmap.capacity(), 0);
         assert_eq!(f.rx_bitmap.capacity(), 0);
         assert_eq!(f.block_acked.capacity(), 0);
         assert_eq!(f.rx_block_count.capacity(), 0);
@@ -1245,6 +1456,128 @@ mod tests {
         let mut c = Counters::default();
         f.report_counters(&mut c);
         assert_eq!(c.get("rc.rtos"), 7);
+    }
+
+    #[test]
+    fn new_allocates_no_sender_slots() {
+        // 4 GiB under (8, 2): 1,048,576 data packets in 131,072 blocks.
+        let f = flow_with(4 << 30, Some(EcParams::PAPER_DEFAULT));
+        assert_eq!(f.total_wire, 1_310_720);
+        assert_eq!(f.ring.slots.capacity(), 0);
+    }
+
+    #[test]
+    fn ring_grows_over_an_open_hole_and_jumps_when_it_closes() {
+        // 100 packets through a 16-packet window. The first copy of seq 0
+        // is held back and every retransmission of it lost, so the hole at
+        // seq 0 stays open while the rest of the message is sent and acked.
+        let mut f = flow_with_window(100, None, 16);
+        let mut wire = Wire::new();
+        let mut queue: VecDeque<Packet> = wire.start(&mut f).into();
+        assert_eq!(queue.len(), 16);
+        let mut held = None;
+        let mut longest = 0;
+        while let Some(p) = queue.pop_front() {
+            if p.kind == PacketKind::Data && p.seq == 0 {
+                held.get_or_insert(p);
+                continue;
+            }
+            queue.extend(wire.deliver(&mut f, p));
+            assert_eq!(f.ring.base, 0, "the hole holds the ring's base");
+            assert!(f.ring.slots.capacity() as u64 <= f.total_wire);
+            longest = longest.max(f.ring.slots.len());
+        }
+        // Every other packet is acked; the ring spans the whole message,
+        // and its storage stopped at the wire count instead of doubling to
+        // 128 slots.
+        assert_eq!(longest, 100);
+        assert_eq!(f.ring.slots.capacity(), 100);
+        assert!(!f.completed);
+        // The held copy closes the hole: base jumps past every packet.
+        let held = held.expect("seq 0 was sent");
+        assert!(wire.round_trip(&mut f, vec![held]).is_empty());
+        assert_eq!(f.ring.base, 100);
+        assert!(f.ring.slots.is_empty());
+        assert!(f.completed);
+    }
+
+    #[test]
+    fn ring_spans_the_window_without_a_hole() {
+        let mut f = flow_with_window(100, None, 16);
+        let mut wire = Wire::new();
+        let mut queue: VecDeque<Packet> = wire.start(&mut f).into();
+        let mut longest = 0;
+        while let Some(p) = queue.pop_front() {
+            queue.extend(wire.deliver(&mut f, p));
+            longest = longest.max(f.ring.slots.len());
+        }
+        assert!(f.completed);
+        assert_eq!(longest, 16);
+        assert_eq!(f.ring.slots.capacity(), 16);
+    }
+
+    #[test]
+    fn karns_rule_holds_for_acks_below_the_ring() {
+        // Three (8, 2) blocks, all 30 packets in the first window.
+        let mut f = flow_with_window(24, Some(EcParams::PAPER_DEFAULT), 64);
+        let mut wire = Wire::new();
+        let first = wire.start(&mut f);
+        assert_eq!(seqs(&first), (0..30).collect::<Vec<_>>());
+        // A NACK for block 0 one base RTT later resends all of it.
+        wire.now = f.cfg.base_rtt + 1;
+        let nack = Packet::nack(FlowId(0), 0, 64, f.cfg.dst, f.cfg.src);
+        let resent = wire.deliver(&mut f, nack);
+        assert_eq!(seqs(&resent), (0..10).collect::<Vec<_>>());
+        // The resent data of block 0 and the first data of block 1 reach
+        // the receiver; each block completes there, and the ACK saying so
+        // settles the block's parity, which is still on the wire.
+        let mut data: Vec<Packet> = resent[..8].to_vec();
+        data.extend_from_slice(&first[10..18]);
+        assert!(wire.round_trip(&mut f, data).is_empty());
+        assert_eq!(f.ring.base, 20, "blocks 0 and 1 left the ring");
+        // Late ACKs for settled parity: only the never-resent one (seq 18)
+        // is a valid RTT sample.
+        let samples = f.rtt.samples();
+        wire.round_trip(&mut f, vec![first[8]]);
+        assert_eq!(f.rtt.samples(), samples, "seq 8 was resent");
+        wire.round_trip(&mut f, vec![first[18]]);
+        assert_eq!(f.rtt.samples(), samples + 1, "seq 18 was not");
+    }
+
+    #[test]
+    fn parity_settled_before_it_is_sent_never_goes_out() {
+        // An 8-packet window: block 0's data fills it, its parity waits.
+        let mut f = flow_with_window(24, Some(EcParams::PAPER_DEFAULT), 8);
+        let mut wire = Wire::new();
+        let first = wire.start(&mut f);
+        assert_eq!(seqs(&first), (0..8).collect::<Vec<_>>());
+        // The receiver gets all eight; only the last ACK, which reports the
+        // block complete, reaches the sender. It settles block 0, parity
+        // included, and the window moves on to block 1.
+        let acks: Vec<Packet> = first
+            .iter()
+            .flat_map(|&p| wire.deliver(&mut f, p))
+            .collect();
+        let last = *acks.last().unwrap();
+        assert!(last.block_complete);
+        let next = wire.deliver(&mut f, last);
+        assert_eq!(f.ring.base, 10);
+        assert_eq!(seqs(&next), (10..18).collect::<Vec<_>>());
+        // Run the rest of the message: seqs 8 and 9 never go out.
+        let mut sent = seqs(&next);
+        let mut queue: VecDeque<Packet> = next.into();
+        queue.extend(acks);
+        while let Some(p) = queue.pop_front() {
+            let out = wire.deliver(&mut f, p);
+            sent.extend(
+                out.iter()
+                    .filter(|p| p.kind == PacketKind::Data)
+                    .map(|p| p.seq),
+            );
+            queue.extend(out);
+        }
+        assert!(f.completed);
+        assert!(!sent.contains(&8) && !sent.contains(&9), "sent {sent:?}");
     }
 
     #[test]
