@@ -5,13 +5,18 @@
 //! summaries and counter snapshots are byte-identical, and does the same for
 //! cells built the way the other figure binaries build theirs: a queue
 //! sampler, a fault-plane border fault under border loss, and a controller
-//! supplied through [`Experiment::add_spec_with`]. Wall-clock fields
+//! supplied through [`Experiment::add_spec_with`], and compares the JSONL
+//! traces of traced cells byte for byte. Wall-clock fields
 //! (`wall_seconds`, `events_per_sec`) legitimately differ between runs and
 //! are zeroed before comparison; everything simulated must match exactly.
 
+use std::io::{self, Write};
+use std::sync::{Arc, Mutex};
 use uno::metrics::FctTable;
+
 use uno::sim::{
-    FaultSpec, GilbertElliott, RunManifest, SampleConfig, TopologyParams, MICROS, SECONDS,
+    FaultSpec, GilbertElliott, RunManifest, SampleConfig, TopologyParams, TraceConfig, Tracer,
+    MICROS, SECONDS,
 };
 use uno::transport::UnoCc;
 use uno::{DegradationConfig, Experiment, ExperimentConfig, ExperimentResults, SchemeSpec};
@@ -235,5 +240,60 @@ fn built_cells_match_across_job_counts() {
     assert_eq!(serial.len(), 6);
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(a, b, "cell {i} diverged between --jobs 1 and --jobs 8");
+    }
+}
+
+/// A trace writer whose bytes stay readable after the tracer is gone.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl SharedBuf {
+    fn take(&self) -> Vec<u8> {
+        std::mem::take(&mut self.0.lock().unwrap())
+    }
+}
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Run an unfiltered JSONL-traced incast per seed through `run_cell`,
+/// returning each cell's trace bytes.
+fn run_traced_cells(jobs: usize) -> Vec<Vec<u8>> {
+    SweepRunner::new(jobs).run(vec![1u64, 2, 3], |_, seed| {
+        let mut exp = Experiment::new(ExperimentConfig::quick(SchemeSpec::uno(), seed));
+        let hosts = exp.sim.topo.params.hosts_per_dc() as u32;
+        exp.add_specs(&incast(2, 2, 1 << 20, hosts));
+        let trace = SharedBuf::default();
+        exp.sim.set_tracer(Tracer::jsonl_writer(
+            Box::new(trace.clone()),
+            TraceConfig::all(),
+        ));
+        let r = run_cell(exp, 60 * SECONDS, "traced");
+        assert!(r.all_completed);
+        assert_eq!(r.trace_error, None);
+        trace.take()
+    })
+}
+
+/// Each traced cell's writer thread runs beside every other cell's, yet
+/// the bytes it writes must not depend on the job count.
+#[test]
+fn traced_cells_write_the_same_bytes_across_job_counts() {
+    let serial = run_traced_cells(1);
+    let parallel = run_traced_cells(2);
+    for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+        let lines = a.iter().filter(|&&c| c == b'\n').count();
+        assert!(lines > 3 * 4096, "cell {i}: {lines} lines span few batches");
+        assert!(
+            a == b,
+            "cell {i}'s trace differs between --jobs 1 and --jobs 2"
+        );
     }
 }

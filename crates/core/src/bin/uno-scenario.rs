@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize, Value};
 use uno::metrics::OutcomeCounts;
 use uno::sim::{
-    FabricMode, FaultSpec, GilbertElliott, PfcParams, RunManifest, SampleConfig, Time,
+    FabricMode, FaultSpec, GilbertElliott, PfcParams, RunManifest, SampleConfig, Telemetry, Time,
     TopologyParams, TraceConfig, Tracer, MICROS, MILLIS, SECONDS,
 };
 use uno::{DegradationConfig, Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
@@ -163,7 +163,7 @@ struct Output {
     manifest: RunManifest,
     /// Telemetry section (`--telemetry`): per-link/per-flow/fault series,
     /// byte-identical across repeated seeded runs.
-    telemetry: Option<Value>,
+    telemetry: Option<Telemetry>,
     /// Span-profiler report (`--profile`): wall-clock data, excluded from
     /// the determinism guarantee like `manifest.wall_seconds`.
     profile: Option<Value>,

@@ -7,7 +7,8 @@
 use serde::{Deserialize, Serialize, Value};
 use uno_sim::{
     FailRecord, FctRecord, FlowClass, FlowId, FlowMeta, LinkStats, NetworkStats, PhantomParams,
-    QueueSampler, RunManifest, SampleConfig, Simulator, Time, Topology, TopologyParams, MILLIS,
+    QueueSampler, RunManifest, SampleConfig, Simulator, Telemetry, Time, Topology, TopologyParams,
+    MILLIS,
 };
 use uno_transport::{
     Bbr, CcAlgorithm, CcConfig, FaultInjection, FlowConfig, Gemini, LbMode, MessageFlow, Mprdma,
@@ -131,10 +132,10 @@ pub struct ExperimentResults {
     /// runner (`uno_bench::run_cell`) replaces it with the cell's label,
     /// the swept parameters that tell the figure's cells apart.
     pub manifest: RunManifest,
-    /// Serialized telemetry section (present when
+    /// The telemetry collector (present when
     /// [`ExperimentConfig::telemetry`] was set): per-link/per-flow/fault
-    /// series, byte-identical across repeated seeded runs.
-    pub telemetry: Option<Value>,
+    /// series, serialized byte-identically across repeated seeded runs.
+    pub telemetry: Option<Telemetry>,
     /// Serialized span-profiler report (present when
     /// [`ExperimentConfig::profile`] was set). Wall-clock data — excluded
     /// from the determinism guarantee.
@@ -306,7 +307,7 @@ impl Experiment {
         ExperimentResults {
             trace_error,
             manifest,
-            telemetry: sim.telemetry.as_ref().map(|t| t.to_value()),
+            telemetry: sim.telemetry.take(),
             profile: sim
                 .profiler
                 .is_enabled()

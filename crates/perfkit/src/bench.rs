@@ -4,6 +4,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -21,7 +22,7 @@ use uno_workloads::{incast, permutation};
 
 use uno_workloads::FlowSpec;
 
-use crate::{cpu_time_nanos, peak_rss_kib, reset_peak_rss, BenchResult, PerfReport};
+use crate::{cpu_time_nanos, peak_rss_kib, BenchResult, PerfReport};
 
 /// Time `f` by process CPU time where available (stable on shared hosts),
 /// falling back to wall clock. Only valid while the process is effectively
@@ -39,6 +40,47 @@ fn time_cpu<R>(f: impl FnOnce() -> R) -> (R, u64) {
             (r, (started.elapsed().as_nanos() as u64).max(1))
         }
     }
+}
+
+/// Rows that report their own process's peak RSS, so each runs in a child
+/// `uno-perfkit` process (`--row NAME`): in the suite's process, the heap
+/// earlier rows freed but the allocator kept resident would count toward
+/// it. `scale` yields `scale_step_rate` and `scale_peak_rss`.
+pub const ISOLATED_ROWS: [&str; 3] = ["longflow_peak_rss", "scale", "permutation_peak_rss"];
+
+/// Run isolated row `name` (one of [`ISOLATED_ROWS`]) in this process;
+/// `None` for any other name.
+pub fn run_row(name: &str, quick: bool) -> Option<Vec<BenchResult>> {
+    match name {
+        "longflow_peak_rss" => Some(vec![longflow_peak_rss(quick)]),
+        "scale" => {
+            let (rate, rss) = scale_benches(quick);
+            Some(vec![rate, rss])
+        }
+        "permutation_peak_rss" => Some(vec![permutation_peak_rss(quick)]),
+        _ => None,
+    }
+}
+
+/// Run isolated row `name` in a child process of the running executable,
+/// which must be `uno-perfkit`, and read its results back from the last
+/// line of the child's standard output.
+fn run_row_in_child(name: &str, quick: bool) -> Vec<BenchResult> {
+    let exe = std::env::current_exe().expect("cannot find the uno-perfkit binary");
+    let mode = if quick { "--quick" } else { "--full" };
+    let out = Command::new(exe)
+        .args(["--row", name, mode])
+        .stderr(Stdio::inherit())
+        .output()
+        .unwrap_or_else(|e| panic!("cannot start row {name}: {e}"));
+    assert!(
+        out.status.success(),
+        "row {name} failed in its child process ({})",
+        out.status
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.lines().last().unwrap_or_default();
+    serde_json::from_str(line).unwrap_or_else(|e| panic!("unreadable output of row {name}: {e}"))
 }
 
 /// Run every benchmark and assemble the report. `quick` shrinks workloads
@@ -94,22 +136,17 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
     profiled.gated = false;
     benches.push(profiled);
 
-    // Macrobench: peak memory of fig04's long-lived WAN incast, where each
-    // flow's message dwarfs its window — the gate on per-flow sender state
-    // following data in flight, not message size. It runs before the
-    // multi-site rows, whose freed heap stays resident and would dilute it.
-    benches.push(longflow_peak_rss(quick));
-
-    // Macrobench: engine throughput and peak memory on a multi-site fabric
-    // (quick: 4×k=16 = 4096 hosts; full: 4×k=32 = 32768 hosts). Gates the
-    // struct-of-arrays tables' flat-memory and events/sec-at-scale claims.
-    let (scale_rate, scale_rss) = scale_benches(quick);
-    benches.extend([scale_rate, scale_rss]);
-
-    // Macrobench: peak memory of a lossless permutation, where PFC parks
-    // whole windows in switch and NIC buffers — the packet-storage gate
-    // (the scale incast above parks few packets).
-    benches.push(permutation_peak_rss(quick));
+    // The peak-RSS macrobenches, each in a child process of its own (see
+    // `ISOLATED_ROWS`): fig04's long-lived WAN incast, the gate on per-flow
+    // sender state following data in flight, not message size; engine
+    // throughput and peak memory on a multi-site fabric (quick: 4×k=16 =
+    // 4096 hosts; full: 4×k=32 = 32768 hosts), the struct-of-arrays tables'
+    // flat-memory and events/sec-at-scale gates; and a lossless
+    // permutation, where PFC parks whole windows in switch and NIC buffers,
+    // the packet-storage gate (the scale incast parks few packets).
+    for row in ISOLATED_ROWS {
+        benches.extend(run_row_in_child(row, quick));
+    }
 
     // Macrobench: the fig08 FCT slice, sequential vs. 8-way sweep. The
     // parallel rows are wall-clock claims bounded by the host's core count
@@ -733,10 +770,6 @@ fn scale_benches(quick: bool) -> (BenchResult, BenchResult) {
         }
     }
 
-    // Isolate this run's high-water mark from the earlier microbenches
-    // (in the quick suite they raise the process peak to about three times
-    // this run's own).
-    let isolated = reset_peak_rss();
     let mut cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 1);
     cfg.topo = topo;
     let mut exp = Experiment::new(cfg);
@@ -749,11 +782,10 @@ fn scale_benches(quick: bool) -> (BenchResult, BenchResult) {
     let rss = peak_rss_kib();
     eprintln!(
         "[uno-perfkit] scale_step_rate ({label}): {:.2} Mevents/s ({} events), \
-         peak RSS {:.1} MiB{}",
+         peak RSS {:.1} MiB",
         rate / 1e6,
         r.manifest.events_processed,
         rss as f64 / 1024.0,
-        if isolated { "" } else { " (process-wide)" },
     );
     (
         BenchResult {
@@ -778,8 +810,8 @@ fn scale_benches(quick: bool) -> (BenchResult, BenchResult) {
 /// Peak RSS of the `multidc_lossless` end-to-end workload's shape — a
 /// 4-site k=16 lossless fabric (4096 hosts) where every host sends to a
 /// distinct random host — at 192 KiB per host (quick) or its full 256 KiB.
-/// Isolated like `scale_peak_rss`; one rep, since peak RSS is a property
-/// of the run. The quick size is the smallest at which storing packets in
+/// One of [`ISOLATED_ROWS`]; one rep, since peak RSS is a property of
+/// the run. The quick size is the smallest at which storing packets in
 /// the port-queue rings again (about 1.4x this row) fails `compare` at the
 /// CI's 25% tolerance, which lets a lower-is-better row grow to 1.33x.
 fn permutation_peak_rss(quick: bool) -> BenchResult {
@@ -798,7 +830,6 @@ fn permutation_peak_rss(quick: bool) -> BenchResult {
         &mut SmallRng::seed_from_u64(1),
     );
 
-    let isolated = reset_peak_rss();
     let mut cfg = ExperimentConfig::quick(SchemeSpec::uno(), 1);
     cfg.topo = topo;
     let mut exp = Experiment::new(cfg);
@@ -812,10 +843,9 @@ fn permutation_peak_rss(quick: bool) -> BenchResult {
     let rss = peak_rss_kib();
     eprintln!(
         "[uno-perfkit] permutation_peak_rss (4xk16 lossless, {} KiB/host): \
-         peak RSS {:.1} MiB{} ({} events, {pauses} pauses)",
+         peak RSS {:.1} MiB ({} events, {pauses} pauses)",
         size >> 10,
         rss as f64 / 1024.0,
-        if isolated { "" } else { " (process-wide)" },
         r.manifest.events_processed,
     );
     BenchResult {
@@ -832,8 +862,8 @@ fn permutation_peak_rss(quick: bool) -> BenchResult {
 /// 4 GiB Uno flows incast into DC0 host 0 (quick: the k=4 topology for
 /// 300 ms; full: k=8 for 500 ms). Each message has 1.31 M wire packets
 /// under (8, 2) EC, but the flows share one 100 Gbps bottleneck and send a
-/// few percent of them before the horizon. Isolated like
-/// `permutation_peak_rss`. The quick horizon is long enough that sender
+/// few percent of them before the horizon. One of [`ISOLATED_ROWS`]. The
+/// quick horizon is long enough that sender
 /// state kept for every packet sent so far (2.7x this row when measured)
 /// fails `compare` at the CI's 25% tolerance, as does sender state sized
 /// by the message (23x).
@@ -855,7 +885,6 @@ fn longflow_peak_rss(quick: bool) -> BenchResult {
         })
         .collect();
 
-    let isolated = reset_peak_rss();
     let mut cfg = ExperimentConfig::quick(SchemeSpec::uno(), 1);
     cfg.topo = topo;
     let mut exp = Experiment::new(cfg);
@@ -869,11 +898,10 @@ fn longflow_peak_rss(quick: bool) -> BenchResult {
     );
     let rss = peak_rss_kib();
     eprintln!(
-        "[uno-perfkit] longflow_peak_rss (8 inter x 4 GiB, {} ms): peak RSS {:.1} MiB{} \
+        "[uno-perfkit] longflow_peak_rss (8 inter x 4 GiB, {} ms): peak RSS {:.1} MiB \
          ({} events)",
         horizon / MILLIS,
         rss as f64 / 1024.0,
-        if isolated { "" } else { " (process-wide)" },
         r.manifest.events_processed,
     );
     BenchResult {

@@ -34,11 +34,21 @@ fn run_suite(args: &[String]) {
     let mut quick = true;
     let mut out = PathBuf::from("results");
     let mut rev: Option<String> = None;
+    let mut row: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--full" => quick = false,
+            // The suite's own child processes: one isolated row, printed as
+            // one JSON line.
+            "--row" => {
+                row = Some(
+                    it.next()
+                        .unwrap_or_else(|| die("--row needs a name"))
+                        .clone(),
+                )
+            }
             "--out" => out = PathBuf::from(it.next().unwrap_or_else(|| die("--out needs a path"))),
             "--rev" => {
                 rev = Some(
@@ -51,6 +61,15 @@ fn run_suite(args: &[String]) {
                 "unknown argument `{other}` (run: [--quick|--full] [--out DIR] [--rev NAME])"
             )),
         }
+    }
+    if let Some(name) = row {
+        let rows =
+            bench::run_row(&name, quick).unwrap_or_else(|| die(&format!("unknown row `{name}`")));
+        println!(
+            "{}",
+            serde_json::to_string(&rows).expect("row serialization")
+        );
+        return;
     }
     let report = bench::run_all(quick, rev.unwrap_or_else(git_rev));
     println!(

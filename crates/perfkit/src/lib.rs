@@ -23,7 +23,8 @@
 //!   rate with the span profiler enabled (informational);
 //! * **scale rows** — events/sec and peak RSS on a multi-site fabric, and
 //!   peak RSS of a lossless multi-site permutation, where PFC parks whole
-//!   windows in buffers;
+//!   windows in buffers, and of fig04's long-flow incast; each peak-RSS row
+//!   runs in a child process of its own, so it reads its own peak;
 //! * **fig08 slice** — wall-clock for a scheme × scenario FCT sweep run
 //!   sequentially and through the parallel [`uno::SweepRunner`], plus the
 //!   resulting speedup.
@@ -77,7 +78,9 @@ pub struct PerfReport {
     /// Available cores (parallel speedups are bounded by this; a 1-core
     /// container cannot show a parallel win no matter the code).
     pub cores: usize,
-    /// Peak resident set size of the whole run, in KiB (0 if unavailable).
+    /// Peak resident set size of the suite's own process, in KiB (0 if
+    /// unavailable). The rows of [`bench::ISOLATED_ROWS`] run in child
+    /// processes and report their own peaks.
     pub peak_rss_kib: u64,
     /// Individual benchmark results, in run order.
     pub benches: Vec<BenchResult>,
@@ -127,15 +130,6 @@ pub fn peak_rss_kib() -> u64 {
         return 0;
     };
     parse_vm_hwm(&text).unwrap_or(0)
-}
-
-/// Reset the kernel's peak-RSS high-water mark to the current RSS (write
-/// `5` to `/proc/self/clear_refs`), so a subsequent [`peak_rss_kib`] reads
-/// the peak of just the following workload instead of the whole process
-/// history. Returns false where procfs is unavailable or read-only; the
-/// subsequent reading is then a process-lifetime upper bound.
-pub fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// Parse the `VmHWM:` line out of a `/proc/<pid>/status` dump.

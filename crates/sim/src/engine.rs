@@ -802,9 +802,9 @@ impl Simulator {
             }
             Event::Sample(idx) => {
                 let s = &mut self.samplers[idx as usize];
-                let queue = self.topo.links.queue_mut(s.link);
+                let queue = self.topo.links.queue(s.link);
                 s.samples.push((self.now, queue.bytes()));
-                if let Some(ph) = &mut queue.phantom {
+                if let Some(ph) = &queue.phantom {
                     s.phantom_samples.push((self.now, ph.occupancy(self.now)));
                 }
                 let interval = s.interval;
@@ -914,11 +914,11 @@ impl Simulator {
         self.profiler.enter("telemetry");
         let now = self.now;
         let mut links_down = 0u64;
-        let links = &mut self.topo.links;
+        let links = &self.topo.links;
         for i in 0..links.len() {
             let l = LinkId::from(i);
-            let queue = links.queue_mut(l);
-            let phantom = queue.phantom.as_mut().map_or(0, |ph| ph.occupancy(now));
+            let queue = links.queue(l);
+            let phantom = queue.phantom.as_ref().map_or(0, |ph| ph.occupancy(now));
             let bytes = queue.bytes();
             let up = links.is_up(l);
             if !up {

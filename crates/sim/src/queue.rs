@@ -86,12 +86,22 @@ impl PhantomQueue {
         }
     }
 
+    /// The counter drained up to `now`, without storing it.
+    #[inline]
+    fn drained(&self, now: Time) -> f64 {
+        if now > self.last_update {
+            let dt = (now - self.last_update) as f64 / SECONDS as f64;
+            (self.occupancy - dt * self.drain_bps / 8.0).max(0.0)
+        } else {
+            self.occupancy
+        }
+    }
+
     /// Lazily drain the counter up to `now`.
     #[inline]
     fn drain_to(&mut self, now: Time) {
         if now > self.last_update {
-            let dt = (now - self.last_update) as f64 / SECONDS as f64;
-            self.occupancy = (self.occupancy - dt * self.drain_bps / 8.0).max(0.0);
+            self.occupancy = self.drained(now);
             self.last_update = now;
         }
     }
@@ -106,10 +116,11 @@ impl PhantomQueue {
         p > 0.0 && rng.gen::<f64>() < p
     }
 
-    /// Current virtual occupancy (draining it up to `now` first).
-    pub fn occupancy(&mut self, now: Time) -> u64 {
-        self.drain_to(now);
-        self.occupancy as u64
+    /// Virtual occupancy at `now`. A pure read: the counter drains only on
+    /// enqueue, so observers (telemetry, queue samplers) reading it at any
+    /// times leave its later values, and so RED marking, bit-identical.
+    pub fn occupancy(&self, now: Time) -> u64 {
+        self.drained(now) as u64
     }
 }
 
@@ -497,6 +508,38 @@ mod tests {
         assert_eq!(ph.occupancy(0), 10_000);
         assert_eq!(ph.occupancy(4_000), 6_000);
         assert_eq!(ph.occupancy(100_000), 0);
+    }
+
+    #[test]
+    fn reading_a_phantom_queue_does_not_change_it() {
+        use rand::Rng;
+        // 4 KiB packets into a 100 Gbps port draining at 0.9 (364 ns per
+        // packet), at random gaps averaging about that, so the counter
+        // wanders through the marking region; one copy is also read at
+        // several random times between enqueues.
+        let new = || PhantomQueue::new(100_000_000_000, 0.9, 256 << 10, RedParams::default());
+        let (mut quiet, mut read) = (new(), new());
+        let (mut r_quiet, mut r_read, mut gaps) = (rng(), rng(), SmallRng::seed_from_u64(11));
+        let mut now = 0;
+        let mut marks = 0;
+        let mut unmarked_in_region = 0;
+        for _ in 0..20_000 {
+            let gap: Time = gaps.gen_range(0..730);
+            for _ in 0..3 {
+                let _ = read.occupancy(now + gaps.gen_range(0..=gap));
+            }
+            now += gap;
+            let a = quiet.on_enqueue(4096, now, &mut r_quiet);
+            let b = read.on_enqueue(4096, now, &mut r_read);
+            assert_eq!(a, b, "mark decisions diverged at {now} ns");
+            assert_eq!(quiet.occupancy.to_bits(), read.occupancy.to_bits());
+            marks += a as u32;
+            let frac = quiet.occupancy / quiet.capacity as f64;
+            unmarked_in_region += (!a && (0.3..0.7).contains(&frac)) as u32;
+        }
+        assert!(marks > 0, "the queue must reach its marking region");
+        assert!(unmarked_in_region > 0, "marks must be random draws too");
+        assert_eq!(quiet.last_update, read.last_update);
     }
 
     #[test]

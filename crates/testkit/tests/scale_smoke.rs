@@ -122,7 +122,7 @@ fn incast_4k_hosts_with_telemetry_and_invariants() {
     assert!(r.sim_time < 2 * SECONDS, "ended early, not at the horizon");
 
     // Telemetry was on and saw the incast bottleneck.
-    let telemetry = r.telemetry.expect("telemetry enabled");
+    let telemetry = r.telemetry.expect("telemetry enabled").to_value();
     let links = telemetry.get("links").and_then(|l| l.as_object()).unwrap();
     assert!(
         !links.is_empty(),

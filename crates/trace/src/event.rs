@@ -873,7 +873,7 @@ fn reference_json(ev: &TraceEvent) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn samples() -> Vec<TraceEvent> {
@@ -1021,7 +1021,7 @@ mod tests {
     }
 
     /// Field values for [`every_variant`].
-    trait Fields {
+    pub(crate) trait Fields {
         fn int(&mut self) -> u64;
         fn float(&mut self) -> f64;
         fn small(&mut self) -> u32 {
@@ -1046,7 +1046,7 @@ mod tests {
 
     /// Seeded random fields from splitmix64, inline so the crate needs no
     /// RNG dependency. Integers span every digit count.
-    struct SplitMix(u64);
+    pub(crate) struct SplitMix(pub(crate) u64);
 
     impl SplitMix {
         fn next(&mut self) -> u64 {
@@ -1073,7 +1073,7 @@ mod tests {
     }
 
     /// Every variant with its fields drawn from `f` in declaration order.
-    fn every_variant(f: &mut impl Fields) -> Vec<TraceEvent> {
+    pub(crate) fn every_variant(f: &mut impl Fields) -> Vec<TraceEvent> {
         vec![
             TraceEvent::Enqueue {
                 t: f.int(),

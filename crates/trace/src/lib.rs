@@ -6,8 +6,10 @@
 //!   queue operations (enqueue / dequeue / drop / ECN mark), link losses,
 //!   and transport decisions (ack / nack / timeout / reroute / cwnd change /
 //!   epoch boundary / Quick Adapt), written through a [`Tracer`] to an
-//!   in-memory ring buffer, a live callback, or a streaming JSONL writer
-//!   that receives whole lines in 64 KiB blocks. A [`TraceConfig`]
+//!   in-memory ring buffer, a live callback, or a streaming JSONL writer.
+//!   The JSONL sink hands accepted events in batches to a writer thread,
+//!   which encodes them and passes its writer whole lines in 64 KiB
+//!   blocks, so a traced simulation spends no time on text. A [`TraceConfig`]
 //!   filters by flow, link, or event class; when tracing is off the hot-path
 //!   cost is a single branch on [`Tracer::enabled`].
 //! * **Counter registry** — hierarchically named monotonic [`Counters`]
