@@ -9,10 +9,12 @@
 //!   intra- and inter-DC flows, reacting to ECN at the *same* (intra-RTT)
 //!   epoch granularity, with phantom-queue-aware gentle reduction and Quick
 //!   Adapt for extreme congestion;
-//! * **UnoRC** — erasure-coded blocks (`uno_erasure::ReedSolomon`, default
+//! * **UnoRC** — erasure-coded blocks (`uno_erasure::EcParams`, default
 //!   (8, 2)) spread over **UnoLB** subflows, with receiver block timers and
 //!   NACKs, so inter-DC messages survive bursty loss and link failures
-//!   without waiting out WAN retransmission timeouts.
+//!   without waiting out WAN retransmission timeouts. The receiver counts
+//!   distinct arrivals per block; the byte-level codec in `uno_erasure`
+//!   only checks that rule.
 //!
 //! This crate is the facade tying the substrates together: scheme
 //! definitions matching the paper's comparisons ([`SchemeSpec`]), the

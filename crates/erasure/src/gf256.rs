@@ -1,22 +1,18 @@
 //! Arithmetic in GF(2^8) with the AES/RS-standard reduction polynomial
-//! x^8 + x^4 + x^3 + x^2 + 1 (0x11D), via exp/log tables — plus the batch
-//! slice kernels the codec's hot path runs on.
+//! x^8 + x^4 + x^3 + x^2 + 1 (0x11D), via exp/log tables — plus the two
+//! slice kernels the codec runs on.
 //!
-//! # Batch layout
+//! # Split tables
 //!
-//! The slice kernels ([`mul_acc`], [`mul_slice`]) no longer build a 256-entry
+//! The slice kernels ([`mul_acc`], [`mul_slice`]) do not build a 256-entry
 //! product row per call. Multiplication by a fixed coefficient `c` is a
 //! GF(2)-linear map, so `c·b = c·(b_lo) ⊕ c·(b_hi << 4)`: one 16-entry table
 //! for the low nibble and one for the high nibble cover every byte value.
 //! Both tables for all 256 coefficients are precomputed at compile time
 //! (8 KiB total, [`SPLIT`]), and a single coefficient's working set is 32
-//! bytes — it lives in registers for the whole slice.
-//!
-//! The split layout is exactly the shape vector shuffles want: on x86-64 the
-//! kernels use `pshufb` (SSSE3) or `vpshufb` (AVX2) behind runtime feature
-//! detection, processing 16/32 bytes per step. Everywhere else (and for
-//! slice tails) a scalar split-table loop runs the same math. All paths are
-//! byte-identical by construction and pinned to scalar [`mul`] by tests.
+//! bytes. Each kernel is one scalar loop over those two tables, pinned to
+//! scalar [`mul`] by tests. No simulated path runs the codec, so nothing
+//! here is tuned for throughput.
 
 /// Reduction polynomial (without the x^8 term) for table generation.
 const POLY: u16 = 0x11D;
@@ -128,154 +124,26 @@ pub fn inv(a: u8) -> u8 {
     t.exp[255 - t.log[a as usize] as usize]
 }
 
-/// Divide `a / b`. Panics when `b == 0`.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    assert!(b != 0, "division by zero in GF(2^8)");
-    if a == 0 {
-        0
-    } else {
-        let t = &TABLES;
-        t.exp[t.log[a as usize] as usize + 255 - t.log[b as usize] as usize]
-    }
-}
-
-/// `a^n` by table lookup.
-#[inline]
-pub fn pow(a: u8, n: u32) -> u8 {
-    if n == 0 {
-        return 1;
-    }
-    if a == 0 {
-        return 0;
-    }
-    let t = &TABLES;
-    let e = (t.log[a as usize] as u64 * n as u64) % 255;
-    t.exp[e as usize]
-}
-
 // ---------------------------------------------------------------------------
-// Batch slice kernels
+// Slice kernels
 // ---------------------------------------------------------------------------
 
-/// `dst[i] ^= c * src[i]` — the hot kernel of encode and decode.
-///
-/// Specialized for `c == 0` (no-op) and `c == 1` (plain XOR, which the
-/// systematic identity rows hit); the general path runs the split-nibble
-/// batch kernel (see module docs).
+/// `dst[i] ^= c * src[i]`: the kernel of encode and decode.
 pub fn mul_acc(dst: &mut [u8], src: &[u8], c: u8) {
     assert_eq!(dst.len(), src.len());
-    match c {
-        0 => {}
-        1 => xor_slice(dst, src),
-        _ => mul_nibbles(dst, src, c, true),
+    let (lo, hi) = (&SPLIT.lo[c as usize], &SPLIT.hi[c as usize]);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= lo[(s & 0x0F) as usize] ^ hi[(s >> 4) as usize];
     }
 }
 
 /// `dst[i] = c * src[i]`.
 pub fn mul_slice(dst: &mut [u8], src: &[u8], c: u8) {
     assert_eq!(dst.len(), src.len());
-    match c {
-        0 => dst.fill(0),
-        1 => dst.copy_from_slice(src),
-        _ => mul_nibbles(dst, src, c, false),
-    }
-}
-
-/// `dst[i] ^= src[i]`, shaped so LLVM autovectorizes (both slices are plain
-/// `u8` runs with equal, asserted lengths).
-#[inline]
-fn xor_slice(dst: &mut [u8], src: &[u8]) {
+    let (lo, hi) = (&SPLIT.lo[c as usize], &SPLIT.hi[c as usize]);
     for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= s;
+        *d = lo[(s & 0x0F) as usize] ^ hi[(s >> 4) as usize];
     }
-}
-
-/// Dispatch the general-coefficient kernel: widest available vector unit
-/// first, scalar split-table loop as the universal fallback. `acc` selects
-/// XOR-accumulate (`dst ^= c·src`) over overwrite (`dst = c·src`).
-#[inline]
-fn mul_nibbles(dst: &mut [u8], src: &[u8], c: u8, acc: bool) {
-    let lo = &SPLIT.lo[c as usize];
-    let hi = &SPLIT.hi[c as usize];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { mul_nibbles_avx2(dst, src, lo, hi, acc) };
-            return;
-        }
-        if std::arch::is_x86_feature_detected!("ssse3") {
-            // SAFETY: SSSE3 support was just verified at runtime.
-            unsafe { mul_nibbles_ssse3(dst, src, lo, hi, acc) };
-            return;
-        }
-    }
-    mul_nibbles_scalar(dst, src, lo, hi, acc);
-}
-
-/// Scalar split-table kernel (also the tail loop for the vector paths).
-#[inline]
-fn mul_nibbles_scalar(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16], acc: bool) {
-    if acc {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= lo[(s & 0x0F) as usize] ^ hi[(s >> 4) as usize];
-        }
-    } else {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = lo[(s & 0x0F) as usize] ^ hi[(s >> 4) as usize];
-        }
-    }
-}
-
-/// AVX2 kernel: 32 bytes per step via two `vpshufb` nibble lookups.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mul_nibbles_avx2(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16], acc: bool) {
-    use std::arch::x86_64::*;
-    let lo_v = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr() as *const __m128i));
-    let hi_v = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr() as *const __m128i));
-    let mask = _mm256_set1_epi8(0x0F);
-    let chunks = src.len() / 32;
-    let sp = src.as_ptr();
-    let dp = dst.as_mut_ptr();
-    for i in 0..chunks {
-        let s = _mm256_loadu_si256(sp.add(i * 32) as *const __m256i);
-        let l = _mm256_shuffle_epi8(lo_v, _mm256_and_si256(s, mask));
-        let h = _mm256_shuffle_epi8(hi_v, _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask));
-        let mut p = _mm256_xor_si256(l, h);
-        if acc {
-            p = _mm256_xor_si256(p, _mm256_loadu_si256(dp.add(i * 32) as *const __m256i));
-        }
-        _mm256_storeu_si256(dp.add(i * 32) as *mut __m256i, p);
-    }
-    let done = chunks * 32;
-    mul_nibbles_scalar(&mut dst[done..], &src[done..], lo, hi, acc);
-}
-
-/// SSSE3 kernel: 16 bytes per step via two `pshufb` nibble lookups.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "ssse3")]
-unsafe fn mul_nibbles_ssse3(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16], acc: bool) {
-    use std::arch::x86_64::*;
-    let lo_v = _mm_loadu_si128(lo.as_ptr() as *const __m128i);
-    let hi_v = _mm_loadu_si128(hi.as_ptr() as *const __m128i);
-    let mask = _mm_set1_epi8(0x0F);
-    let chunks = src.len() / 16;
-    let sp = src.as_ptr();
-    let dp = dst.as_mut_ptr();
-    for i in 0..chunks {
-        let s = _mm_loadu_si128(sp.add(i * 16) as *const __m128i);
-        let l = _mm_shuffle_epi8(lo_v, _mm_and_si128(s, mask));
-        let h = _mm_shuffle_epi8(hi_v, _mm_and_si128(_mm_srli_epi64::<4>(s), mask));
-        let mut p = _mm_xor_si128(l, h);
-        if acc {
-            p = _mm_xor_si128(p, _mm_loadu_si128(dp.add(i * 16) as *const __m128i));
-        }
-        _mm_storeu_si128(dp.add(i * 16) as *mut __m128i, p);
-    }
-    let done = chunks * 16;
-    mul_nibbles_scalar(&mut dst[done..], &src[done..], lo, hi, acc);
 }
 
 #[cfg(test)]
@@ -325,7 +193,6 @@ mod tests {
     fn inverse_round_trip() {
         for a in 1..=255u8 {
             assert_eq!(mul(a, inv(a)), 1, "a={a}");
-            assert_eq!(div(a, a), 1);
         }
     }
 
@@ -352,17 +219,6 @@ mod tests {
         for a in (0..=255u8).step_by(3) {
             for b in (0..=255u8).step_by(9) {
                 assert_eq!(mul(a, b), slow_mul(a, b), "a={a} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        for a in [0u8, 1, 2, 3, 57, 200, 255] {
-            let mut acc = 1u8;
-            for n in 0..20u32 {
-                assert_eq!(pow(a, n), acc, "a={a} n={n}");
-                acc = mul(acc, a);
             }
         }
     }

@@ -6,9 +6,11 @@
 //! plus `y` MDS parity packets, so a block survives any `y` packet losses
 //! without retransmission.
 //!
-//! The codec operates on real bytes and is property-tested against random
-//! erasure patterns; the network simulator uses its `(x, y)` recoverability
-//! semantics per block.
+//! The network simulator imports only [`EcParams`]: it counts distinct
+//! arrivals per block and never runs the codec. The codec is one scalar
+//! implementation on real bytes whose job is to check that counting rule;
+//! it is property-tested against random erasure patterns and pinned byte
+//! for byte to a naive oracle.
 //!
 //! ```
 //! use uno_erasure::ReedSolomon;
@@ -29,15 +31,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod gf256;
 pub mod matrix;
-pub mod pool;
 
 pub use codec::{CodecError, ReedSolomon};
 pub use matrix::Matrix;
-pub use pool::{CodecScratch, ShardPool};
 
 /// Block geometry parameters `(x, y)` shared with the simulator layers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

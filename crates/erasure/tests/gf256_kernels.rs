@@ -1,16 +1,15 @@
-//! Kernel-level lockdown for the split-nibble GF(2^8) batch layout: the
-//! slice kernels (`mul_slice`, `mul_acc`) must agree with the scalar `mul`
-//! on every one of the 256 coefficients, at lengths that exercise the AVX2
-//! (32-byte), SSSE3 (16-byte), and scalar-tail paths — plus the field's
-//! algebraic laws as a proptest-style seeded sweep.
+//! Kernel-level lockdown for the split-nibble GF(2^8) tables: the slice
+//! kernels (`mul_slice`, `mul_acc`) must agree with the scalar `mul` on
+//! every one of the 256 coefficients, at lengths from empty to a few KiB
+//! and at every start offset — plus the field's algebraic laws as a
+//! proptest-style seeded sweep.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uno_erasure::gf256 as gf;
 
-/// Lengths straddling every kernel regime: empty, sub-lane scalar tails,
-/// exact SSSE3/AVX2 lane widths, multi-lane, and odd (lane + tail) sizes.
+/// Lengths from empty through odd and power-of-two sizes to past an MTU.
 const KERNEL_LENS: [usize; 10] = [0, 1, 3, 15, 16, 17, 32, 64, 1500, 4093];
 
 fn random_bytes(rng: &mut SmallRng, len: usize) -> Vec<u8> {
@@ -55,8 +54,8 @@ fn mul_acc_matches_scalar_mul_for_every_coefficient() {
     }
 }
 
-/// Unaligned starts: the vector kernels use unaligned loads, so slicing a
-/// buffer at every offset must not change a single byte of output.
+/// Unaligned starts: slicing a buffer at any offset must not change a
+/// single byte of output.
 #[test]
 fn kernels_are_offset_independent() {
     let mut rng = SmallRng::seed_from_u64(0x0FF5E7);
@@ -97,7 +96,7 @@ proptest! {
     }
 
     /// Slice-level linearity in the source operand:
-    /// c·(x ⊕ y) = c·x ⊕ c·y, computed entirely through the batch kernels.
+    /// c·(x ⊕ y) = c·x ⊕ c·y, computed entirely through the slice kernels.
     #[test]
     fn mul_slice_is_linear(
         c in any::<u8>(),

@@ -15,7 +15,6 @@ use uno::sim::{
     MILLIS, SECONDS,
 };
 use uno::{Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
-use uno_erasure::{gf256, CodecScratch, ReedSolomon, ShardPool};
 use uno_trace::{Profiler, RateMeter};
 use uno_transport::LbMode;
 use uno_workloads::{incast, permutation};
@@ -122,11 +121,6 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
     // processing and block settling dominate the event mix. Gates the
     // transport-side batching (blocks touched once per delivery event).
     benches.push(transport_step_rate(quick));
-
-    // Erasure codec rows: batch encode/decode throughput on the paper's
-    // (8, 2) geometry, the preserved byte-at-a-time scalar baseline, and
-    // the gated batch-over-scalar speedup ratio.
-    benches.extend(rs_benches(quick));
 
     // Self-profiler: span bookkeeping throughput when enabled (gated), and
     // the same incast experiment run with the profiler on (informational —
@@ -511,155 +505,6 @@ fn transport_step_rate(quick: bool) -> BenchResult {
         gated: true,
         wall_seconds: total_wall,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Erasure codec benches
-// ---------------------------------------------------------------------------
-
-/// Measure a byte-throughput workload by CPU time. Each pass processes
-/// `bytes_per_pass`; the pass count doubles until a single timed run spans
-/// at least 200 ms of CPU time (≥ 20 jiffies, so procfs quantization stays
-/// under a few percent), then the best of three runs at that count wins.
-fn measure_bytes(name: &str, bytes_per_pass: u64, mut pass: impl FnMut()) -> BenchResult {
-    let mut passes = 1u64;
-    let mut meter = RateMeter::new();
-    let mut total_wall = 0.0;
-    loop {
-        let started = Instant::now();
-        let (_, nanos) = time_cpu(|| {
-            for _ in 0..passes {
-                pass();
-            }
-        });
-        total_wall += started.elapsed().as_secs_f64();
-        if nanos >= 200_000_000 {
-            meter.record_nanos(passes * bytes_per_pass, nanos);
-            break;
-        }
-        passes *= 2;
-    }
-    let mut best = meter.per_sec();
-    for _ in 0..2 {
-        let started = Instant::now();
-        let (_, nanos) = time_cpu(|| {
-            for _ in 0..passes {
-                pass();
-            }
-        });
-        total_wall += started.elapsed().as_secs_f64();
-        let mut m = RateMeter::new();
-        m.record_nanos(passes * bytes_per_pass, nanos);
-        best = best.max(m.per_sec());
-    }
-    eprintln!(
-        "[uno-perfkit] {name}: {:.1} MB/s ({passes} pass(es), best of 3)",
-        best / 1e6
-    );
-    BenchResult {
-        name: name.to_string(),
-        value: best,
-        unit: "bytes/sec".to_string(),
-        higher_is_better: true,
-        gated: true,
-        wall_seconds: total_wall,
-    }
-}
-
-/// The literal pre-batch encode shape, preserved as the speedup anchor:
-/// one `gf256::mul` table lookup per byte, Cauchy coefficients rederived
-/// per call, and a fresh parity `Vec` allocated per call.
-fn scalar_encode(x: usize, y: usize, data: &[Vec<u8>], len: usize) -> Vec<Vec<u8>> {
-    (0..y)
-        .map(|r| {
-            let mut out = vec![0u8; len];
-            for (j, shard) in data.iter().enumerate() {
-                let c = gf256::inv(((x + r) as u8) ^ (j as u8));
-                for (o, &b) in out.iter_mut().zip(shard) {
-                    *o ^= gf256::mul(c, b);
-                }
-            }
-            out
-        })
-        .collect()
-}
-
-/// Erasure codec throughput on the paper's (8, 2) geometry at MTU-sized
-/// shards. Four rows: pooled batch encode and decode (gated bytes/sec,
-/// counting message bytes), the preserved scalar encode baseline
-/// (informational — it exists to anchor the ratio), and the gated
-/// batch-over-scalar encode speedup.
-fn rs_benches(quick: bool) -> Vec<BenchResult> {
-    let rs = ReedSolomon::new(8, 2);
-    let (x, y) = (rs.data_shards(), rs.parity_shards());
-    let shard_len = 1500usize;
-    let blocks: usize = if quick { 4_096 } else { 16_384 };
-    let bytes_per_pass = (blocks * x * shard_len) as u64;
-
-    let mut state = 0x5EED_EC01u64;
-    let data: Vec<Vec<u8>> = (0..x)
-        .map(|_| (0..shard_len).map(|_| lcg(&mut state) as u8).collect())
-        .collect();
-    let refs: Vec<&[u8]> = data.iter().map(|s| s.as_slice()).collect();
-
-    // Batch encode through the pooled path (parity buffers reused).
-    let mut parity: Vec<Vec<u8>> = (0..y).map(|_| vec![0u8; shard_len]).collect();
-    let encode = measure_bytes("rs_encode_bytes_per_sec", bytes_per_pass, || {
-        for _ in 0..blocks {
-            rs.encode_into(&refs, &mut parity).expect("bench encode");
-        }
-        std::hint::black_box(&parity);
-    });
-
-    // Scalar baseline on an identical workload.
-    let scalar_blocks = blocks / 8;
-    let mut scalar = measure_bytes(
-        "rs_encode_scalar_bytes_per_sec",
-        (scalar_blocks * x * shard_len) as u64,
-        || {
-            for _ in 0..scalar_blocks {
-                std::hint::black_box(scalar_encode(x, y, &data, shard_len));
-            }
-        },
-    );
-    scalar.gated = false;
-
-    // Sanity: the two encoders must agree before their speed is compared.
-    assert_eq!(
-        parity,
-        scalar_encode(x, y, &data, shard_len),
-        "batch and scalar encoders diverged"
-    );
-
-    // Batch decode: one data and one parity shard lost per block, recovered
-    // through the pooled + cached reconstruction path.
-    let erased = [1usize, x + 1];
-    let mut rx: Vec<Option<Vec<u8>>> = data
-        .iter()
-        .cloned()
-        .chain(parity.iter().cloned())
-        .map(Some)
-        .collect();
-    let mut scratch = CodecScratch::new();
-    let mut pool = ShardPool::new();
-    let decode = measure_bytes("rs_decode_bytes_per_sec", bytes_per_pass, || {
-        for _ in 0..blocks {
-            for &e in &erased {
-                pool.put(rx[e].take().expect("shard present from last round"));
-            }
-            rs.reconstruct_with(&mut rx, &mut scratch, &mut pool)
-                .expect("bench decode");
-        }
-        std::hint::black_box(&rx);
-    });
-
-    let speedup = ratio_bench(
-        "rs_encode_speedup",
-        encode.value,
-        scalar.value,
-        "batch encode bytes/sec over preserved scalar-path bytes/sec",
-    );
-    vec![encode, scalar, decode, speedup]
 }
 
 /// Enabled-profiler span bookkeeping: enter/exit pairs per second over the

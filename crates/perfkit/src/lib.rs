@@ -16,9 +16,6 @@
 //!   plus the same meter on a lossless (PFC) fabric;
 //! * **transport step rate** — the same meter on an all-inter-DC incast,
 //!   where UnoRC ACK/NACK processing and block settling dominate;
-//! * **erasure codec rows** — batch encode/decode bytes/sec on the paper's
-//!   (8, 2) geometry, plus the preserved byte-at-a-time scalar encoder and
-//!   the gated batch-over-scalar speedup ratio;
 //! * **profiler rows** — span bookkeeping throughput, and the incast step
 //!   rate with the span profiler enabled (informational);
 //! * **scale rows** — events/sec and peak RSS on a multi-site fabric, and

@@ -20,10 +20,9 @@
 //!
 //! `--erasure` switches from full-stack scenarios to codec differential
 //! cases: each seed becomes a random `(data, parity, shard_len, erasure
-//! pattern)` tuple run through every production erasure path — batch
-//! encode, pooled encode, plain/pooled/cached reconstruct, and indexed
-//! reconstruction from a shuffled survivor set — against the naive
-//! GF(2^8) oracle byte-for-byte. Mismatches shrink to minimal cases and
+//! pattern)` tuple run through each codec call — encode, reconstruct,
+//! and indexed reconstruction from a shuffled survivor set — against the
+//! naive GF(2^8) oracle byte-for-byte. Mismatches shrink to minimal cases and
 //! are written as `erasure_<hash>.json`, the prefix the regression-corpus
 //! test dispatches on once a fixed reproducer is committed.
 

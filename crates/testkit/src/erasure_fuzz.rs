@@ -2,9 +2,7 @@
 //!
 //! Each [`ErasureCase`] is a random `(data, parity, shard_len, erasure
 //! pattern)` tuple. Running a case pushes deterministic random payload
-//! through **every** production path — fast encode, the pooled
-//! `encode_into`, `reconstruct`, the pooled-and-cached `reconstruct_with`
-//! (twice, so the second run exercises the inversion-matrix cache), and
+//! through each of the codec's three calls — `encode`, `reconstruct`, and
 //! `reconstruct_indexed` over a shuffled survivor set — and compares each
 //! byte against the naive GF(2^8) oracle in [`crate::naive_rs`]. A
 //! mismatch greedily shrinks (smaller shards, fewer erasures, narrower
@@ -19,7 +17,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::Value;
 use serde_json;
-use uno_erasure::{CodecScratch, ReedSolomon, ShardPool};
+use uno_erasure::ReedSolomon;
 
 use crate::naive_rs::NaiveReedSolomon;
 
@@ -184,7 +182,7 @@ fn payload(case: &ErasureCase) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Run one case through every production path against the naive oracle.
+/// Run one case through every codec call against the naive oracle.
 /// Returns `None` when every byte agrees, or a description of the first
 /// divergence found.
 pub fn run_erasure_case(case: &ErasureCase) -> Option<String> {
@@ -196,28 +194,19 @@ pub fn run_erasure_case(case: &ErasureCase) -> Option<String> {
     let shards = payload(case);
     let refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
 
-    // 1. Fast encode vs the oracle.
+    // 1. Encode vs the oracle.
     let parity_fast = match fast.encode(&refs) {
         Ok(p) => p,
         Err(e) => return Some(format!("encode refused a valid block: {e}")),
     };
     let parity_naive = naive.encode(&shards);
     if parity_fast != parity_naive {
-        return Some("encode: batch parity differs from naive oracle".to_string());
-    }
-
-    // 2. Pooled encode into recycled (dirty) buffers must match exactly.
-    let mut reused: Vec<Vec<u8>> = (0..case.parity).map(|i| vec![0xA5 ^ i as u8; 7]).collect();
-    if let Err(e) = fast.encode_into(&refs, &mut reused) {
-        return Some(format!("encode_into refused a valid block: {e}"));
-    }
-    if reused != parity_fast {
-        return Some("encode_into: pooled parity differs from fresh encode".to_string());
+        return Some("encode: parity differs from naive oracle".to_string());
     }
 
     let all: Vec<Vec<u8>> = shards.iter().cloned().chain(parity_fast).collect();
 
-    // 3. reconstruct on the Option slots.
+    // 2. reconstruct on the Option slots.
     let mut rx: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
     for &e in &case.erased {
         rx[e] = None;
@@ -231,32 +220,7 @@ pub fn run_erasure_case(case: &ErasureCase) -> Option<String> {
         }
     }
 
-    // 4. Pooled + cached reconstruct, twice: the first call populates the
-    //    inversion-matrix cache, the second decodes through it.
-    let mut scratch = CodecScratch::new();
-    let mut pool = ShardPool::new();
-    for round in 0..2 {
-        let mut rx: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-        for &e in &case.erased {
-            if let Some(lost) = rx[e].take() {
-                pool.put(lost);
-            }
-        }
-        if let Err(e) = fast.reconstruct_with(&mut rx, &mut scratch, &mut pool) {
-            return Some(format!("reconstruct_with round {round} failed: {e}"));
-        }
-        for (i, slot) in rx.iter().enumerate() {
-            if slot.as_ref() != Some(&all[i]) {
-                return Some(format!(
-                    "reconstruct_with round {round}: shard {i} differs \
-                     (cache {} hit)",
-                    if round == 0 { "not yet" } else { "was" }
-                ));
-            }
-        }
-    }
-
-    // 5. reconstruct_indexed over a shuffled survivor set, cross-checked
+    // 3. reconstruct_indexed over a shuffled survivor set, cross-checked
     //    against the oracle's own Gauss–Jordan recovery.
     let mut rng =
         SmallRng::seed_from_u64(case.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ 0x0069_6478);

@@ -4,7 +4,7 @@
 //! Russian-peasant carryless reduction (no tables), inversion is exhaustive
 //! search, and decoding is textbook Gauss–Jordan over the Cauchy generator.
 //! It is O(n·k) per byte and exists purely as a differential oracle — if the
-//! optimised codec and this one ever disagree on a single byte, one of them
+//! split-table codec and this one ever disagree on a single byte, one of them
 //! is wrong.
 
 /// The field polynomial `x^8 + x^4 + x^3 + x^2 + 1`, same field as the

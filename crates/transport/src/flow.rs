@@ -1581,6 +1581,83 @@ mod tests {
     }
 
     #[test]
+    fn receiver_block_done_matches_rs_decoder() {
+        // The receiver counts distinct arrivals per block; the codec decodes
+        // real bytes. After every arrival, a block must be done exactly when
+        // `reconstruct`, fed the distinct shards that arrived plus zero
+        // shards for a short block's empty (never sent) data slots, rebuilds
+        // it byte for byte. Each sent packet arrives 0, 1 or 2 times, in
+        // shuffled order.
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        use uno_erasure::ReedSolomon;
+
+        const GEOMETRIES: [(u8, u8); 5] = [(8, 2), (4, 4), (2, 1), (8, 1), (6, 3)];
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xB10C);
+        // Blocks left undecodable and decodable at the end of a case.
+        let mut outcomes = [0; 2];
+        for case in 0..400 {
+            let (x, y) = GEOMETRIES[case % GEOMETRIES.len()];
+            let ec = EcParams { data: x, parity: y };
+            let pkts = rng.gen_range(1..=3 * x as u64);
+            let mut f = flow_with_window(pkts, Some(ec), 64);
+            let mut wire = Wire::new();
+            // The window holds every packet; a short block's empty data
+            // slots are never sent.
+            let sent = wire.start(&mut f);
+            assert_eq!(sent.len() as u64, pkts + f.nblocks * y as u64);
+
+            let (x, n) = (x as usize, ec.total() as usize);
+            let rs = ReedSolomon::new(x, y as usize);
+            let mut blocks = Vec::new();
+            let mut rx = Vec::new();
+            for b in 0..f.nblocks {
+                let d = f.block_data_count(b) as usize;
+                let data: Vec<Vec<u8>> = (0..x)
+                    .map(|i| (0..16).map(|_| if i < d { rng.gen() } else { 0 }).collect())
+                    .collect();
+                let refs: Vec<&[u8]> = data.iter().map(|s| s.as_slice()).collect();
+                let parity = rs.encode(&refs).unwrap();
+                let shards: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
+                rx.push(
+                    (0..n)
+                        .map(|i| (d..x).contains(&i).then(|| shards[i].clone()))
+                        .collect::<Vec<_>>(),
+                );
+                blocks.push(shards);
+            }
+            let mut rebuilt = vec![false; blocks.len()];
+
+            let mut arrivals: Vec<Packet> = sent
+                .iter()
+                .flat_map(|&p| std::iter::repeat_n(p, rng.gen_range(0..=2)))
+                .collect();
+            arrivals.shuffle(&mut rng);
+            for p in arrivals {
+                wire.deliver(&mut f, p);
+                let (b, i, _) = f.seq_block(p.seq);
+                let (b, i) = (b as usize, i as usize);
+                rx[b][i] = Some(blocks[b][i].clone());
+                let mut decoded = rx[b].clone();
+                rebuilt[b] = rs.reconstruct(&mut decoded).is_ok()
+                    && decoded
+                        .iter()
+                        .zip(&blocks[b])
+                        .all(|(s, t)| s.as_ref() == Some(t));
+                assert_eq!(
+                    f.rx_block_done, rebuilt,
+                    "case {case}: ({x},{y}), {pkts} packets, after seq {}",
+                    p.seq
+                );
+            }
+            for done in rebuilt {
+                outcomes[done as usize] += 1;
+            }
+        }
+        assert!(outcomes.iter().all(|&k| k > 100), "{outcomes:?}");
+    }
+
+    #[test]
     fn data_pkt_size_math() {
         let f = flow_with(4096 * 2 + 1, None);
         assert_eq!(f.data_pkt_size(0), 4096);
