@@ -21,7 +21,7 @@ use uno::sim::{
 };
 use uno::{DegradationConfig, Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
 use uno_erasure::EcParams;
-use uno_transport::{LbMode, PlbParams};
+use uno_transport::{wire_packets, LbMode, PlbParams, MAX_WIRE_PACKETS};
 use uno_workloads::{incast, permutation, poisson_mix, Cdf, FlowSpec, PoissonMixParams};
 
 /// Scheme selector.
@@ -400,9 +400,22 @@ fn check_fields(sc: &Scenario) -> Result<(), String> {
         ));
     }
     let hosts = topo.hosts_per_dc();
-    let positive = |field: &str, size: u64| match size {
-        0 => Err(format!("{field} must be at least 1 byte")),
-        _ => Ok(()),
+    // A flow's wire packets, under the erasure coding the scheme gives its
+    // class, must fit the `u32` sequences of its sender state.
+    let scheme = scheme(sc);
+    let size_fits = |field: &str, size: u64, inter: bool| {
+        if size == 0 {
+            return Err(format!("{field} must be at least 1 byte"));
+        }
+        let wire = wire_packets(size, topo.mtu, scheme.ec_for(inter));
+        if wire > MAX_WIRE_PACKETS {
+            return Err(format!(
+                "{field} {size} is {wire} wire packets at MTU {}, above the \
+                 {MAX_WIRE_PACKETS} one flow can track",
+                topo.mtu
+            ));
+        }
+        Ok(())
     };
     match &sc.workload {
         WorkloadSel::Flows(flows) => {
@@ -422,7 +435,8 @@ fn check_fields(sc: &Scenario) -> Result<(), String> {
                         ));
                     }
                 }
-                positive(&format!("workload.flows[{i}].size"), f.size)?;
+                let field = format!("workload.flows[{i}].size");
+                size_fits(&field, f.size, f.src_dc != f.dst_dc)?;
             }
         }
         WorkloadSel::Incast { intra, inter, size } => {
@@ -439,9 +453,12 @@ fn check_fields(sc: &Scenario) -> Result<(), String> {
                     sc.k
                 ));
             }
-            positive("workload.incast.size", *size)?;
+            size_fits("workload.incast.size", *size, *inter > 0)?;
         }
-        WorkloadSel::Permutation { size } => positive("workload.permutation.size", *size)?,
+        // Over more than one site the permutation pairs hosts across sites.
+        WorkloadSel::Permutation { size } => {
+            size_fits("workload.permutation.size", *size, sc.dcs > 1)?
+        }
         WorkloadSel::PoissonMix {
             load,
             inter_fraction,
@@ -484,6 +501,21 @@ fn topology(sc: &Scenario) -> TopologyParams {
     topo
 }
 
+/// The scheme `sc` names.
+fn scheme(sc: &Scenario) -> SchemeSpec {
+    match &sc.scheme {
+        SchemeSel::Uno => SchemeSpec::uno(),
+        SchemeSel::UnoEcmp => SchemeSpec::uno_ecmp(),
+        SchemeSel::Gemini => SchemeSpec::gemini(),
+        SchemeSel::MprdmaBbr => SchemeSpec::mprdma_bbr(),
+        SchemeSel::Custom { lb, ec } => SchemeSpec::unocc_with(
+            "custom",
+            lb.to_mode(),
+            ec.map(|(data, parity)| EcParams { data, parity }),
+        ),
+    }
+}
+
 /// Run `sc`, or explain why the scenario cannot run.
 fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Output, String> {
     check_fields(sc)?;
@@ -499,17 +531,7 @@ fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Outp
     } else if sc.pfc_xoff_frac > 0.0 {
         return Err("pfc_xoff_frac requires \"lossless\": true".into());
     }
-    let scheme = match &sc.scheme {
-        SchemeSel::Uno => SchemeSpec::uno(),
-        SchemeSel::UnoEcmp => SchemeSpec::uno_ecmp(),
-        SchemeSel::Gemini => SchemeSpec::gemini(),
-        SchemeSel::MprdmaBbr => SchemeSpec::mprdma_bbr(),
-        SchemeSel::Custom { lb, ec } => SchemeSpec::unocc_with(
-            "custom",
-            lb.to_mode(),
-            ec.map(|(data, parity)| EcParams { data, parity }),
-        ),
-    };
+    let scheme = scheme(sc);
     let hosts = topo.hosts_per_dc() as u32;
     let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(sc.seed);
     let specs: Vec<FlowSpec> = match &sc.workload {
@@ -971,6 +993,20 @@ mod tests {
                 format!(r#""dcs":3,"fail_border_links":13,{incast}"#),
                 "fail_border_links 13 ",
             ),
+            // Sizes past the u32 wire-packet limit: 2^52 packets, and one
+            // (8, 2) block more than an inter-DC flow can track.
+            (
+                r#""workload":{"incast":{"intra":1,"inter":0,"size":18446744073709551615}}"#.into(),
+                "workload.incast.size 18446744073709551615 ",
+            ),
+            (
+                r#""workload":{"permutation":{"size":18446744073709551615}}"#.into(),
+                "workload.permutation.size 18446744073709551615 ",
+            ),
+            (
+                flow(r#""src_dc":0,"src_idx":0,"dst_dc":1,"dst_idx":1,"size":14073748819968"#),
+                "workload.flows[1].size 14073748819968 ",
+            ),
         ];
         let scenario = |fields: &str| match fields.contains(r#""scheme""#) {
             true => format!("{{{fields}}}"),
@@ -994,6 +1030,12 @@ mod tests {
             format!(r#""fail_border_links":4,{incast}"#),
             format!(r#""k":8,"fail_border_links":8,{incast}"#),
             format!(r#""dcs":3,"fail_border_links":12,{incast}"#),
+            // Exactly u32::MAX wire packets; the inter-DC size above is
+            // fine within a site, where no parity is added; and one block
+            // less fits inter-DC. Checked only, never run.
+            r#""workload":{"incast":{"intra":1,"inter":0,"size":17592186040320}}"#.into(),
+            flow(r#""src_dc":0,"src_idx":0,"dst_dc":0,"dst_idx":1,"size":14073748819968"#),
+            flow(r#""src_dc":0,"src_idx":0,"dst_dc":1,"dst_idx":1,"size":14073748815872"#),
         ] {
             let json = scenario(&fields);
             let sc: Scenario = serde_json::from_str(&json).unwrap();

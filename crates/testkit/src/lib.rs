@@ -15,7 +15,7 @@
 //!    O(n·k) Reed–Solomon reference checked byte-for-byte against
 //!    `uno-erasure`, and a fluid-model throughput bound checked against
 //!    steady-state runs of every congestion-control scheme.
-//! 3. **Fault-injection fuzzing** ([`scenario`], [`shrink`],
+//! 3. **Fault-injection fuzzing** ([`scenario`], [`shrink`](mod@shrink),
 //!    [`erasure_fuzz`], the `uno-fuzz` binary): seed-derived random
 //!    topology/workload/fault scenarios run on the full stack with all
 //!    invariants armed, plus `--erasure` codec cases differentially checked

@@ -147,11 +147,46 @@ struct PktState {
 
 const _: () = assert!(std::mem::size_of::<PktState>() == 32);
 
+/// Most wire packets one message may have: the RTO log and the
+/// retransmission queue store sequences as `u32`.
+pub const MAX_WIRE_PACKETS: u64 = u32::MAX as u64;
+
+/// Wire packets of a `size`-byte message at `mtu`: its data packets, or with
+/// erasure coding its blocks times `x + y`, empty data slots of a short last
+/// block included. Saturates instead of overflowing, so any count too large
+/// to track reads as above [`MAX_WIRE_PACKETS`].
+pub fn wire_packets(size: u64, mtu: u32, ec: Option<EcParams>) -> u64 {
+    let data = size.div_ceil(mtu as u64);
+    match ec {
+        Some(ec) => data
+            .div_ceil(ec.data as u64)
+            .saturating_mul(ec.total() as u64),
+        None => data,
+    }
+}
+
+/// The storage rule of the per-flow sender deques (the send ring, the RTO
+/// log and the retransmission queue): once the live length falls to
+/// 1/`SHRINK_AT` of a capacity above `SHRINK_ABOVE` entries, the capacity
+/// drops to twice the live length. A shrink leaves the deque half full, so
+/// its length must change by a quarter of its capacity before the storage
+/// moves again, and copying stays amortised O(1) per push or pop.
+const SHRINK_ABOVE: usize = 64;
+const SHRINK_AT: usize = 4;
+
+/// Apply the storage rule to `q`; called after every run of pops.
+fn shrink<T>(q: &mut VecDeque<T>) {
+    if q.capacity() > SHRINK_ABOVE && q.len() * SHRINK_AT <= q.capacity() {
+        q.shrink_to(2 * q.len());
+    }
+}
+
 /// The sender records of wire sequences `[base, base + len)`, where `base`
 /// is the oldest sequence not yet acked or settled. A sequence below the
 /// ring reads as acked and one at or past its end as never sent, so the
 /// ring spans the open window, not the message: it grows while a hole stays
-/// open and its base jumps forward once the hole closes.
+/// open, and once the hole closes its base jumps forward and its storage
+/// shrinks back towards the window.
 #[derive(Debug, Default)]
 struct SendRing {
     base: u64,
@@ -196,6 +231,7 @@ impl SendRing {
             self.slots.pop_front();
             self.base += 1;
         }
+        shrink(&mut self.slots);
     }
 }
 
@@ -240,12 +276,15 @@ pub struct MessageFlow {
     rtx_bitmap: Vec<u64>,
     total_wire: u64,
     next_new: u64,
-    rtx_queue: VecDeque<u64>,
+    rtx_queue: VecDeque<u32>,
     inflight: u64,
     delivered: u64,
     send_order: u64,
     max_acked_order: u64,
-    sent_fifo: VecDeque<(u64, u64)>, // (order, seq)
+    /// The RTO log: one sequence per transmission, oldest first, dead
+    /// entries dropped from the front. Its orders are implicit (see
+    /// [`MessageFlow::log_front`]).
+    sent_fifo: VecDeque<u32>,
     completed: bool,
     // Completion accounting.
     blocks_done: u64,
@@ -300,18 +339,24 @@ pub struct MessageFlow {
 
 impl MessageFlow {
     /// Create a flow endpoint pair with the given congestion controller.
+    ///
+    /// Panics on an empty message, and on one of more than
+    /// [`MAX_WIRE_PACKETS`] wire packets.
     pub fn new(cfg: FlowConfig, cc: Box<dyn CcAlgorithm>) -> Self {
         assert!(cfg.size > 0, "empty flows are not modelled");
         assert!(cfg.mtu > 0);
+        let total_wire = wire_packets(cfg.size, cfg.mtu, cfg.ec);
+        assert!(
+            total_wire <= MAX_WIRE_PACKETS,
+            "a {}-byte message is {total_wire} wire packets at MTU {}, above the \
+             {MAX_WIRE_PACKETS} one flow can track",
+            cfg.size,
+            cfg.mtu
+        );
         let data_pkts = cfg.size.div_ceil(cfg.mtu as u64);
-        let (nblocks, block_n, total_wire) = match cfg.ec {
-            Some(ec) => {
-                let x = ec.data as u64;
-                let n = ec.total() as u64;
-                let b = data_pkts.div_ceil(x);
-                (b, n, b * n)
-            }
-            None => (0, 0, data_pkts),
+        let (nblocks, block_n) = match cfg.ec {
+            Some(ec) => (data_pkts.div_ceil(ec.data as u64), ec.total() as u64),
+            None => (0, 0),
         };
         let words = (total_wire as usize).div_ceil(64);
         MessageFlow {
@@ -513,10 +558,12 @@ impl MessageFlow {
     fn peek_next_seq(&mut self) -> Option<(u64, u32)> {
         // Drop stale rtx entries (already acked since queued).
         while let Some(&seq) = self.rtx_queue.front() {
+            let seq = seq as u64;
             match self.ring.get(seq) {
                 Some(s) if s.phase != Phase::Acked => return Some((seq, s.size)),
                 _ => {
                     self.rtx_queue.pop_front();
+                    shrink(&mut self.rtx_queue);
                 }
             }
         }
@@ -540,8 +587,9 @@ impl MessageFlow {
     }
 
     fn pop_next_seq(&mut self, seq: u64) {
-        if self.rtx_queue.front() == Some(&seq) {
+        if self.rtx_queue.front().is_some_and(|&q| q as u64 == seq) {
             self.rtx_queue.pop_front();
+            shrink(&mut self.rtx_queue);
         } else {
             debug_assert_eq!(seq, self.next_new);
             self.next_new += 1;
@@ -589,7 +637,7 @@ impl MessageFlow {
         p.index_in_block = idx;
         p.is_parity = parity;
         p.is_rtx = is_rtx;
-        self.sent_fifo.push_back((order, seq));
+        self.sent_fifo.push_back(seq as u32);
         self.cc.on_send(p.size as u64, ctx.now);
         ctx.send(p);
         self.arm_rto(ctx);
@@ -643,16 +691,16 @@ impl MessageFlow {
         } else {
             None
         };
-        let mut fifo = std::mem::take(&mut self.sent_fifo);
-        for (order, seq) in fifo.drain(..) {
+        while let Some((order, seq)) = self.log_front() {
+            self.sent_fifo.pop_front();
             if let Some(s) = self.ring.get_mut(seq) {
                 if s.phase == Phase::InFlight && s.order == order {
                     s.phase = Phase::Queued;
-                    self.rtx_queue.push_back(seq);
+                    self.rtx_queue.push_back(seq as u32);
                 }
             }
         }
-        self.sent_fifo = fifo;
+        shrink(&mut self.sent_fifo);
         self.inflight = 0;
         self.cc.on_loss(ctx.now);
         self.loss_guard_until = ctx.now + self.cfg.base_rtt;
@@ -792,6 +840,16 @@ impl MessageFlow {
         self.pump(ctx);
     }
 
+    /// The oldest RTO-log entry as `(order, seq)`. Every transmission
+    /// appends one entry, and entries leave only from the front or all at
+    /// once, so the log holds the transmissions of orders
+    /// `send_order - len .. send_order`, in order: entry `i` was sent as
+    /// order `send_order - len + i`.
+    fn log_front(&self) -> Option<(u64, u64)> {
+        let &seq = self.sent_fifo.front()?;
+        Some((self.send_order - self.sent_fifo.len() as u64, seq as u64))
+    }
+
     /// Drop dead entries from the front of the RTO log: transmissions whose
     /// packet is acked, no longer outstanding, or was sent again later.
     /// [`MessageFlow::on_rto_timer`] skips exactly these, and a dead entry
@@ -800,13 +858,14 @@ impl MessageFlow {
     /// they never run [`MessageFlow::fast_rtx_scan`], which otherwise
     /// consumes the log's front.
     fn trim_sent_fifo(&mut self) {
-        while let Some(&(order, seq)) = self.sent_fifo.front() {
+        while let Some((order, seq)) = self.log_front() {
             let live = self.ring.get(seq);
             if live.is_some_and(|s| s.phase == Phase::InFlight && s.order == order) {
                 break;
             }
             self.sent_fifo.pop_front();
         }
+        shrink(&mut self.sent_fifo);
     }
 
     /// Reorder-tolerant loss inference: a transmission is presumed lost once
@@ -820,7 +879,7 @@ impl MessageFlow {
             return;
         }
         let mut loss = false;
-        while let Some(&(order, seq)) = self.sent_fifo.front() {
+        while let Some((order, seq)) = self.log_front() {
             if order + self.cfg.dup_thresh > self.max_acked_order {
                 break;
             }
@@ -831,10 +890,11 @@ impl MessageFlow {
             if s.phase == Phase::InFlight && s.order == order {
                 s.phase = Phase::Queued;
                 self.inflight = self.inflight.saturating_sub(s.size as u64);
-                self.rtx_queue.push_back(seq);
+                self.rtx_queue.push_back(seq as u32);
                 loss = true;
             }
         }
+        shrink(&mut self.sent_fifo);
         if loss {
             self.fast_rtx_count += 1;
             if ctx.now >= self.loss_guard_until {
@@ -925,7 +985,7 @@ impl MessageFlow {
                 }
                 s.phase = Phase::Queued;
                 self.inflight = self.inflight.saturating_sub(s.size as u64);
-                self.rtx_queue.push_back(seq);
+                self.rtx_queue.push_back(seq as u32);
             }
         }
         let before = if ctx.tracing() {
@@ -1407,18 +1467,32 @@ mod tests {
         assert_eq!(f.blocks_done, 1);
     }
 
+    /// Records a transmission of `seq` as `transmit` does: the packet goes
+    /// in flight under the next order, and the RTO log gets its entry.
+    fn log_send(f: &mut MessageFlow, seq: u64) {
+        let order = f.send_order;
+        let s = slot(f, seq);
+        s.phase = Phase::InFlight;
+        s.order = order;
+        f.sent_fifo.push_back(seq as u32);
+        f.send_order += 1;
+    }
+
+    /// The RTO log as `(order, seq)` pairs, oldest first.
+    fn rto_log(f: &MessageFlow) -> Vec<(u64, u64)> {
+        let first = f.send_order - f.sent_fifo.len() as u64;
+        (first..)
+            .zip(f.sent_fifo.iter().map(|&s| s as u64))
+            .collect()
+    }
+
     #[test]
     fn trim_sent_fifo_drops_only_dead_front_entries() {
         let mut f = flow_with(64 << 10, Some(EcParams::PAPER_DEFAULT));
         // Seqs 0..4 sent in order 0..4, then seq 1 resent as order 4.
-        for seq in 0..4u64 {
-            let s = slot(&mut f, seq);
-            s.phase = Phase::InFlight;
-            s.order = seq;
-            f.sent_fifo.push_back((seq, seq));
+        for seq in [0, 1, 2, 3, 1] {
+            log_send(&mut f, seq);
         }
-        slot(&mut f, 1).order = 4;
-        f.sent_fifo.push_back((4, 1));
         // Seq 0 acked (so it leaves the ring), seq 2 presumed lost.
         slot(&mut f, 0).phase = Phase::Acked;
         f.ring.advance();
@@ -1427,14 +1501,121 @@ mod tests {
         // (0, 0) acked, (1, 1) superseded by the resend, (2, 2) not
         // outstanding: all three go, and the trim stops at live (3, 3).
         f.trim_sent_fifo();
-        assert_eq!(f.sent_fifo, VecDeque::from([(3, 3), (4, 1)]));
+        assert_eq!(rto_log(&f), [(3, 3), (4, 1)]);
         // A live front entry keeps dead ones behind it in place.
         slot(&mut f, 1).phase = Phase::Acked;
         f.trim_sent_fifo();
-        assert_eq!(f.sent_fifo, VecDeque::from([(3, 3), (4, 1)]));
+        assert_eq!(rto_log(&f), [(3, 3), (4, 1)]);
         slot(&mut f, 3).phase = Phase::Acked;
         f.trim_sent_fifo();
         assert!(f.sent_fifo.is_empty());
+    }
+
+    /// A fixed window that shuts on loss: after an RTO it lets out only the
+    /// one packet an empty pipe always gets, and the rest stay queued.
+    struct ShutsOnLoss(f64);
+
+    impl CcAlgorithm for ShutsOnLoss {
+        fn on_ack(&mut self, _: &AckEvent) {}
+        fn on_loss(&mut self, _: Time) {
+            self.0 = 0.0;
+        }
+        fn cwnd(&self) -> f64 {
+            self.0
+        }
+        fn name(&self) -> &'static str {
+            "shuts"
+        }
+    }
+
+    #[test]
+    fn rto_requeues_in_flight_packets_in_send_order() {
+        let mut f = flow_with_cc(20 * 4096, None, Box::new(ShutsOnLoss(8.0 * 4096.0)));
+        let mut wire = Wire::new();
+        assert_eq!(seqs(&wire.start(&mut f)), (0..8).collect::<Vec<_>>());
+        // Seq 0 is presumed lost and resent as order 8 before any RTO, so
+        // the log's first entry is stale.
+        slot(&mut f, 0).phase = Phase::Queued;
+        f.inflight -= 4096;
+        f.rtx_queue.push_back(0);
+        assert_eq!(seqs(&wire.call(&mut f, |f, ctx| f.pump(ctx))), [0]);
+        let mut log: Vec<(u64, u64)> = (0..8).map(|seq| (seq, seq)).collect();
+        log.push((8, 0));
+        assert_eq!(rto_log(&f), log);
+        // The RTO queues every packet in flight by its latest transmission
+        // and skips the stale entry. The shut window lets out the first.
+        wire.now = f.rto_deadline;
+        assert_eq!(seqs(&wire.call(&mut f, |f, ctx| f.on_rto_timer(ctx))), [1]);
+        assert_eq!(f.rto_count, 1);
+        assert_eq!(f.rtx_queue, [2, 3, 4, 5, 6, 7, 0]);
+        assert_eq!(rto_log(&f), [(9, 1)]);
+    }
+
+    #[test]
+    fn send_state_gives_storage_back_when_a_hole_closes() {
+        // 600 packets through a 16-packet window. The first copies of the
+        // packets below `hole` are held back and every later copy is lost:
+        // seq 0 without EC; under (8, 2), seqs 0 to 2, which leave block 0
+        // one arrival short. No timer fires, so the EC flow never resends
+        // them, and its RTO log is never trimmed past seq 0's entry.
+        for (ec, hole) in [(None, 1), (Some(EcParams::PAPER_DEFAULT), 3)] {
+            let mut f = flow_with_window(600, ec, 16);
+            let mut wire = Wire::new();
+            let mut queue: VecDeque<Packet> = wire.start(&mut f).into();
+            let mut held: Vec<Packet> = Vec::new();
+            while f.ring.slots.capacity() <= 256 {
+                let p = queue.pop_front().expect("the hole keeps the flow open");
+                if p.kind == PacketKind::Data && p.seq < hole {
+                    if held.iter().all(|h| h.seq != p.seq) {
+                        held.push(p);
+                    }
+                    continue;
+                }
+                queue.extend(wire.deliver(&mut f, p));
+            }
+            assert_eq!(f.ring.base, 0, "the hole holds the ring's base");
+            if ec.is_some() {
+                assert!(f.sent_fifo.len() > 256, "the log grew with the ring");
+            }
+            // The held copies close the hole. From then on neither deque
+            // keeps more than four times its live length past 64 slots.
+            for p in held.into_iter().rev() {
+                queue.push_front(p);
+            }
+            while let Some(p) = queue.pop_front() {
+                queue.extend(wire.deliver(&mut f, p));
+                for (name, cap, len) in [
+                    ("ring", f.ring.slots.capacity(), f.ring.slots.len()),
+                    ("log", f.sent_fifo.capacity(), f.sent_fifo.len()),
+                ] {
+                    assert!(cap <= 64.max(4 * len), "{ec:?}: {name} {len}/{cap}");
+                }
+            }
+            assert!(f.completed);
+        }
+    }
+
+    #[test]
+    fn wire_packets_counts_blocks_and_saturates() {
+        assert_eq!(wire_packets(10_000, 4096, None), 3);
+        let ec = Some(EcParams::PAPER_DEFAULT);
+        assert_eq!(wire_packets(5 * 4096, 4096, ec), 10);
+        assert_eq!(wire_packets(17 * 4096, 4096, ec), 30);
+        let limit = MAX_WIRE_PACKETS * 4096;
+        assert_eq!(wire_packets(limit, 4096, None), MAX_WIRE_PACKETS);
+        assert_eq!(wire_packets(limit + 1, 4096, None), MAX_WIRE_PACKETS + 1);
+        let widest = Some(EcParams {
+            data: 1,
+            parity: 254,
+        });
+        assert_eq!(wire_packets(u64::MAX, 1, widest), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "wire packets at MTU 4096, above the 4294967295")]
+    fn oversized_message_rejected() {
+        // One packet past the limit; the check runs before any allocation.
+        let _ = flow_with(MAX_WIRE_PACKETS * 4096 + 1, None);
     }
 
     #[test]

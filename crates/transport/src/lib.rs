@@ -30,7 +30,7 @@ pub mod unocc;
 
 pub use bbr::Bbr;
 pub use cc::{AckEvent, CcAlgorithm, CcConfig};
-pub use flow::{FaultInjection, FlowConfig, MessageFlow};
+pub use flow::{wire_packets, FaultInjection, FlowConfig, MessageFlow, MAX_WIRE_PACKETS};
 pub use gemini::Gemini;
 pub use lb::{LbMode, LoadBalancer, PlbParams};
 pub use mprdma::Mprdma;

@@ -1,9 +1,9 @@
 //! Empirical flow-size distributions.
 //!
 //! The paper drives its realistic experiments with three published flow-size
-//! CDFs: Google web search (DCTCP [9]) for intra-DC traffic, Alibaba's
-//! regional WAN trace (FlashPass [65]) for inter-DC traffic, and a Google
-//! RPC distribution [53] for the small-message background of Fig. 4. The
+//! CDFs: Google web search (DCTCP \[9\]) for intra-DC traffic, Alibaba's
+//! regional WAN trace (FlashPass \[65\]) for inter-DC traffic, and a Google
+//! RPC distribution \[53\] for the small-message background of Fig. 4. The
 //! original trace files ship with the paper's artifact; here we embed
 //! point-sets reconstructed from the published figures of the cited papers.
 //! Shapes (heavy tails, size ranges) match; exact percentiles are
@@ -91,7 +91,7 @@ impl Cdf {
         self.points.last().unwrap().0 as u64
     }
 
-    /// Google web search flow sizes (DCTCP paper, Fig. 4 of [9]); the
+    /// Google web search flow sizes (DCTCP paper, Fig. 4 of \[9\]); the
     /// paper's intra-DC workload. Heavy-tailed: ~50% of flows under 100 KB
     /// but most bytes in multi-megabyte flows. Mean ≈ 1.6 MB.
     pub fn websearch() -> Self {
@@ -111,7 +111,7 @@ impl Cdf {
         ])
     }
 
-    /// Alibaba inter-DC WAN flow sizes (FlashPass [65]); the paper's
+    /// Alibaba inter-DC WAN flow sizes (FlashPass \[65\]); the paper's
     /// inter-DC workload. All sizes below 300 MB (as the paper notes in §1),
     /// with a strong small-transfer mode and a long tail.
     pub fn alibaba_wan() -> Self {
@@ -128,7 +128,7 @@ impl Cdf {
         ])
     }
 
-    /// "Google RPC" small-message distribution (Homa [53] workload W4
+    /// "Google RPC" small-message distribution (Homa \[53\] workload W4
     /// shape); used for the latency-sensitive background traffic of Fig. 4.
     pub fn google_rpc() -> Self {
         Cdf::new(vec![
