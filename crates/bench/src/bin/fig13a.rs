@@ -15,7 +15,7 @@
 
 use uno::metrics::OutcomeCounts;
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, MILLIS, SECONDS};
-use uno::{DegradationConfig, SchemeSpec};
+use uno::SchemeSpec;
 use uno_bench::HarnessArgs;
 use uno_workloads::FlowSpec;
 
@@ -105,7 +105,7 @@ fn main() {
         if variant != FaultVariant::Hard {
             // Gray variants can permanently starve a flow; degrade it
             // to a definite outcome instead of censoring at the horizon.
-            cfg.degradation = Some(DegradationConfig::default());
+            cfg.degrade = true;
         }
         let mut exp = uno_bench::experiment(cfg);
         for i in 0..n_flows {

@@ -9,7 +9,7 @@
 
 use rand::{Rng, SeedableRng};
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, GilbertElliott, MILLIS, SECONDS};
-use uno::{DegradationConfig, SchemeSpec};
+use uno::SchemeSpec;
 use uno_bench::HarnessArgs;
 use uno_workloads::{allreduce_ideal_time, allreduce_iteration};
 
@@ -41,7 +41,7 @@ fn main() {
         let mut cfg = uno_bench::config(scheme, seed, &topo);
         // Under failure + loss an iteration can wedge; degrade wedged
         // flows to a definite outcome instead of burning the horizon.
-        cfg.degradation = Some(DegradationConfig::default());
+        cfg.degrade = true;
         let mut exp = uno_bench::experiment(cfg);
         let specs = allreduce_iteration(groups, volume, topo.hosts_per_dc() as u32, &mut rng);
         exp.add_specs(&specs);

@@ -19,7 +19,7 @@
 
 use uno::metrics::OutcomeCounts;
 use uno::sim::{FabricMode, FaultEntry, FaultSpec, FlowClass, MILLIS, SECONDS};
-use uno::{DegradationConfig, SchemeSpec};
+use uno::SchemeSpec;
 use uno_bench::HarnessArgs;
 use uno_workloads::FlowSpec;
 
@@ -188,7 +188,7 @@ fn run_seed(
     if fault != FaultCol::None {
         // Gray variants can permanently starve a flow; degrade it to a
         // definite outcome instead of censoring at the horizon.
-        cfg.degradation = Some(DegradationConfig::default());
+        cfg.degrade = true;
     }
     let mut exp = uno_bench::experiment(cfg);
     // Inter-DC transfers crossing the (possibly sick) border.

@@ -17,6 +17,7 @@ use uno::metrics::ViolinSummary;
 use uno::sim::{
     FaultEntry, FaultKind, FaultTarget, RunManifest, Time, TopologyParams, GBPS, MILLIS, SECONDS,
 };
+use uno::transport::cc::{ALPHA_FRAC, BETA, K_FRAC, PHANTOM_DELAY_THRESH};
 use uno::{Experiment, ExperimentConfig, ExperimentResults, SchemeSpec};
 use uno_workloads::{poisson_mix, Cdf, FlowSpec, PoissonMixParams};
 
@@ -185,9 +186,16 @@ impl HarnessArgs {
 /// Print the Table 2 parameter set (`fig10 --params`).
 pub fn print_table2(topo: &TopologyParams) {
     println!("Table 2: parameter defaults");
-    println!("  alpha (UnoCC AI factor)      = 0.001 x BDP");
-    println!("  beta (UnoCC QA factor)       = 0.5");
-    println!("  K (UnoCC MD constant)        = 1/7 x intra-DC BDP");
+    println!("  alpha (UnoCC AI factor)      = {ALPHA_FRAC} x BDP");
+    println!("  beta (UnoCC QA factor)       = {BETA}");
+    println!(
+        "  K (UnoCC MD constant)        = 1/{} x intra-DC BDP",
+        1.0 / K_FRAC
+    );
+    println!(
+        "  phantom-only ECN below       = {} us relative delay",
+        PHANTOM_DELAY_THRESH / 1_000
+    );
     println!(
         "  intra-DC RTT                 = {} us",
         topo.intra_rtt / 1_000

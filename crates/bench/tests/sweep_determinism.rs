@@ -19,7 +19,7 @@ use uno::sim::{
     MICROS, SECONDS,
 };
 use uno::transport::UnoCc;
-use uno::{DegradationConfig, Experiment, ExperimentConfig, ExperimentResults, SchemeSpec};
+use uno::{Experiment, ExperimentConfig, ExperimentResults, SchemeSpec};
 use uno_bench::{run_cell, SweepRunner};
 use uno_transport::LbMode;
 use uno_workloads::incast;
@@ -178,7 +178,7 @@ fn run_built_cells(jobs: usize) -> Vec<String> {
         .collect();
     SweepRunner::new(jobs).run(cells, |_, (build, seed)| {
         let mut cfg = ExperimentConfig::quick(SchemeSpec::uno(), seed);
-        cfg.degradation = Some(DegradationConfig::default());
+        cfg.degrade = true;
         cfg.record_progress = matches!(build, Build::SuppliedController);
         let mut exp = uno_bench::experiment(cfg);
         let hosts = exp.sim.topo.params.hosts_per_dc() as u32;

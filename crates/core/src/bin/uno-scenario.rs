@@ -19,9 +19,9 @@ use uno::sim::{
     FabricMode, FaultSpec, GilbertElliott, PfcParams, RunManifest, SampleConfig, Telemetry, Time,
     TopologyParams, TraceConfig, Tracer, MICROS, MILLIS, SECONDS,
 };
-use uno::{DegradationConfig, Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
+use uno::{Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
 use uno_erasure::EcParams;
-use uno_transport::{wire_packets, LbMode, PlbParams, MAX_WIRE_PACKETS};
+use uno_transport::{wire_packets, LbMode, MAX_WIRE_PACKETS};
 use uno_workloads::{incast, permutation, poisson_mix, Cdf, FlowSpec, PoissonMixParams};
 
 /// Scheme selector.
@@ -54,7 +54,7 @@ impl LbSel {
         match self {
             LbSel::Ecmp => LbMode::Ecmp,
             LbSel::Spray => LbMode::Spray,
-            LbSel::Plb => LbMode::Plb(PlbParams::default()),
+            LbSel::Plb => LbMode::Plb,
             LbSel::UnoLb { subflows } => LbMode::UnoLb { subflows },
         }
     }
@@ -568,7 +568,7 @@ fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Outp
     if has_faults {
         // Under injected faults every flow must reach a definite outcome
         // instead of retrying into the horizon.
-        cfg.degradation = Some(DegradationConfig::default());
+        cfg.degrade = true;
     }
     let horizon: Time = nanos("horizon_ms", sc.horizon_ms, MILLIS)?.max(SECONDS / 100);
     if opts.telemetry {

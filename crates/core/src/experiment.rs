@@ -33,12 +33,14 @@ pub struct ExperimentConfig {
     /// Test-only fault injection applied to every flow's transport (all off
     /// by default; `uno-testkit` arms these to validate its checkers).
     pub faults: FaultInjection,
-    /// Graceful-degradation knobs (stall watchdog + bounded-retry abort)
-    /// applied to every flow's transport. `None` keeps the legacy behaviour:
-    /// flows under a permanent fault retry until the horizon and show up as
-    /// censored FCTs. Fault-injecting drivers should enable this so such
-    /// flows terminate with a definite [`uno_sim::FlowOutcome`] instead.
-    pub degradation: Option<DegradationConfig>,
+    /// Arm graceful degradation on every flow's transport: a stall
+    /// watchdog that checks progress every [`STALL_RTOS`] RTOs, and an
+    /// abort after [`MAX_RTO_RETRIES`] consecutive RTOs without progress.
+    /// `false` keeps the legacy behaviour: flows under a permanent fault
+    /// retry until the horizon and show up as censored FCTs. Runs that
+    /// inject faults should set this so such flows terminate with a definite
+    /// [`uno_sim::FlowOutcome`] instead.
+    pub degrade: bool,
     /// Periodic in-sim telemetry sampling (link queues, per-flow transport
     /// state, fault plane); `None` records nothing. The collected series
     /// land in [`ExperimentResults::telemetry`], deterministic per seed.
@@ -52,24 +54,13 @@ pub struct ExperimentConfig {
     pub lp_jobs: usize,
 }
 
-/// Per-flow graceful-degradation knobs (see [`FlowConfig::with_degradation`]).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct DegradationConfig {
-    /// Watchdog check period in RTOs; two consecutive zero-progress checks
-    /// declare the flow stalled.
-    pub stall_rtos: u32,
-    /// Consecutive zero-progress RTOs before the sender aborts.
-    pub max_rto_retries: u32,
-}
-
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            stall_rtos: 8,
-            max_rto_retries: 12,
-        }
-    }
-}
+/// Stall-watchdog period in RTOs under [`ExperimentConfig::degrade`]; two
+/// consecutive zero-progress checks declare the flow stalled (see
+/// [`FlowConfig::with_degradation`]).
+pub const STALL_RTOS: u32 = 8;
+/// Consecutive zero-progress RTOs before a sender aborts under
+/// [`ExperimentConfig::degrade`].
+pub const MAX_RTO_RETRIES: u32 = 12;
 
 impl ExperimentConfig {
     /// Config over the scaled-down (k=4) topology for fast runs.
@@ -80,7 +71,7 @@ impl ExperimentConfig {
             seed,
             record_progress: false,
             faults: FaultInjection::default(),
-            degradation: None,
+            degrade: false,
             telemetry: None,
             profile: false,
             lp_jobs: 0,
@@ -252,8 +243,8 @@ impl Experiment {
         };
         fc.block_timeout = base_rtt;
         fc.faults = self.cfg.faults;
-        if let Some(d) = self.cfg.degradation {
-            fc = fc.with_degradation(d.stall_rtos, d.max_rto_retries);
+        if self.cfg.degrade {
+            fc = fc.with_degradation(STALL_RTOS, MAX_RTO_RETRIES);
         }
 
         let flow = MessageFlow::new(fc, cc);
@@ -344,7 +335,7 @@ impl Experiment {
 /// see little reordering; spraying and subflow schemes see a lot.
 pub fn dup_thresh_for(lb: LbMode) -> u64 {
     match lb {
-        LbMode::Ecmp | LbMode::Plb(_) => 16,
+        LbMode::Ecmp | LbMode::Plb => 16,
         LbMode::Spray => 128,
         LbMode::UnoLb { subflows } => (8 * subflows as u64).max(64),
     }
@@ -489,7 +480,7 @@ mod tests {
     fn faulted_run_terminates_with_definite_outcomes() {
         use uno_sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, FlowOutcome};
         let mut cfg = ExperimentConfig::quick(SchemeSpec::uno(), 21);
-        cfg.degradation = Some(DegradationConfig::default());
+        cfg.degrade = true;
         let mut e = Experiment::new(cfg);
         // Permanently blackhole the reverse border direction: inter-DC data
         // arrives but its ACKs never return (an asymmetric gray failure).

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use uno_erasure::EcParams;
-use uno_transport::{LbMode, PlbParams};
+use uno_transport::LbMode;
 
 /// Which congestion-control family drives the flows.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -115,8 +115,8 @@ impl SchemeSpec {
             Self::unocc_with("UnoLB", LbMode::UnoLb { subflows: n }, None),
             Self::unocc_with("RPS+EC", LbMode::Spray, Some(ec)),
             Self::unocc_with("RPS", LbMode::Spray, None),
-            Self::unocc_with("PLB+EC", LbMode::Plb(PlbParams::default()), Some(ec)),
-            Self::unocc_with("PLB", LbMode::Plb(PlbParams::default()), None),
+            Self::unocc_with("PLB+EC", LbMode::Plb, Some(ec)),
+            Self::unocc_with("PLB", LbMode::Plb, None),
         ]
     }
 

@@ -6,7 +6,7 @@
 
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, MILLIS, SECONDS};
 use uno::workloads::FlowSpec;
-use uno::{DegradationConfig, Experiment, ExperimentConfig, SchemeSpec};
+use uno::{Experiment, ExperimentConfig, SchemeSpec};
 
 fn fault_cases() -> Vec<(&'static str, FaultEntry)> {
     let fwd = |idx| FaultTarget::BorderForward { idx };
@@ -93,7 +93,7 @@ fn every_fault_kind_and_scheme_reaches_definite_outcomes() {
             let scheme = scheme_of();
             let label = format!("{}/{name}", scheme.name);
             let mut cfg = ExperimentConfig::quick(scheme, 0xFA17);
-            cfg.degradation = Some(DegradationConfig::default());
+            cfg.degrade = true;
             let mut e = Experiment::new(cfg);
             e.sim
                 .install_faults(&FaultSpec {

@@ -473,8 +473,8 @@ fn incast_rate(name: &str, quick: bool, fabric: FabricMode) -> BenchResult {
 
 /// Engine events/sec on an incast whose every flow crosses the border
 /// (`incast(0, 8, …)`): each one runs the UnoRC coded transport, so the
-/// event mix is dominated by per-delivery ACK/NACK processing and block
-/// completion/settling — exactly the path the settled-block latch batches.
+/// event mix is dominated by per-delivery ACK/NACK processing, the
+/// receiver's block records and block completion/settling.
 fn transport_step_rate(quick: bool) -> BenchResult {
     let topo = TopologyParams::small();
     let size: u64 = if quick { 16 << 20 } else { 128 << 20 };

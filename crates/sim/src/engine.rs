@@ -359,10 +359,11 @@ pub struct Simulator {
     pub samplers: Vec<QueueSampler>,
     /// Per-flow progress time-series (empty unless enabled per flow).
     pub progress: Vec<Vec<(Time, u64)>>,
-    /// Free list of action buffers for [`Simulator::call_flow`]: buffers
-    /// are checked out per callback and returned with their capacity
-    /// intact, so the steady-state hot path performs no allocation.
-    action_pool: Vec<Vec<Action>>,
+    /// The action buffer of [`Simulator::call_flow`], taken for each
+    /// callback and put back empty with its capacity intact, so the
+    /// steady-state hot path performs no allocation. One buffer suffices:
+    /// applying actions never calls back into a flow.
+    actions: Vec<Action>,
     /// Total events processed (for engine benchmarking). A `LinkFree`
     /// transition the engine left unscheduled, because no packet waited for
     /// the port, counts too, once the run passes its position: at the
@@ -413,7 +414,7 @@ impl Simulator {
             fault: FaultPlane::default(),
             samplers: Vec::new(),
             progress: Vec::new(),
-            action_pool: Vec::new(),
+            actions: Vec::new(),
             events_processed: 0,
             tracer: Tracer::disabled(),
             meter: RateMeter::new(),
@@ -1291,8 +1292,7 @@ impl Simulator {
         let Some(mut logic) = self.flows.take_logic(i) else {
             return;
         };
-        let mut actions = self.action_pool.pop().unwrap_or_default();
-        actions.clear();
+        let mut actions = std::mem::take(&mut self.actions);
         self.profiler.enter("transport");
         {
             let mut ctx = Ctx::new(
@@ -1309,7 +1309,7 @@ impl Simulator {
         self.profiler.exit();
         self.flows.put_logic(i, logic);
         // Apply actions (may recurse into enqueue but not into flows).
-        // Draining in place keeps the buffer's capacity for the free list.
+        // Draining in place keeps the buffer's capacity for the next call.
         for action in actions.drain(..) {
             match action {
                 Action::Send(pkt) => {
@@ -1321,54 +1321,10 @@ impl Simulator {
                     self.events
                         .push(at.max(self.now), Event::FlowTimer { flow, token });
                 }
-                Action::Complete => {
-                    if self.flows.mark_terminated(i, FlowOutcome::Completed) {
-                        self.terminated_flows += 1;
-                        let m = self.flows.meta(i);
-                        self.fcts.push(FctRecord {
-                            flow,
-                            size: m.size,
-                            start: m.start,
-                            end: self.now,
-                            class: m.class,
-                        });
-                        if let Some(l) = self.flows.logic_mut(i) {
-                            l.on_terminated();
-                        }
-                        if self.tracer.enabled() {
-                            self.tracer.emit(TraceEvent::FlowDone {
-                                t: self.now,
-                                flow: flow.0,
-                            });
-                        }
-                    }
-                }
-                Action::Fail(outcome) => {
-                    // Failed flows count toward termination: a run in
-                    // which every flow completed *or* gave up is over.
-                    if self.flows.mark_terminated(i, outcome) {
-                        self.terminated_flows += 1;
-                        let m = self.flows.meta(i);
-                        self.failures.push(FailRecord {
-                            flow,
-                            size: m.size,
-                            start: m.start,
-                            end: self.now,
-                            class: m.class,
-                            outcome,
-                        });
-                        if let Some(l) = self.flows.logic_mut(i) {
-                            l.on_terminated();
-                        }
-                        if self.tracer.enabled() {
-                            self.tracer.emit(TraceEvent::FlowFail {
-                                t: self.now,
-                                flow: flow.0,
-                                aborted: outcome == FlowOutcome::Aborted,
-                            });
-                        }
-                    }
-                }
+                Action::Complete => self.terminate(flow, FlowOutcome::Completed),
+                // Failed flows count toward termination: a run in which
+                // every flow completed *or* gave up is over.
+                Action::Fail(outcome) => self.terminate(flow, outcome),
                 Action::Progress(bytes) => {
                     if self.flows.records_progress(i) {
                         self.progress[i].push((self.now, bytes));
@@ -1376,7 +1332,51 @@ impl Simulator {
                 }
             }
         }
-        self.action_pool.push(actions);
+        self.actions = actions;
+    }
+
+    /// End `flow` with `outcome`, once: record its FCT or failure, let its
+    /// transport release per-packet state, and trace the end.
+    fn terminate(&mut self, flow: FlowId, outcome: FlowOutcome) {
+        let i = flow.index();
+        if !self.flows.mark_terminated(i, outcome) {
+            return;
+        }
+        self.terminated_flows += 1;
+        let m = self.flows.meta(i);
+        let (size, start, class, end) = (m.size, m.start, m.class, self.now);
+        if outcome == FlowOutcome::Completed {
+            self.fcts.push(FctRecord {
+                flow,
+                size,
+                start,
+                end,
+                class,
+            });
+        } else {
+            self.failures.push(FailRecord {
+                flow,
+                size,
+                start,
+                end,
+                class,
+                outcome,
+            });
+        }
+        if let Some(l) = self.flows.logic_mut(i) {
+            l.on_terminated();
+        }
+        if self.tracer.enabled() {
+            let (t, flow) = (end, flow.0);
+            self.tracer.emit(match outcome {
+                FlowOutcome::Completed => TraceEvent::FlowDone { t, flow },
+                _ => TraceEvent::FlowFail {
+                    t,
+                    flow,
+                    aborted: outcome == FlowOutcome::Aborted,
+                },
+            });
+        }
     }
 }
 

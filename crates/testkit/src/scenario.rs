@@ -10,7 +10,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
-use uno::{CcKind, DegradationConfig, Experiment, ExperimentConfig, SchemeSpec};
+use uno::{CcKind, Experiment, ExperimentConfig, SchemeSpec};
 use uno_sim::{
     FabricMode, FaultEntry, FaultKind, FaultSpec, FaultTarget, GilbertElliott, LinkId, PfcParams,
     Time, MILLIS, SECONDS,
@@ -554,7 +554,7 @@ fn prepare_scenario(sc: &Scenario) -> (Experiment, Vec<FlowSpec>, bool) {
     // full completion. Healing-only scenarios keep the legacy contract.
     let permanent = sc.faults.iter().any(|f| !f.heals());
     if permanent {
-        cfg.degradation = Some(DegradationConfig::default());
+        cfg.degrade = true;
     }
     let mut e = Experiment::new(cfg);
 

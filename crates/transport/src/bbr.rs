@@ -88,7 +88,7 @@ impl Bbr {
     pub fn bdp_estimate(&self) -> f64 {
         let bw = self.btl_bw();
         if bw == 0.0 {
-            return self.cfg.init_cwnd;
+            return self.cfg.bdp;
         }
         bw * self.rt_prop() as f64 / SECONDS as f64
     }
@@ -174,7 +174,7 @@ impl CcAlgorithm for Bbr {
         let bw = self.btl_bw();
         if bw == 0.0 {
             // Before any estimate: pace the initial window over the base RTT.
-            let bytes_per_s = self.cfg.init_cwnd * SECONDS as f64 / self.cfg.base_rtt as f64;
+            let bytes_per_s = self.cfg.bdp * SECONDS as f64 / self.cfg.base_rtt as f64;
             Some(self.pacing_gain * bytes_per_s * 8.0)
         } else {
             Some(self.pacing_gain * bw * 8.0)
@@ -261,8 +261,8 @@ mod tests {
     fn initial_pacing_covers_init_window() {
         let b = Bbr::new(cfg());
         let pace = b.pacing_bps().unwrap();
-        // init_cwnd over base_rtt, times startup gain, in bits.
-        let expect = STARTUP_GAIN * cfg().init_cwnd * 8.0 * SECONDS as f64 / (2 * MILLIS) as f64;
+        // The BDP over base_rtt, times startup gain, in bits.
+        let expect = STARTUP_GAIN * cfg().bdp * 8.0 * SECONDS as f64 / (2 * MILLIS) as f64;
         assert!((pace - expect).abs() / expect < 1e-6);
     }
 

@@ -79,13 +79,28 @@ pub trait CcAlgorithm: Send {
     }
 }
 
-/// Static per-flow parameters shared by the controllers, derived from the
-/// paper's Table 2.
+/// UnoCC's additive increase α as a fraction of the flow's BDP (Table 2:
+/// α = 0.001 × BDP).
+pub const ALPHA_FRAC: f64 = 0.001;
+/// Quick Adapt ratio β (Table 2: 0.5).
+pub const BETA: f64 = 0.5;
+/// UnoCC's MD constant `K` as a fraction of the intra-DC BDP (Table 2: 1/7).
+pub const K_FRAC: f64 = 1.0 / 7.0;
+/// Relative-delay threshold below which ECN marks are attributed to phantom
+/// (not physical) queues (§4.1, "delay == 0").
+pub const PHANTOM_DELAY_THRESH: Time = 8 * MICROS;
+
+/// Static per-flow parameters shared by the controllers. The paper's
+/// Table 2 constants are [`ALPHA_FRAC`], [`BETA`], [`K_FRAC`] and
+/// [`PHANTOM_DELAY_THRESH`].
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct CcConfig {
     /// MTU (bytes on the wire per data packet).
     pub mtu: u32,
-    /// This flow's bandwidth-delay product in bytes.
+    /// This flow's bandwidth-delay product in bytes. UnoCC and MPRDMA start
+    /// their window here and BBR paces its first round from it: flows start
+    /// at line rate, which is what makes inter-DC messages latency-bound
+    /// (paper §1/Fig. 1) and what Quick Adapt exists to tame under incast.
     pub bdp: f64,
     /// The network's intra-DC BDP in bytes (UnoCC's `K` is `intra BDP / 7`).
     pub intra_bdp: f64,
@@ -93,17 +108,6 @@ pub struct CcConfig {
     pub base_rtt: Time,
     /// The network's intra-DC base RTT (UnoCC's unified epoch period).
     pub intra_rtt: Time,
-    /// AI factor as a fraction of BDP (Table 2: α = 0.001 × BDP).
-    pub alpha_frac: f64,
-    /// Quick Adapt ratio β (Table 2: 0.5).
-    pub beta: f64,
-    /// `K = k_frac × intra BDP` (Table 2: 1/7).
-    pub k_frac: f64,
-    /// Relative-delay threshold below which ECN marks are attributed to
-    /// phantom (not physical) queues (§4.1, "delay == 0").
-    pub phantom_delay_thresh: Time,
-    /// Initial congestion window in bytes.
-    pub init_cwnd: f64,
 }
 
 impl CcConfig {
@@ -116,25 +120,17 @@ impl CcConfig {
             intra_bdp,
             base_rtt,
             intra_rtt,
-            alpha_frac: 0.001,
-            beta: 0.5,
-            k_frac: 1.0 / 7.0,
-            phantom_delay_thresh: 8 * MICROS,
-            // Flows start at their own path BDP (line rate): this is what
-            // makes inter-DC messages latency-bound (paper §1/Fig. 1) and
-            // what Quick Adapt exists to tame under incast.
-            init_cwnd: bdp,
         }
     }
 
     /// The AI increment α in bytes.
     pub fn alpha(&self) -> f64 {
-        self.alpha_frac * self.bdp
+        ALPHA_FRAC * self.bdp
     }
 
     /// The MD constant K in bytes.
     pub fn k(&self) -> f64 {
-        self.k_frac * self.intra_bdp
+        K_FRAC * self.intra_bdp
     }
 
     /// Minimum congestion window (one MTU).
@@ -184,7 +180,8 @@ mod tests {
         assert!((c.alpha() - 25_000.0).abs() < 1.0); // 0.001 x 25 MB
         assert!((c.k() - 25_000.0).abs() < 1.0); // 175 KB / 7
         assert_eq!(c.min_cwnd(), 4096.0);
-        assert!((c.beta - 0.5).abs() < 1e-12);
+        assert!((BETA - 0.5).abs() < 1e-12);
+        assert_eq!(PHANTOM_DELAY_THRESH, 8_000);
     }
 
     #[test]

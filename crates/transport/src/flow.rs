@@ -147,7 +147,7 @@ struct PktState {
 
 const _: () = assert!(std::mem::size_of::<PktState>() == 32);
 
-/// Most wire packets one message may have: the RTO log and the
+/// Most wire packets one message may have: the fast-retransmit log and the
 /// retransmission queue store sequences as `u32`.
 pub const MAX_WIRE_PACKETS: u64 = u32::MAX as u64;
 
@@ -165,8 +165,8 @@ pub fn wire_packets(size: u64, mtu: u32, ec: Option<EcParams>) -> u64 {
     }
 }
 
-/// The storage rule of the per-flow sender deques (the send ring, the RTO
-/// log and the retransmission queue): once the live length falls to
+/// The storage rule of the per-flow sender deques (the send ring, the
+/// fast-retransmit log and the retransmission queue): once the live length falls to
 /// 1/`SHRINK_AT` of a capacity above `SHRINK_ABOVE` entries, the capacity
 /// drops to twice the live length. A shrink leaves the deque half full, so
 /// its length must change by a quarter of its capacity before the storage
@@ -243,6 +243,19 @@ fn set_bit(words: &mut [u64], i: u64) {
     words[(i / 64) as usize] |= 1 << (i % 64);
 }
 
+/// The state of one EC block, `(acked, arrived, nacks)`:
+///
+/// * `acked` — sender: data packets counted as acked, up to the block's
+///   data count;
+/// * `arrived` — receiver: distinct packets arrived, up to the block's data
+///   count, which makes the block decodable (any `x` of `x + y`);
+/// * `nacks` — receiver: NACKs sent for the block.
+///
+/// Each count fits a `u8` because a block has at most 255 data packets. A
+/// tuple rather than a struct, so that `vec![(0, 0, 0); n]` allocates zeroed
+/// memory: the pages of blocks a long flow has not reached stay out of RSS.
+type Block = (u8, u8, u8);
+
 /// Controller/balancer state captured before a congestion signal is applied,
 /// so tracing can emit delta events (cwnd change, epoch boundary, Quick
 /// Adapt, reroute) without instrumenting every controller internally.
@@ -281,21 +294,15 @@ pub struct MessageFlow {
     delivered: u64,
     send_order: u64,
     max_acked_order: u64,
-    /// The RTO log: one sequence per transmission, oldest first, dead
-    /// entries dropped from the front. Its orders are implicit (see
-    /// [`MessageFlow::log_front`]).
+    /// The fast-retransmit log: one sequence per transmission of a flow
+    /// without erasure coding, oldest first; entries leave from the front
+    /// as [`MessageFlow::fast_rtx_scan`] passes them, or all at once on an
+    /// RTO. Its orders are implicit (see [`MessageFlow::log_front`]).
+    /// Erasure-coded flows never run fast retransmit, so theirs stays empty.
     sent_fifo: VecDeque<u32>,
     completed: bool,
     // Completion accounting.
     blocks_done: u64,
-    block_acked: Vec<u16>,
-    /// Per-block "settled" latch set by [`MessageFlow::finish_block`]: once a
-    /// block's packets are all retired from the in-flight/retransmission
-    /// pipeline, later duplicate block-complete ACKs and stale NACKs for it
-    /// skip the O(block) per-sequence scans entirely. Every state change the
-    /// scans would make is already done, so the skip is behavior-identical —
-    /// it only batches the work down to once per block.
-    block_settled: Vec<bool>,
     acked_data: u64,
     // RTO (lazy single timer).
     rto_deadline: Time,
@@ -322,17 +329,19 @@ pub struct MessageFlow {
     /// Delivered bytes at the last genuine RTO.
     delivered_at_last_rto: u64,
 
+    /// One record per EC block, shared by both halves (see [`Block`]);
+    /// empty without EC.
+    blocks: Vec<Block>,
+
     // --- receiver ---
+    /// With EC, one bit per wire packet: arrived at least once, so that a
+    /// duplicate does not count towards its block. Empty without EC.
     rx_bitmap: Vec<u64>,
-    rx_block_count: Vec<u16>,
-    rx_block_done: Vec<bool>,
-    rx_block_seen: Vec<bool>,
-    rx_block_nacks: Vec<u8>,
-    /// Highest block id below which every block has a timer armed: blocks
-    /// are transmitted in order, so receiving block `b` proves all earlier
-    /// blocks were sent — if unseen, they may have been lost wholesale and
-    /// must get NACK timers too (a wholly-lost block never arms its own).
-    rx_gap_frontier: usize,
+    /// Blocks `[0, rx_armed)` have their NACK timers armed. Blocks are sent
+    /// in order, so the first packet of block `b` proves every earlier block
+    /// was sent: one whose packets were all lost never arms its own timer,
+    /// so it is armed then too.
+    rx_armed: u64,
     /// NACKs sent (diagnostics).
     pub nack_count: u64,
 }
@@ -377,8 +386,6 @@ impl MessageFlow {
             sent_fifo: VecDeque::new(),
             completed: false,
             blocks_done: 0,
-            block_acked: vec![0; nblocks as usize],
-            block_settled: vec![false; nblocks as usize],
             acked_data: 0,
             rto_deadline: 0,
             rto_pending: false,
@@ -394,12 +401,13 @@ impl MessageFlow {
             stall_strikes: 0,
             rtos_since_progress: 0,
             delivered_at_last_rto: 0,
-            rx_bitmap: vec![0; words],
-            rx_block_count: vec![0; nblocks as usize],
-            rx_block_done: vec![false; nblocks as usize],
-            rx_block_seen: vec![false; nblocks as usize],
-            rx_block_nacks: vec![0; nblocks as usize],
-            rx_gap_frontier: 0,
+            blocks: vec![(0, 0, 0); nblocks as usize],
+            rx_bitmap: if cfg.ec.is_some() {
+                vec![0; words]
+            } else {
+                Vec::new()
+            },
+            rx_armed: 0,
             nack_count: 0,
             cfg,
             cc,
@@ -637,7 +645,9 @@ impl MessageFlow {
         p.index_in_block = idx;
         p.is_parity = parity;
         p.is_rtx = is_rtx;
-        self.sent_fifo.push_back(seq as u32);
+        if self.cfg.ec.is_none() {
+            self.sent_fifo.push_back(seq as u32);
+        }
         self.cc.on_send(p.size as u64, ctx.now);
         ctx.send(p);
         self.arm_rto(ctx);
@@ -691,15 +701,20 @@ impl MessageFlow {
         } else {
             None
         };
-        while let Some((order, seq)) = self.log_front() {
-            self.sent_fifo.pop_front();
-            if let Some(s) = self.ring.get_mut(seq) {
-                if s.phase == Phase::InFlight && s.order == order {
-                    s.phase = Phase::Queued;
-                    self.rtx_queue.push_back(seq as u32);
-                }
+        // Every packet in flight is queued again, in the order it was last
+        // sent. That leaves every log entry dead, and an empty log keeps
+        // the orders `log_front` derives valid.
+        let tail = self.rtx_queue.len();
+        for (seq, s) in (self.ring.base..).zip(self.ring.slots.iter_mut()) {
+            if s.phase == Phase::InFlight {
+                s.phase = Phase::Queued;
+                self.rtx_queue.push_back(seq as u32);
             }
         }
+        let ring = &self.ring;
+        self.rtx_queue.make_contiguous()[tail..]
+            .sort_unstable_by_key(|&seq| ring.get(seq as u64).expect("queued in the ring").order);
+        self.sent_fifo.clear();
         shrink(&mut self.sent_fifo);
         self.inflight = 0;
         self.cc.on_loss(ctx.now);
@@ -804,11 +819,12 @@ impl MessageFlow {
         if self.cfg.ec.is_some() {
             ctx.profiler.enter("erasure_encode");
             let b = pkt.block as u64;
-            let needed = self.block_data_count(b) as u16;
+            let needed = self.block_data_count(b) as u8;
             let done_at = self.block_done_thresh(b);
-            if self.block_acked[b as usize] < needed {
-                self.block_acked[b as usize] += 1;
-                if self.block_acked[b as usize] == done_at {
+            let acked = &mut self.blocks[b as usize].0;
+            if *acked < needed {
+                *acked += 1;
+                if *acked == done_at {
                     self.blocks_done += 1;
                 }
             }
@@ -830,9 +846,6 @@ impl MessageFlow {
             }
         }
 
-        if self.cfg.ec.is_some() {
-            self.trim_sent_fifo();
-        }
         self.fast_rtx_scan(ctx);
         if self.inflight > 0 {
             self.arm_rto(ctx);
@@ -840,32 +853,14 @@ impl MessageFlow {
         self.pump(ctx);
     }
 
-    /// The oldest RTO-log entry as `(order, seq)`. Every transmission
-    /// appends one entry, and entries leave only from the front or all at
-    /// once, so the log holds the transmissions of orders
-    /// `send_order - len .. send_order`, in order: entry `i` was sent as
-    /// order `send_order - len + i`.
+    /// The oldest fast-retransmit-log entry as `(order, seq)`. Every
+    /// transmission of a flow without EC appends one entry, and entries
+    /// leave only from the front or all at once, so the log holds the
+    /// transmissions of orders `send_order - len .. send_order`, in order:
+    /// entry `i` was sent as order `send_order - len + i`.
     fn log_front(&self) -> Option<(u64, u64)> {
         let &seq = self.sent_fifo.front()?;
         Some((self.send_order - self.sent_fifo.len() as u64, seq as u64))
-    }
-
-    /// Drop dead entries from the front of the RTO log: transmissions whose
-    /// packet is acked, no longer outstanding, or was sent again later.
-    /// [`MessageFlow::on_rto_timer`] skips exactly these, and a dead entry
-    /// never comes back to life (a resend gets a new `order`), so trimming
-    /// changes nothing but memory. Erasure-coded flows need it because
-    /// they never run [`MessageFlow::fast_rtx_scan`], which otherwise
-    /// consumes the log's front.
-    fn trim_sent_fifo(&mut self) {
-        while let Some((order, seq)) = self.log_front() {
-            let live = self.ring.get(seq);
-            if live.is_some_and(|s| s.phase == Phase::InFlight && s.order == order) {
-                break;
-            }
-            self.sent_fifo.pop_front();
-        }
-        shrink(&mut self.sent_fifo);
     }
 
     /// Reorder-tolerant loss inference: a transmission is presumed lost once
@@ -915,8 +910,8 @@ impl MessageFlow {
     /// How many per-packet ACKs the sender counts before declaring a block
     /// done. Equals the block's data-packet count unless the test-only
     /// off-by-one fault is armed.
-    fn block_done_thresh(&self, b: u64) -> u16 {
-        let needed = self.block_data_count(b) as u16;
+    fn block_done_thresh(&self, b: u64) -> u8 {
+        let needed = self.block_data_count(b) as u8;
         if self.cfg.faults.block_accounting_off_by_one {
             needed.saturating_sub(1).max(1)
         } else {
@@ -925,22 +920,19 @@ impl MessageFlow {
     }
 
     /// Mark EC block `b` fully settled at the sender (receiver decoded it):
-    /// drop its packets from the in-flight/retransmission pipeline.
+    /// drop its packets from the in-flight/retransmission pipeline. Settling
+    /// a block again changes nothing: it is counted, and each of its
+    /// packets is acked or below the ring.
     fn finish_block(&mut self, b: u64) {
-        if self.block_settled[b as usize] {
-            // Already fully retired: every packet is acked and the block is
-            // counted. Duplicate block-complete ACKs land here at O(1).
-            return;
-        }
-        let needed = self.block_data_count(b) as u16;
+        let needed = self.block_data_count(b) as u8;
+        let done_at = self.block_done_thresh(b);
+        let acked = &mut self.blocks[b as usize].0;
         // Count the block at most once, even when the off-by-one fault made
         // the ACK path count it early at `needed - 1`.
-        if self.block_acked[b as usize] < self.block_done_thresh(b) {
+        if *acked < done_at {
             self.blocks_done += 1;
         }
-        if self.block_acked[b as usize] < needed {
-            self.block_acked[b as usize] = needed;
-        }
+        *acked = needed;
         // Parity the window has not let out yet is settled too: it enters
         // the ring as acked and is never sent.
         let seqs = self.block_seqs(b);
@@ -957,7 +949,6 @@ impl MessageFlow {
             s.phase = Phase::Acked;
         }
         self.ring.advance();
-        self.block_settled[b as usize] = true;
     }
 
     fn on_nack(&mut self, pkt: Packet, ctx: &mut Ctx) {
@@ -965,28 +956,25 @@ impl MessageFlow {
         if self.cfg.ec.is_none() || b >= self.nblocks {
             return;
         }
-        // A settled block has every packet acked, so the scan below would be
-        // a pure no-op: skip it and fall through to the (rate-limited)
-        // re-routing reaction, which must still run to keep the load
-        // balancer's decision stream — and hence the RNG stream — intact.
-        if !self.block_settled[b as usize] {
-            for seq in self.block_seqs(b) {
-                // Below the ring every packet is acked; past it none was
-                // sent, and never-sent packets will go out in order anyway.
-                let Some(s) = self.ring.get_mut(seq) else {
-                    continue;
-                };
-                if s.phase != Phase::InFlight {
-                    continue;
-                }
-                // Don't duplicate packets that are plausibly still in flight.
-                if ctx.now.saturating_sub(s.sent_at) < self.cfg.base_rtt {
-                    continue;
-                }
-                s.phase = Phase::Queued;
-                self.inflight = self.inflight.saturating_sub(s.size as u64);
-                self.rtx_queue.push_back(seq as u32);
+        // A stale NACK for a settled block finds nothing in flight; the
+        // (rate-limited) re-routing reaction below still runs, which keeps
+        // the load balancer's decisions, and so the RNG stream, intact.
+        for seq in self.block_seqs(b) {
+            // Below the ring every packet is acked; past it none was sent,
+            // and never-sent packets will go out in order anyway.
+            let Some(s) = self.ring.get_mut(seq) else {
+                continue;
+            };
+            if s.phase != Phase::InFlight {
+                continue;
             }
+            // Don't duplicate packets that are plausibly still in flight.
+            if ctx.now.saturating_sub(s.sent_at) < self.cfg.base_rtt {
+                continue;
+            }
+            s.phase = Phase::Queued;
+            self.inflight = self.inflight.saturating_sub(s.size as u64);
+            self.rtx_queue.push_back(seq as u32);
         }
         let before = if ctx.tracing() {
             Some(self.cc_snapshot())
@@ -1080,33 +1068,28 @@ impl MessageFlow {
     // Receiver half
     // ------------------------------------------------------------------
 
+    /// Whether the receiver holds enough distinct packets of EC block `b`
+    /// to decode it.
+    fn rx_done(&self, b: u64) -> bool {
+        self.blocks[b as usize].1 as u64 == self.block_data_count(b)
+    }
+
     fn on_data(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let first = !bit(&self.rx_bitmap, pkt.seq);
-        set_bit(&mut self.rx_bitmap, pkt.seq);
-        if self.cfg.ec.is_some() && first {
+        if self.cfg.ec.is_some() && !bit(&self.rx_bitmap, pkt.seq) {
+            set_bit(&mut self.rx_bitmap, pkt.seq);
             ctx.profiler.enter("erasure_decode");
-            let b = pkt.block as usize;
-            // Blocks are sent in order: seeing block b implies all earlier
-            // blocks are on (or fell off) the wire — arm their timers too.
-            while self.rx_gap_frontier < b {
-                let g = self.rx_gap_frontier;
-                if !self.rx_block_seen[g] {
-                    self.rx_block_seen[g] = true;
-                    ctx.set_timer(self.cfg.block_timeout, TK_BLOCK | ((g as u64) << 8));
-                }
-                self.rx_gap_frontier += 1;
+            let b = pkt.block as u64;
+            // Paper: timer set to the estimated max queuing and transmission
+            // delay, armed on the block's first packet; blocks skipped so
+            // far are armed first (see `rx_armed`).
+            while self.rx_armed <= b {
+                ctx.set_timer(self.cfg.block_timeout, TK_BLOCK | (self.rx_armed << 8));
+                self.rx_armed += 1;
             }
-            if !self.rx_block_done[b] {
-                self.rx_block_count[b] += 1;
-                if !self.rx_block_seen[b] {
-                    self.rx_block_seen[b] = true;
-                    // Paper: timer set to the estimated max queuing and
-                    // transmission delay, armed on the block's first packet.
-                    ctx.set_timer(self.cfg.block_timeout, TK_BLOCK | ((b as u64) << 8));
-                }
-                if self.rx_block_count[b] as u64 >= self.block_data_count(b as u64) {
-                    self.rx_block_done[b] = true;
-                }
+            let needed = self.block_data_count(b);
+            let arrived = &mut self.blocks[b as usize].1;
+            if (*arrived as u64) < needed {
+                *arrived += 1;
             }
             ctx.profiler.exit();
         }
@@ -1116,25 +1099,27 @@ impl MessageFlow {
         let e = ctx.random_entropy();
         let mut ack = Packet::ack_for(&pkt, self.cfg.ack_size, e);
         if self.cfg.ec.is_some() {
-            ack.block_complete = self.rx_block_done[pkt.block as usize];
+            ack.block_complete = self.rx_done(pkt.block as u64);
         }
         ctx.send(ack);
     }
 
-    fn on_block_timer(&mut self, b: usize, ctx: &mut Ctx) {
-        if self.completed || self.rx_block_done[b] {
+    fn on_block_timer(&mut self, b: u64, ctx: &mut Ctx) {
+        if self.completed || self.rx_done(b) {
             return;
         }
-        if self.rx_block_nacks[b] >= MAX_NACKS_PER_BLOCK {
+        let nacks = &mut self.blocks[b as usize].2;
+        if *nacks >= MAX_NACKS_PER_BLOCK {
             return; // give up; sender RTO owns recovery now
         }
-        self.rx_block_nacks[b] += 1;
+        *nacks += 1;
+        let backoff = (*nacks).min(4);
         self.nack_count += 1;
         if ctx.tracing() {
             ctx.trace(TraceEvent::Nack {
                 t: ctx.now,
                 flow: ctx.flow.0,
-                block: b as u64,
+                block: b,
             });
         }
         let nack = Packet::nack(
@@ -1148,11 +1133,7 @@ impl MessageFlow {
         nack.entropy = ctx.random_entropy();
         ctx.send(nack);
         // Re-arm with backoff: retransmissions need a round trip to land.
-        let backoff = (self.rx_block_nacks[b] as u32).min(4);
-        ctx.set_timer(
-            self.cfg.base_rtt * (1 << backoff) as Time,
-            TK_BLOCK | ((b as u64) << 8),
-        );
+        ctx.set_timer(self.cfg.base_rtt << backoff, TK_BLOCK | (b << 8));
     }
 }
 
@@ -1183,7 +1164,7 @@ impl FlowLogic for MessageFlow {
                 self.pace_pending = false;
                 self.pump(ctx);
             }
-            TK_BLOCK => self.on_block_timer((token >> 8) as usize, ctx),
+            TK_BLOCK => self.on_block_timer(token >> 8, ctx),
             TK_WATCHDOG => self.on_watchdog_timer(ctx),
             t => unreachable!("unknown timer token {t}"),
         }
@@ -1199,13 +1180,8 @@ impl FlowLogic for MessageFlow {
         self.rtx_bitmap = Vec::new();
         self.rtx_queue = VecDeque::new();
         self.sent_fifo = VecDeque::new();
-        self.block_acked = Vec::new();
-        self.block_settled = Vec::new();
+        self.blocks = Vec::new();
         self.rx_bitmap = Vec::new();
-        self.rx_block_count = Vec::new();
-        self.rx_block_done = Vec::new();
-        self.rx_block_seen = Vec::new();
-        self.rx_block_nacks = Vec::new();
     }
 
     fn report_counters(&self, counters: &mut Counters) {
@@ -1314,12 +1290,12 @@ mod tests {
             }
         }
 
-        /// Runs `call` on `f` now; returns the packets it sent.
-        fn call(
+        /// Runs `call` on `f` now; returns the actions it took.
+        fn act(
             &mut self,
             f: &mut MessageFlow,
             call: impl FnOnce(&mut MessageFlow, &mut Ctx),
-        ) -> Vec<Packet> {
+        ) -> Vec<Action> {
             let mut actions = Vec::new();
             let mut ctx = Ctx::new(
                 self.now,
@@ -1332,6 +1308,15 @@ mod tests {
             );
             call(f, &mut ctx);
             actions
+        }
+
+        /// Runs `call` on `f` now; returns the packets it sent.
+        fn call(
+            &mut self,
+            f: &mut MessageFlow,
+            call: impl FnOnce(&mut MessageFlow, &mut Ctx),
+        ) -> Vec<Packet> {
+            self.act(f, call)
                 .into_iter()
                 .filter_map(|a| match a {
                     Action::Send(p) => Some(p),
@@ -1467,48 +1452,12 @@ mod tests {
         assert_eq!(f.blocks_done, 1);
     }
 
-    /// Records a transmission of `seq` as `transmit` does: the packet goes
-    /// in flight under the next order, and the RTO log gets its entry.
-    fn log_send(f: &mut MessageFlow, seq: u64) {
-        let order = f.send_order;
-        let s = slot(f, seq);
-        s.phase = Phase::InFlight;
-        s.order = order;
-        f.sent_fifo.push_back(seq as u32);
-        f.send_order += 1;
-    }
-
-    /// The RTO log as `(order, seq)` pairs, oldest first.
-    fn rto_log(f: &MessageFlow) -> Vec<(u64, u64)> {
+    /// The fast-retransmit log as `(order, seq)` pairs, oldest first.
+    fn log_entries(f: &MessageFlow) -> Vec<(u64, u64)> {
         let first = f.send_order - f.sent_fifo.len() as u64;
         (first..)
             .zip(f.sent_fifo.iter().map(|&s| s as u64))
             .collect()
-    }
-
-    #[test]
-    fn trim_sent_fifo_drops_only_dead_front_entries() {
-        let mut f = flow_with(64 << 10, Some(EcParams::PAPER_DEFAULT));
-        // Seqs 0..4 sent in order 0..4, then seq 1 resent as order 4.
-        for seq in [0, 1, 2, 3, 1] {
-            log_send(&mut f, seq);
-        }
-        // Seq 0 acked (so it leaves the ring), seq 2 presumed lost.
-        slot(&mut f, 0).phase = Phase::Acked;
-        f.ring.advance();
-        assert_eq!(f.ring.base, 1);
-        slot(&mut f, 2).phase = Phase::Queued;
-        // (0, 0) acked, (1, 1) superseded by the resend, (2, 2) not
-        // outstanding: all three go, and the trim stops at live (3, 3).
-        f.trim_sent_fifo();
-        assert_eq!(rto_log(&f), [(3, 3), (4, 1)]);
-        // A live front entry keeps dead ones behind it in place.
-        slot(&mut f, 1).phase = Phase::Acked;
-        f.trim_sent_fifo();
-        assert_eq!(rto_log(&f), [(3, 3), (4, 1)]);
-        slot(&mut f, 3).phase = Phase::Acked;
-        f.trim_sent_fifo();
-        assert!(f.sent_fifo.is_empty());
     }
 
     /// A fixed window that shuts on loss: after an RTO it lets out only the
@@ -1530,25 +1479,39 @@ mod tests {
 
     #[test]
     fn rto_requeues_in_flight_packets_in_send_order() {
-        let mut f = flow_with_cc(20 * 4096, None, Box::new(ShutsOnLoss(8.0 * 4096.0)));
-        let mut wire = Wire::new();
-        assert_eq!(seqs(&wire.start(&mut f)), (0..8).collect::<Vec<_>>());
-        // Seq 0 is presumed lost and resent as order 8 before any RTO, so
-        // the log's first entry is stale.
-        slot(&mut f, 0).phase = Phase::Queued;
-        f.inflight -= 4096;
-        f.rtx_queue.push_back(0);
-        assert_eq!(seqs(&wire.call(&mut f, |f, ctx| f.pump(ctx))), [0]);
-        let mut log: Vec<(u64, u64)> = (0..8).map(|seq| (seq, seq)).collect();
-        log.push((8, 0));
-        assert_eq!(rto_log(&f), log);
-        // The RTO queues every packet in flight by its latest transmission
-        // and skips the stale entry. The shut window lets out the first.
-        wire.now = f.rto_deadline;
-        assert_eq!(seqs(&wire.call(&mut f, |f, ctx| f.on_rto_timer(ctx))), [1]);
-        assert_eq!(f.rto_count, 1);
-        assert_eq!(f.rtx_queue, [2, 3, 4, 5, 6, 7, 0]);
-        assert_eq!(rto_log(&f), [(9, 1)]);
+        // Under (8, 2) the eight packets are block 0's data, and the log
+        // stays empty: the order comes from the send ring alone.
+        for ec in [None, Some(EcParams::PAPER_DEFAULT)] {
+            let mut f = flow_with_cc(20 * 4096, ec, Box::new(ShutsOnLoss(8.0 * 4096.0)));
+            let mut wire = Wire::new();
+            assert_eq!(seqs(&wire.start(&mut f)), (0..8).collect::<Vec<_>>());
+            // Seq 0 is presumed lost and resent as order 8 before any RTO,
+            // so the order of sending differs from the order of sequences.
+            slot(&mut f, 0).phase = Phase::Queued;
+            f.inflight -= 4096;
+            f.rtx_queue.push_back(0);
+            assert_eq!(seqs(&wire.call(&mut f, |f, ctx| f.pump(ctx))), [0]);
+            if ec.is_none() {
+                // The log's first entry is stale.
+                let mut log: Vec<(u64, u64)> = (0..8).map(|seq| (seq, seq)).collect();
+                log.push((8, 0));
+                assert_eq!(log_entries(&f), log);
+                assert_eq!(f.log_front(), Some((0, 0)));
+            }
+            // The RTO queues every packet in flight by its latest
+            // transmission. The shut window lets out the first.
+            wire.now = f.rto_deadline;
+            assert_eq!(seqs(&wire.call(&mut f, |f, ctx| f.on_rto_timer(ctx))), [1]);
+            assert_eq!(f.rto_count, 1);
+            assert_eq!(f.rtx_queue, [2, 3, 4, 5, 6, 7, 0], "{ec:?}");
+            if ec.is_none() {
+                // The RTO emptied the log; the one packet sent since is in it.
+                assert_eq!(log_entries(&f), [(9, 1)]);
+                assert_eq!(f.log_front(), Some((9, 1)));
+            } else {
+                assert_eq!(f.sent_fifo.capacity(), 0);
+            }
+        }
     }
 
     #[test]
@@ -1557,7 +1520,8 @@ mod tests {
         // packets below `hole` are held back and every later copy is lost:
         // seq 0 without EC; under (8, 2), seqs 0 to 2, which leave block 0
         // one arrival short. No timer fires, so the EC flow never resends
-        // them, and its RTO log is never trimmed past seq 0's entry.
+        // them. Only the flow without EC logs its transmissions, and only
+        // the EC flow keeps a receive bitmap.
         for (ec, hole) in [(None, 1), (Some(EcParams::PAPER_DEFAULT), 3)] {
             let mut f = flow_with_window(600, ec, 16);
             let mut wire = Wire::new();
@@ -1574,9 +1538,7 @@ mod tests {
                 queue.extend(wire.deliver(&mut f, p));
             }
             assert_eq!(f.ring.base, 0, "the hole holds the ring's base");
-            if ec.is_some() {
-                assert!(f.sent_fifo.len() > 256, "the log grew with the ring");
-            }
+            assert_eq!(f.rx_bitmap.is_empty(), ec.is_none());
             // The held copies close the hole. From then on neither deque
             // keeps more than four times its live length past 64 slots.
             for p in held.into_iter().rev() {
@@ -1589,6 +1551,9 @@ mod tests {
                     ("log", f.sent_fifo.capacity(), f.sent_fifo.len()),
                 ] {
                     assert!(cap <= 64.max(4 * len), "{ec:?}: {name} {len}/{cap}");
+                }
+                if ec.is_some() {
+                    assert_eq!(f.sent_fifo.capacity(), 0, "a coded flow logs nothing");
                 }
             }
             assert!(f.completed);
@@ -1625,13 +1590,13 @@ mod tests {
         assert!(f.ring.slots.capacity() > 0);
         assert!(f.rtx_bitmap.capacity() > 0);
         assert!(f.rx_bitmap.capacity() > 0);
+        assert_eq!(f.blocks.len(), 128);
         f.rto_count = 7;
         f.on_terminated();
         assert_eq!(f.ring.slots.capacity(), 0);
         assert_eq!(f.rtx_bitmap.capacity(), 0);
         assert_eq!(f.rx_bitmap.capacity(), 0);
-        assert_eq!(f.block_acked.capacity(), 0);
-        assert_eq!(f.rx_block_count.capacity(), 0);
+        assert_eq!(f.blocks.capacity(), 0);
         // Diagnostics survive for report_counters.
         assert_eq!(f.rto_count, 7);
         let mut c = Counters::default();
@@ -1762,6 +1727,33 @@ mod tests {
     }
 
     #[test]
+    fn receiver_arms_each_block_timer_once_and_in_order() {
+        // Six (8, 2) blocks, all 60 packets in the first window; block b's
+        // first data packet is sent[10 * b].
+        let mut f = flow_with_window(48, Some(EcParams::PAPER_DEFAULT), 64);
+        let mut wire = Wire::new();
+        let sent = wire.start(&mut f);
+        assert_eq!(sent.len(), 60);
+        // The blocks whose timers an arrival arms, in the order armed.
+        let mut armed = |p: Packet| -> Vec<u64> {
+            wire.act(&mut f, |f, ctx| f.on_packet(p, ctx))
+                .into_iter()
+                .filter_map(|a| match a {
+                    Action::Timer { token, .. } if token & 0xFF == TK_BLOCK => Some(token >> 8),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Block 3 first: blocks 0 to 2 were sent before it, so their timers
+        // are armed with its own, lowest first.
+        assert_eq!(armed(sent[30]), [0, 1, 2, 3]);
+        assert_eq!(armed(sent[10]), []);
+        assert_eq!(armed(sent[31]), []);
+        assert_eq!(armed(sent[50]), [4, 5]);
+        assert_eq!(armed(sent[0]), []);
+    }
+
+    #[test]
     fn receiver_block_done_matches_rs_decoder() {
         // The receiver counts distinct arrivals per block; the codec decodes
         // real bytes. After every arrival, a block must be done exactly when
@@ -1825,8 +1817,9 @@ mod tests {
                         .iter()
                         .zip(&blocks[b])
                         .all(|(s, t)| s.as_ref() == Some(t));
+                let done: Vec<bool> = (0..f.nblocks).map(|b| f.rx_done(b)).collect();
                 assert_eq!(
-                    f.rx_block_done, rebuilt,
+                    done, rebuilt,
                     "case {case}: ({x},{y}), {pkts} packets, after seq {}",
                     p.seq
                 );

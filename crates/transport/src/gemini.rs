@@ -51,7 +51,7 @@ impl Gemini {
         Gemini {
             // IW10, as in the Linux kernel Gemini builds on.
             cwnd: (10.0 * cfg.mtu as f64).max(cfg.min_cwnd()),
-            max_cwnd: 2.0 * cfg.bdp.max(cfg.init_cwnd),
+            max_cwnd: 2.0 * cfg.bdp,
             cfg,
             wan_md: 0.2,
             wan_delay_thresh: 50 * MICROS,

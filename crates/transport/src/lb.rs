@@ -14,23 +14,10 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use uno_sim::Time;
 
-/// PLB tuning knobs.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct PlbParams {
-    /// Consecutive congested rounds before repathing.
-    pub congested_rounds: u32,
-    /// ECN fraction above which a round counts as congested.
-    pub ecn_frac_thresh: f64,
-}
-
-impl Default for PlbParams {
-    fn default() -> Self {
-        PlbParams {
-            congested_rounds: 3,
-            ecn_frac_thresh: 0.5,
-        }
-    }
-}
+/// PLB: consecutive congested rounds before repathing.
+pub const PLB_CONGESTED_ROUNDS: u32 = 3;
+/// PLB: ECN fraction above which a round counts as congested.
+pub const PLB_ECN_FRAC_THRESH: f64 = 0.5;
 
 /// Which load-balancing policy a flow uses.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -39,8 +26,9 @@ pub enum LbMode {
     Ecmp,
     /// Random Packet Spraying (per-packet random path).
     Spray,
-    /// Protective Load Balancing.
-    Plb(PlbParams),
+    /// Protective Load Balancing ([`PLB_CONGESTED_ROUNDS`],
+    /// [`PLB_ECN_FRAC_THRESH`]).
+    Plb,
     /// Uno's subflow-level balancer.
     UnoLb {
         /// Number of concurrent subflows (paper: one per EC block packet).
@@ -54,7 +42,7 @@ impl LbMode {
         match self {
             LbMode::Ecmp => "ECMP",
             LbMode::Spray => "RPS",
-            LbMode::Plb(_) => "PLB",
+            LbMode::Plb => "PLB",
             LbMode::UnoLb { .. } => "UnoLB",
         }
     }
@@ -116,7 +104,7 @@ impl LoadBalancer {
     /// Entropy to stamp on the next outgoing packet (Alg. 2 ONSEND).
     pub fn next_entropy<R: Rng>(&mut self, rng: &mut R) -> u16 {
         match self.mode {
-            LbMode::Ecmp | LbMode::Plb(_) => self.entropies[0],
+            LbMode::Ecmp | LbMode::Plb => self.entropies[0],
             LbMode::Spray => rng.gen(),
             LbMode::UnoLb { .. } => {
                 let e = self.entropies[self.next_idx];
@@ -135,7 +123,7 @@ impl LoadBalancer {
                     self.last_ack[i] = now;
                 }
             }
-            LbMode::Plb(p) => {
+            LbMode::Plb => {
                 self.round_total += 1;
                 if ecn {
                     self.round_ecn += 1;
@@ -143,12 +131,12 @@ impl LoadBalancer {
                 if now >= self.round_end {
                     if self.round_total > 0 {
                         let frac = self.round_ecn as f64 / self.round_total as f64;
-                        if frac > p.ecn_frac_thresh {
+                        if frac > PLB_ECN_FRAC_THRESH {
                             self.congested_rounds += 1;
                         } else {
                             self.congested_rounds = 0;
                         }
-                        if self.congested_rounds >= p.congested_rounds {
+                        if self.congested_rounds >= PLB_CONGESTED_ROUNDS {
                             self.entropies[0] = rng.gen();
                             self.reroutes += 1;
                             self.congested_rounds = 0;
@@ -182,7 +170,7 @@ impl LoadBalancer {
                 self.last_reroute = now;
                 self.reroutes += 1;
             }
-            LbMode::Plb(_) => {
+            LbMode::Plb => {
                 self.entropies[0] = rng.gen();
                 self.last_reroute = now;
                 self.reroutes += 1;
@@ -265,7 +253,7 @@ mod tests {
     #[test]
     fn plb_repaths_after_congested_rounds() {
         let mut r = rng();
-        let mut lb = LoadBalancer::new(LbMode::Plb(PlbParams::default()), 100 * MICROS, &mut r);
+        let mut lb = LoadBalancer::new(LbMode::Plb, 100 * MICROS, &mut r);
         let e0 = lb.next_entropy(&mut r);
         // Four rounds of fully marked ACKs (threshold is 3 rounds).
         let mut now = 0;
@@ -282,7 +270,7 @@ mod tests {
     #[test]
     fn plb_stays_put_when_clean() {
         let mut r = rng();
-        let mut lb = LoadBalancer::new(LbMode::Plb(PlbParams::default()), 100 * MICROS, &mut r);
+        let mut lb = LoadBalancer::new(LbMode::Plb, 100 * MICROS, &mut r);
         let e0 = lb.next_entropy(&mut r);
         let mut now = 0;
         for _ in 0..10 {
@@ -298,7 +286,7 @@ mod tests {
     #[test]
     fn plb_repaths_on_timeout() {
         let mut r = rng();
-        let mut lb = LoadBalancer::new(LbMode::Plb(PlbParams::default()), 100 * MICROS, &mut r);
+        let mut lb = LoadBalancer::new(LbMode::Plb, 100 * MICROS, &mut r);
         let e0 = lb.next_entropy(&mut r);
         lb.on_nack_or_timeout(MILLIS, &mut r);
         assert_eq!(lb.reroutes, 1);
@@ -309,7 +297,7 @@ mod tests {
     fn mode_names() {
         assert_eq!(LbMode::Ecmp.name(), "ECMP");
         assert_eq!(LbMode::Spray.name(), "RPS");
-        assert_eq!(LbMode::Plb(PlbParams::default()).name(), "PLB");
+        assert_eq!(LbMode::Plb.name(), "PLB");
         assert_eq!(LbMode::UnoLb { subflows: 8 }.name(), "UnoLB");
     }
 }

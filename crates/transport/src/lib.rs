@@ -32,7 +32,7 @@ pub use bbr::Bbr;
 pub use cc::{AckEvent, CcAlgorithm, CcConfig};
 pub use flow::{wire_packets, FaultInjection, FlowConfig, MessageFlow, MAX_WIRE_PACKETS};
 pub use gemini::Gemini;
-pub use lb::{LbMode, LoadBalancer, PlbParams};
+pub use lb::{LbMode, LoadBalancer};
 pub use mprdma::Mprdma;
 pub use rtt::RttEstimator;
 pub use unocc::UnoCc;

@@ -27,8 +27,8 @@ impl Mprdma {
     /// Create an MPRDMA controller.
     pub fn new(cfg: CcConfig) -> Self {
         Mprdma {
-            cwnd: cfg.init_cwnd.max(cfg.min_cwnd()),
-            max_cwnd: 2.0 * cfg.bdp.max(cfg.init_cwnd),
+            cwnd: cfg.bdp.max(cfg.min_cwnd()),
+            max_cwnd: 2.0 * cfg.bdp,
             cfg,
             loss_guard_until: 0,
         }

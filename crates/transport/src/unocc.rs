@@ -17,7 +17,7 @@
 
 use uno_sim::Time;
 
-use crate::cc::{AckEvent, CcAlgorithm, CcConfig};
+use crate::cc::{AckEvent, CcAlgorithm, CcConfig, BETA, PHANTOM_DELAY_THRESH};
 
 /// EWMA gain for the across-epoch ECN fraction (DCTCP's g).
 const ECN_EWMA_GAIN: f64 = 1.0 / 16.0;
@@ -71,8 +71,8 @@ impl UnoCc {
     /// Create a controller with the paper's Table 2 parameters in `cfg`.
     pub fn new(cfg: CcConfig) -> Self {
         UnoCc {
-            cwnd: cfg.init_cwnd.max(cfg.min_cwnd()),
-            max_cwnd: 2.0 * cfg.bdp.max(cfg.init_cwnd),
+            cwnd: cfg.bdp.max(cfg.min_cwnd()),
+            max_cwnd: 2.0 * cfg.bdp,
             cfg,
             epoch_started: false,
             t_epoch: 0,
@@ -125,7 +125,7 @@ impl UnoCc {
             // phantom epoch; under sustained phantom congestion that decays
             // to zero and disables backoff entirely, freezing unfair
             // allocations — so the scale is held at 0.3.)
-            if self.epoch_max_rel_delay < self.cfg.phantom_delay_thresh {
+            if self.epoch_max_rel_delay < PHANTOM_DELAY_THRESH {
                 self.md_scale = 0.3; // gentle reduction
             } else {
                 self.md_scale = 1.0;
@@ -157,7 +157,7 @@ impl UnoCc {
             && ev.now >= self.skip_until
             && self.qa_cwnd_snapshot > 4.0 * self.cfg.mtu as f64
             && self.qa_sent >= self.qa_bytes
-            && (self.qa_bytes as f64) < self.qa_cwnd_snapshot * self.cfg.beta
+            && (self.qa_bytes as f64) < self.qa_cwnd_snapshot * BETA
         {
             self.cwnd = (self.qa_bytes as f64).max(self.cfg.min_cwnd());
             self.qa_count += 1;
