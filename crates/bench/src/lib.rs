@@ -13,9 +13,11 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use rand::SeedableRng;
+use uno::erasure::EcParams;
 use uno::metrics::ViolinSummary;
 use uno::sim::{
-    FaultEntry, FaultKind, FaultTarget, RunManifest, Time, TopologyParams, GBPS, MILLIS, SECONDS,
+    FaultEntry, FaultKind, FaultTarget, PhantomParams, RunManifest, Time, TopologyParams, GBPS,
+    MILLIS, SECONDS,
 };
 use uno::transport::cc::{ALPHA_FRAC, BETA, K_FRAC, PHANTOM_DELAY_THRESH};
 use uno::{Experiment, ExperimentConfig, ExperimentResults, SchemeSpec};
@@ -183,7 +185,8 @@ impl HarnessArgs {
     }
 }
 
-/// Print the Table 2 parameter set (`fig10 --params`).
+/// Print the Table 2 parameter set (`fig10 --params`), every value read
+/// from the code that runs it.
 pub fn print_table2(topo: &TopologyParams) {
     println!("Table 2: parameter defaults");
     println!("  alpha (UnoCC AI factor)      = {ALPHA_FRAC} x BDP");
@@ -204,7 +207,10 @@ pub fn print_table2(topo: &TopologyParams) {
         "  inter-DC RTT                 = {} ms",
         topo.inter_rtt / 1_000_000
     );
-    println!("  phantom queue drain rate     = 0.9 x line rate");
+    println!(
+        "  phantom queue drain rate     = {} x line rate",
+        PhantomParams::default().drain_factor
+    );
     println!(
         "  link bandwidth               = {} Gbps",
         topo.link_bps / GBPS
@@ -214,8 +220,16 @@ pub fn print_table2(topo: &TopologyParams) {
         topo.queue_bytes >> 10
     );
     println!("  MTU                          = {} B", topo.mtu);
-    println!("  ECN RED thresholds           = 25% / 75% of queue capacity");
-    println!("  EC scheme                    = (8, 2)");
+    println!(
+        "  ECN RED thresholds           = {}% / {}% of queue capacity",
+        topo.red.min_frac * 100.0,
+        topo.red.max_frac * 100.0
+    );
+    let ec = EcParams::PAPER_DEFAULT;
+    println!(
+        "  EC scheme                    = ({}, {})",
+        ec.data, ec.parity
+    );
 }
 
 /// The paper's headline scheme set (Figs. 8–12).

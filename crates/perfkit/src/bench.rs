@@ -11,8 +11,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use uno::sim::event::{Event, EventQueue};
 use uno::sim::{
-    FabricMode, FlowId, NodeId, Packet, PacketPool, PortQueue, RedParams, Time, TopologyParams,
-    MILLIS, SECONDS,
+    FabricMode, FlowId, NodeId, Packet, PacketPool, PortQueue, QueueProfile, RedParams, Time,
+    TopologyParams, MILLIS, SECONDS,
 };
 use uno::{Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
 use uno_trace::{Profiler, RateMeter};
@@ -359,18 +359,21 @@ fn port_queue_ops(quick: bool) -> BenchResult {
     const BACKLOG: u64 = 32;
     let ops: u64 = if quick { 4_000_000 } else { 16_000_000 };
     best_of(QUEUE_REPS, "port_queue_ops", || {
-        let mut q = PortQueue::new(1 << 20, RedParams::default());
+        let prof = QueueProfile::new(1 << 20, RedParams::default());
+        let mut q = PortQueue::new();
         let mut packets = PacketPool::new();
         let mut rng = SmallRng::seed_from_u64(5);
-        let pkt = |seq| Packet::data(FlowId(0), seq, 4096, NodeId(0), NodeId(1));
+        let pkt = |seq: u64| Packet::data(FlowId(0), seq as u32, 4096, NodeId(1));
         for seq in 0..BACKLOG {
             let r = packets.alloc(pkt(seq));
-            assert!(q.try_enqueue(r, &mut packets, 0, &mut rng).is_enqueued());
+            assert!(q
+                .try_enqueue(&prof, r, &mut packets, 0, &mut rng)
+                .is_enqueued());
         }
         let (_, nanos) = time_cpu(|| {
             for seq in BACKLOG..BACKLOG + ops {
                 let r = packets.alloc(pkt(seq));
-                let outcome = q.try_enqueue(r, &mut packets, 0, &mut rng);
+                let outcome = q.try_enqueue(&prof, r, &mut packets, 0, &mut rng);
                 debug_assert!(outcome.is_enqueued());
                 let (head, _) = q.dequeue().expect("backlog never drains");
                 packets.release(std::hint::black_box(head));

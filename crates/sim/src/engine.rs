@@ -199,7 +199,10 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Send `pkt` (injected at `pkt.src`'s NIC uplink).
+    /// Send `pkt`, injected at the NIC uplink of the flow's endpoint that
+    /// is not `pkt.dst` (see [`FlowMeta`]). A flow sends only between its
+    /// two endpoints: `pkt.dst` must be its source or its destination
+    /// (debug builds assert this).
     pub fn send(&mut self, pkt: Packet) {
         self.actions.push(Action::Send(pkt));
     }
@@ -257,6 +260,9 @@ impl<'a> Ctx<'a> {
 }
 
 /// Protocol logic driven by the engine.
+///
+/// A flow's packets travel between its two [`FlowMeta`] endpoints only:
+/// [`Ctx::send`] injects each at the endpoint that is not its `dst`.
 pub trait FlowLogic {
     /// Called once at the flow's start time.
     fn on_start(&mut self, ctx: &mut Ctx);
@@ -724,6 +730,13 @@ impl Simulator {
             };
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
+            // Read the packet of the next `Arrive` now, so that its first
+            // read in `handle_arrive` finds the line in cache: the hop's
+            // other reads depend on it, while this one overlaps with the
+            // handling of `ev`.
+            if let Some(next) = self.events.next_arrival() {
+                std::hint::black_box(self.packets.get(next).dst);
+            }
             self.dispatch(ev);
             self.events_processed += 1;
             if !self.flows.is_empty() && self.terminated_flows == self.flows.len() {
@@ -803,10 +816,10 @@ impl Simulator {
             }
             Event::Sample(idx) => {
                 let s = &mut self.samplers[idx as usize];
-                let queue = self.topo.links.queue(s.link);
-                s.samples.push((self.now, queue.bytes()));
-                if let Some(ph) = &queue.phantom {
-                    s.phantom_samples.push((self.now, ph.occupancy(self.now)));
+                let links = &self.topo.links;
+                s.samples.push((self.now, links.queue(s.link).bytes()));
+                if let Some(ph) = links.phantom_occupancy(s.link, self.now) {
+                    s.phantom_samples.push((self.now, ph));
                 }
                 let interval = s.interval;
                 self.events.push(self.now + interval, Event::Sample(idx));
@@ -918,9 +931,8 @@ impl Simulator {
         let links = &self.topo.links;
         for i in 0..links.len() {
             let l = LinkId::from(i);
-            let queue = links.queue(l);
-            let phantom = queue.phantom.as_ref().map_or(0, |ph| ph.occupancy(now));
-            let bytes = queue.bytes();
+            let phantom = links.phantom_occupancy(l, now).unwrap_or(0);
+            let bytes = links.queue(l).bytes();
             let up = links.is_up(l);
             if !up {
                 links_down += 1;
@@ -967,7 +979,7 @@ impl Simulator {
         }
         // A dead port must not keep its feeders paused: the purge drained
         // the queue below XON, so release any asserted pause now.
-        if self.topo.links.queue(link).should_release_pause() {
+        if self.topo.links.should_release_pause(link) {
             self.release_pause_from(link);
         }
     }
@@ -1009,21 +1021,24 @@ impl Simulator {
             }
             FaultKind::GrayLoss { p } => {
                 for &l in &links {
-                    self.topo.links.health_mut(l).gray_loss = p;
+                    self.topo.links.update_health(l, |h| h.gray_loss = p);
                     self.note_fault_transition(l, false);
                 }
             }
             FaultKind::Degraded { factor } => {
                 for &l in &links {
-                    self.topo.links.health_mut(l).capacity_factor = factor;
+                    self.topo
+                        .links
+                        .update_health(l, |h| h.capacity_factor = factor);
                     self.note_fault_transition(l, false);
                 }
             }
             FaultKind::Delay { extra, jitter } => {
                 for &l in &links {
-                    let h = self.topo.links.health_mut(l);
-                    h.extra_delay = extra;
-                    h.jitter = jitter;
+                    self.topo.links.update_health(l, |h| {
+                        h.extra_delay = extra;
+                        h.jitter = jitter;
+                    });
                     self.note_fault_transition(l, false);
                 }
             }
@@ -1078,7 +1093,9 @@ impl Simulator {
             }
             FaultKind::GrayLoss { .. } | FaultKind::Degraded { .. } | FaultKind::Delay { .. } => {
                 for &l in &links {
-                    *self.topo.links.health_mut(l) = LinkHealth::default();
+                    self.topo
+                        .links
+                        .update_health(l, |h| *h = LinkHealth::default());
                     self.note_fault_transition(l, true);
                 }
             }
@@ -1095,25 +1112,20 @@ impl Simulator {
 
     /// A packet reaches the far end of `link`: it is lost on the wire, or
     /// delivered to a host (which consumes it), or routed onto the next
-    /// egress queue. This is the one place per hop that reads the pooled
-    /// packet.
+    /// egress queue. Routing reads the pooled packet's destination, flow
+    /// and entropy here; the next hop's [`PortQueue::try_enqueue`] reads
+    /// its size and kind and may set its ECN mark. Untraced, no other
+    /// step of a hop touches the packet.
+    ///
+    /// [`PortQueue::try_enqueue`]: crate::PortQueue::try_enqueue
     fn handle_arrive(&mut self, link: LinkId, pkt: PacketRef, epoch: u32) {
         let links = &mut self.topo.links;
         // A stale epoch means the link failed while this packet was on the
         // wire: the packet is lost even if the link has since recovered.
+        // An impaired link's loss process and gray-loss rate draw next; a
+        // link without either reads one flag and draws nothing.
         let stale = !links.is_up(link) || epoch != links.epoch(link);
-        if stale
-            || links
-                .loss_mut(link)
-                .as_mut()
-                .is_some_and(|loss| loss.drops(&mut self.rng))
-        {
-            self.lose(link, pkt);
-            return;
-        }
-        // Gray fault: silent per-packet drop at rate p while active.
-        let gray = links.health(link).gray_loss;
-        if gray > 0.0 && self.rng.gen::<f64>() < gray {
+        if stale || (links.impaired(link) && links.impaired_drop(link, &mut self.rng)) {
             self.lose(link, pkt);
             return;
         }
@@ -1144,7 +1156,7 @@ impl Simulator {
                 t: self.now,
                 link: link.0,
                 flow: p.flow.0,
-                seq: p.seq,
+                seq: p.seq as u64,
             });
         }
         self.packets.release(pkt);
@@ -1158,14 +1170,12 @@ impl Simulator {
             return;
         }
         let links = &mut self.topo.links;
-        let outcome = links
-            .queue_mut(link)
-            .try_enqueue(pkt, &mut self.packets, now, &mut self.rng);
+        let outcome = links.enqueue(link, pkt, &mut self.packets, now, &mut self.rng);
         let free_at = links.free_at(link);
         if self.tracer.enabled() {
             let qlen = links.queue(link).bytes();
             let p = self.packets.get(pkt);
-            let (flow, seq, size) = (p.flow.0, p.seq, p.size);
+            let (flow, seq, size) = (p.flow.0, p.seq as u64, p.size);
             match outcome {
                 EnqueueOutcome::Enqueued { marked, phantom } => {
                     self.tracer.emit(TraceEvent::Enqueue {
@@ -1201,7 +1211,7 @@ impl Simulator {
             // PFC: enqueue may push the queue across XOFF; pause frames go
             // out before any transmit decision. `should_assert_pause` is a
             // single short-circuit load when PFC is off.
-            if self.topo.links.queue(link).should_assert_pause() {
+            if self.topo.links.should_assert_pause(link) {
                 self.assert_pause(link);
             }
             if free_at <= self.events.position() {
@@ -1233,15 +1243,22 @@ impl Simulator {
         let Some((pkt, size)) = links.queue_mut(link).dequeue() else {
             return;
         };
-        let release_pause = links.queue(link).should_release_pause();
-        // Degraded-capacity faults stretch serialization by scaling the
-        // effective line rate.
-        let health = *links.health(link);
-        let bps = if health.capacity_factor < 1.0 {
-            ((links.bps(link) as f64 * health.capacity_factor) as u64).max(1)
-        } else {
-            links.bps(link)
-        };
+        let release_pause = links.should_release_pause(link);
+        let profile = links.profile(link);
+        let (mut bps, mut delay) = (profile.bps, profile.delay);
+        if links.impaired(link) {
+            // Degraded-capacity faults stretch serialization by scaling the
+            // effective line rate; delay faults add fixed latency plus
+            // uniform per-packet jitter.
+            let health = links.health(link);
+            if health.capacity_factor < 1.0 {
+                bps = ((bps as f64 * health.capacity_factor) as u64).max(1);
+            }
+            delay += health.extra_delay;
+            if health.jitter > 0 {
+                delay += self.rng.gen_range(0..=health.jitter);
+            }
+        }
         let ser = serialization_time(size as u64, bps);
         if links.free_at(link) != LinkTable::FREE_PASSED {
             // The previous transition went unscheduled, and the run has
@@ -1249,11 +1266,6 @@ impl Simulator {
             self.events_processed += 1;
         }
         links.note_tx(link, size as u64);
-        // Delay faults add fixed latency plus uniform per-packet jitter.
-        let mut delay = links.delay(link) + health.extra_delay;
-        if health.jitter > 0 {
-            delay += self.rng.gen_range(0..=health.jitter);
-        }
         let epoch = links.epoch(link);
         if self.tracer.enabled() {
             let p = self.packets.get(pkt);
@@ -1261,7 +1273,7 @@ impl Simulator {
                 t: self.now,
                 link: link.0,
                 flow: p.flow.0,
-                seq: p.seq,
+                seq: p.seq as u64,
             });
         }
         // `LinkFree` is scheduled only if a packet waits for the port. If
@@ -1313,7 +1325,14 @@ impl Simulator {
         for action in actions.drain(..) {
             match action {
                 Action::Send(pkt) => {
-                    let uplink = self.topo.host_uplink(pkt.src);
+                    let m = self.flows.meta(i);
+                    debug_assert!(
+                        pkt.dst == m.src || pkt.dst == m.dst,
+                        "flow {i} sent to {:?}, not one of its endpoints",
+                        pkt.dst
+                    );
+                    let src = if pkt.dst == m.dst { m.src } else { m.dst };
+                    let uplink = self.topo.host_uplink(src);
                     let pkt = self.packets.alloc(pkt);
                     self.enqueue_on(uplink, pkt);
                 }
@@ -1400,8 +1419,8 @@ mod tests {
 
     impl FlowLogic for Blaster {
         fn on_start(&mut self, ctx: &mut Ctx) {
-            for seq in 0..self.n {
-                let mut p = Packet::data(ctx.flow, seq, self.mtu, self.src, self.dst);
+            for seq in 0..self.n as u32 {
+                let mut p = Packet::data(ctx.flow, seq, self.mtu, self.dst);
                 p.sent_at = ctx.now;
                 p.entropy = ctx.random_entropy();
                 ctx.send(p);
@@ -1412,7 +1431,7 @@ mod tests {
             match pkt.kind {
                 PacketKind::Data => {
                     let e = ctx.random_entropy();
-                    ctx.send(Packet::ack_for(&pkt, 64, e));
+                    ctx.send(Packet::ack_for(&pkt, self.src, 64, e));
                 }
                 PacketKind::Ack => {
                     self.acked += 1;
@@ -1914,6 +1933,101 @@ mod tests {
         );
     }
 
+    /// Faults that change a link's health, and loss processes, set the
+    /// link's impaired flag while they last and clear it when they end; a
+    /// down link is down, not impaired. A link whose impairments all ended
+    /// draws from the RNG on the hop path exactly as one that never had
+    /// any.
+    #[test]
+    fn impairments_set_and_clear_the_flag_and_a_healed_link_draws_nothing() {
+        use crate::fault::{FaultEntry, FaultTarget};
+        let at = |kind, at, until| FaultSpec {
+            faults: vec![FaultEntry {
+                target: FaultTarget::Link { id: 0 },
+                kind,
+                at,
+                until: Some(until),
+            }],
+        };
+        let up = LinkId(0);
+        let kinds = [
+            FaultKind::GrayLoss { p: 0.5 },
+            FaultKind::Degraded { factor: 0.5 },
+            FaultKind::Delay {
+                extra: MICROS,
+                jitter: 100,
+            },
+            FaultKind::Down,
+        ];
+        for kind in kinds {
+            let mut sim = small_sim(90);
+            sim.install_faults(&at(kind, 10 * MICROS, 20 * MICROS))
+                .unwrap();
+            sim.run_until(15 * MICROS);
+            let down = kind == FaultKind::Down;
+            assert_eq!(sim.topo.links.impaired(up), !down, "{kind:?} active");
+            assert_eq!(sim.topo.links.is_up(up), !down, "{kind:?} active");
+            sim.run_until(25 * MICROS);
+            assert!(!sim.topo.links.impaired(up), "{kind:?} healed");
+            assert!(sim.topo.links.is_up(up) && sim.topo.links.health(up).is_healthy());
+        }
+        // A loss process and a gray fault on one link: the flag clears
+        // once both are gone, in either order.
+        let mut sim = small_sim(91);
+        sim.set_link_loss(up, GilbertElliott::uniform(0.1));
+        assert!(sim.topo.links.impaired(up));
+        sim.topo.links.set_loss(up, None);
+        assert!(!sim.topo.links.impaired(up));
+        sim.install_faults(&at(FaultKind::GrayLoss { p: 0.5 }, 0, 10 * MICROS))
+            .unwrap();
+        sim.run_until(5 * MICROS);
+        sim.set_link_loss(up, GilbertElliott::uniform(0.1));
+        sim.run_until(15 * MICROS);
+        assert!(sim.topo.links.impaired(up), "the loss process remains");
+        sim.topo.links.set_loss(up, None);
+        assert!(!sim.topo.links.impaired(up));
+
+        // The healed link carries a flow: its FCT, its link counters and
+        // the RNG's next draw match a link that never had an impairment.
+        let run = |heal: bool| {
+            let mut sim = small_sim(92);
+            let (src, dst) = (sim.topo.host(0, 0), sim.topo.host(0, 8));
+            assert_eq!(sim.topo.host_uplink(src), up);
+            if heal {
+                let jitter = FaultKind::Delay {
+                    extra: MICROS,
+                    jitter: 100,
+                };
+                sim.install_faults(&at(jitter, 0, MICROS)).unwrap();
+                sim.install_faults(&at(FaultKind::GrayLoss { p: 0.5 }, 0, MICROS))
+                    .unwrap();
+                sim.set_link_loss(up, GilbertElliott::uniform(0.5));
+                sim.run_until(2 * MICROS);
+                sim.topo.links.set_loss(up, None);
+            }
+            sim.add_flow(
+                FlowMeta {
+                    src,
+                    dst,
+                    size: 50 * 4096,
+                    start: 2 * MICROS,
+                    class: FlowClass::Intra,
+                },
+                Box::new(Blaster {
+                    src,
+                    dst,
+                    n: 50,
+                    acked: 0,
+                    mtu: 4096,
+                }),
+            );
+            assert!(sim.run_to_completion(crate::time::SECONDS));
+            let end = sim.fcts[0].end;
+            (end, sim.link_stats(up).tx_packets, sim.rng.gen::<u64>())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
     #[test]
     fn degraded_capacity_stretches_serialization() {
         use crate::fault::FaultTarget;
@@ -2369,12 +2483,12 @@ mod tests {
         impl FlowLogic for FirstAck {
             fn on_start(&mut self, ctx: &mut Ctx) {
                 for seq in 0..20 {
-                    ctx.send(Packet::data(ctx.flow, seq, 4096, self.0, self.1));
+                    ctx.send(Packet::data(ctx.flow, seq, 4096, self.1));
                 }
             }
             fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
                 match pkt.kind {
-                    PacketKind::Data => ctx.send(Packet::ack_for(&pkt, 64, 0)),
+                    PacketKind::Data => ctx.send(Packet::ack_for(&pkt, self.0, 64, 0)),
                     _ => ctx.complete(),
                 }
             }

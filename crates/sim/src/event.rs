@@ -463,6 +463,22 @@ impl EventQueue {
         Some((time, event))
     }
 
+    /// The packet of the lane's earliest entry, when that entry is an
+    /// [`Event::Arrive`]. The engine reads it before handling the event
+    /// just popped; it is usually the next event to pop (unless the side
+    /// heap holds an earlier one).
+    #[inline]
+    pub(crate) fn next_arrival(&mut self) -> Option<PacketRef> {
+        if self.lane.pending == 0 {
+            return None;
+        }
+        let slot = self.lane.first_slot();
+        match self.lane.entries[self.lane.head[slot] as usize].event {
+            Event::Arrive(_, pkt, _) => Some(pkt),
+            _ => None,
+        }
+    }
+
     /// `(time, seq)` of the last popped event — for the engine, the
     /// position of the event being handled. `(0, 0)` before the first pop.
     #[inline]

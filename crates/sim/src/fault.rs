@@ -172,8 +172,9 @@ impl FaultSpec {
 }
 
 /// Per-link dynamic fault state consulted by the engine's hot paths. The
-/// default value means "healthy"; the engine only pays for faults on links
-/// that actually have one active.
+/// default value means "healthy". Only links with an active fault (or a
+/// loss process) keep one, in the link table's side table of impaired
+/// links, so the engine pays for faults on those links alone.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkHealth {
     /// Probability an arriving packet is silently dropped (0 = none).

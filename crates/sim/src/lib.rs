@@ -55,8 +55,8 @@ pub use ids::{FlowId, LinkId, NodeId};
 pub use loss::{ChunkLossStats, GilbertElliott};
 pub use packet::{Packet, PacketKind};
 pub use pool::{PacketPool, PacketRef};
-pub use queue::{EnqueueOutcome, PhantomQueue, PortQueue, RedParams};
-pub use tables::{FlowTable, FwdTable, LinkTable};
+pub use queue::{EnqueueOutcome, PhantomProfile, PhantomQueue, PortQueue, QueueProfile, RedParams};
+pub use tables::{FlowTable, FwdTable, LinkProfile, LinkTable};
 pub use time::{Bps, Time, GBPS, MICROS, MILLIS, NANOS, SECONDS};
 pub use topology::{
     ecmp_pick, FabricMode, HostCoords, LinkClass, Node, NodeKind, PfcParams, PhantomParams,

@@ -24,7 +24,7 @@ use crate::packet::Packet;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PacketRef(u32);
 
-/// Slots per chunk, as a shift (4096 slots, 192 KiB of 48-byte packets).
+/// Slots per chunk, as a shift (4096 slots, 128 KiB of 32-byte packets).
 const CHUNK_SHIFT: u32 = 12;
 const CHUNK: usize = 1 << CHUNK_SHIFT;
 const CHUNK_MASK: usize = CHUNK - 1;
@@ -176,8 +176,8 @@ mod tests {
     use super::*;
     use crate::ids::{FlowId, NodeId};
 
-    fn pkt(seq: u64) -> Packet {
-        Packet::data(FlowId(0), seq, 1000, NodeId(0), NodeId(1))
+    fn pkt(seq: u32) -> Packet {
+        Packet::data(FlowId(0), seq, 1000, NodeId(1))
     }
 
     #[test]
@@ -217,13 +217,13 @@ mod tests {
     #[test]
     fn grows_in_fixed_chunks_without_moving_packets() {
         let mut pool = PacketPool::new();
-        let refs: Vec<PacketRef> = (0..CHUNK as u64 * 2 + 5)
+        let refs: Vec<PacketRef> = (0..CHUNK as u32 * 2 + 5)
             .map(|s| pool.alloc(pkt(s)))
             .collect();
         assert_eq!(pool.chunks.len(), 3);
         assert!(pool.chunks.iter().all(|c| c.capacity() == CHUNK));
         for (s, &r) in refs.iter().enumerate() {
-            assert_eq!(pool.get(r).seq, s as u64);
+            assert_eq!(pool.get(r).seq, s as u32);
         }
         assert_eq!(pool.high_water(), 2 * CHUNK + 5);
     }

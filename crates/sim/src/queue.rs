@@ -14,7 +14,7 @@ use crate::time::{Bps, Time, SECONDS};
 /// The paper (§5.1) never marks below `min_frac` of the queue capacity,
 /// always marks above `max_frac`, and marks with linearly increasing
 /// probability in between (25% / 75% by default).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RedParams {
     /// Occupancy fraction below which packets are never marked.
     pub min_frac: f64,
@@ -54,44 +54,50 @@ impl RedParams {
     }
 }
 
-/// A phantom queue: a counter that grows with every enqueued byte and drains
-/// at a constant rate slightly below the physical line rate (paper §4.1.3).
+/// The constants of a phantom queue (paper §4.1.3): it drains at a constant
+/// rate slightly below the physical line rate.
 ///
 /// When present, ECN marking is driven by phantom occupancy against the
 /// phantom's (virtual, arbitrarily large) capacity, which lets the marking
 /// threshold match inter-DC BDPs regardless of physical buffer size.
-#[derive(Clone, Debug)]
-pub struct PhantomQueue {
-    /// Virtual occupancy in bytes (fractional to avoid drain rounding bias).
-    occupancy: f64,
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PhantomProfile {
     /// Drain rate in bits per second (`drain_factor × line_rate`).
     drain_bps: f64,
     /// Virtual capacity in bytes used for RED marking decisions.
     pub capacity: u64,
     /// Marking thresholds applied to the virtual occupancy.
     pub red: RedParams,
+}
+
+impl PhantomProfile {
+    /// A phantom queue draining at `drain_factor × line_rate_bps`.
+    pub fn new(line_rate_bps: Bps, drain_factor: f64, capacity: u64, red: RedParams) -> Self {
+        assert!(drain_factor > 0.0 && drain_factor <= 1.0);
+        PhantomProfile {
+            drain_bps: line_rate_bps as f64 * drain_factor,
+            capacity,
+            red,
+        }
+    }
+}
+
+/// The state of a phantom queue: a counter that grows with every enqueued
+/// byte and drains lazily at its [`PhantomProfile`]'s rate.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PhantomQueue {
+    /// Virtual occupancy in bytes (fractional to avoid drain rounding bias).
+    occupancy: f64,
     last_update: Time,
 }
 
 impl PhantomQueue {
-    /// Create a phantom queue draining at `drain_factor × line_rate_bps`.
-    pub fn new(line_rate_bps: Bps, drain_factor: f64, capacity: u64, red: RedParams) -> Self {
-        assert!(drain_factor > 0.0 && drain_factor <= 1.0);
-        PhantomQueue {
-            occupancy: 0.0,
-            drain_bps: line_rate_bps as f64 * drain_factor,
-            capacity,
-            red,
-            last_update: 0,
-        }
-    }
-
     /// The counter drained up to `now`, without storing it.
     #[inline]
-    fn drained(&self, now: Time) -> f64 {
+    fn drained(&self, p: &PhantomProfile, now: Time) -> f64 {
         if now > self.last_update {
             let dt = (now - self.last_update) as f64 / SECONDS as f64;
-            (self.occupancy - dt * self.drain_bps / 8.0).max(0.0)
+            (self.occupancy - dt * p.drain_bps / 8.0).max(0.0)
         } else {
             self.occupancy
         }
@@ -99,28 +105,32 @@ impl PhantomQueue {
 
     /// Lazily drain the counter up to `now`.
     #[inline]
-    fn drain_to(&mut self, now: Time) {
+    fn drain_to(&mut self, p: &PhantomProfile, now: Time) {
         if now > self.last_update {
-            self.occupancy = self.drained(now);
+            self.occupancy = self.drained(p, now);
             self.last_update = now;
         }
     }
 
     /// Account an enqueued packet and decide whether it should be marked.
-    pub fn on_enqueue<R: Rng>(&mut self, size: u32, now: Time, rng: &mut R) -> bool {
-        self.drain_to(now);
-        let p = self
-            .red
-            .mark_probability(self.occupancy as u64, self.capacity);
-        self.occupancy = (self.occupancy + size as f64).min(self.capacity as f64 * 4.0);
-        p > 0.0 && rng.gen::<f64>() < p
+    pub fn on_enqueue<R: Rng>(
+        &mut self,
+        p: &PhantomProfile,
+        size: u32,
+        now: Time,
+        rng: &mut R,
+    ) -> bool {
+        self.drain_to(p, now);
+        let prob = p.red.mark_probability(self.occupancy as u64, p.capacity);
+        self.occupancy = (self.occupancy + size as f64).min(p.capacity as f64 * 4.0);
+        prob > 0.0 && rng.gen::<f64>() < prob
     }
 
     /// Virtual occupancy at `now`. A pure read: the counter drains only on
     /// enqueue, so observers (telemetry, queue samplers) reading it at any
     /// times leave its later values, and so RED marking, bit-identical.
-    pub fn occupancy(&self, now: Time) -> u64 {
-        self.drained(now) as u64
+    pub fn occupancy(&self, p: &PhantomProfile, now: Time) -> u64 {
+        self.drained(p, now) as u64
     }
 }
 
@@ -146,69 +156,45 @@ impl EnqueueOutcome {
     }
 }
 
-/// Byte-limited FIFO output queue with RED ECN marking and an optional
-/// phantom queue.
-///
-/// The ring holds handles into the engine's [`PacketPool`] next to each
-/// packet's wire size, 8 bytes a slot: dequeue and byte accounting never
-/// touch the pool.
-#[derive(Clone, Debug)]
-pub struct PortQueue {
-    fifo: VecDeque<(PacketRef, u32)>,
-    bytes: u64,
+/// The constants of an output port, shared by every port of a link
+/// profile ([`crate::tables::LinkProfile`]): capacity, RED thresholds, the
+/// phantom queue's and PFC's. The port itself, a [`PortQueue`], keeps only
+/// its state.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct QueueProfile {
     /// Physical capacity in bytes.
     pub capacity: u64,
     /// Physical RED marking thresholds.
     pub red: RedParams,
     /// Optional phantom queue; when present it drives ECN marking.
-    pub phantom: Option<PhantomQueue>,
-    /// Cumulative count of dropped packets.
-    pub drops: u64,
-    /// Cumulative count of ECN-marked packets.
-    pub marks: u64,
-    /// Of [`PortQueue::marks`], how many were driven by the phantom queue.
-    pub phantom_marks: u64,
-    /// High-water mark of physical occupancy in bytes.
-    pub max_bytes_seen: u64,
-    /// PFC XOFF threshold in bytes; 0 disables PFC on this port (the
+    pub phantom: Option<PhantomProfile>,
+    /// PFC XOFF threshold in bytes; 0 disables PFC on the port (the
     /// default, so lossy fabrics never touch the pause path).
     pub xoff_bytes: u64,
     /// PFC XON threshold in bytes (release pause at or below this).
     pub xon_bytes: u64,
-    /// True while this port holds its upstream feeders paused.
-    pub pause_asserted: bool,
-    /// Cumulative count of PAUSE assertions by this port.
-    pub pauses_sent: u64,
 }
 
-impl PortQueue {
-    /// Create a queue with `capacity` bytes of physical buffering.
+impl QueueProfile {
+    /// A port with `capacity` bytes of physical buffering.
     pub fn new(capacity: u64, red: RedParams) -> Self {
-        PortQueue {
-            fifo: VecDeque::new(),
-            bytes: 0,
+        QueueProfile {
             capacity,
             red,
             phantom: None,
-            drops: 0,
-            marks: 0,
-            phantom_marks: 0,
-            max_bytes_seen: 0,
             xoff_bytes: 0,
             xon_bytes: 0,
-            pause_asserted: false,
-            pauses_sent: 0,
         }
     }
 
     /// Attach a phantom queue (marking will then be phantom-driven, with the
     /// physical RED retained as a backstop for deep physical congestion).
-    pub fn with_phantom(mut self, phantom: PhantomQueue) -> Self {
+    pub fn with_phantom(mut self, phantom: PhantomProfile) -> Self {
         self.phantom = Some(phantom);
         self
     }
 
-    /// Arm PFC on this port: assert PAUSE upstream when occupancy reaches
+    /// Arm PFC on the port: assert PAUSE upstream when occupancy reaches
     /// `xoff` bytes, release once it drains back to `xon` bytes or below.
     pub fn with_pfc(mut self, xoff: u64, xon: u64) -> Self {
         assert!(xoff > 0 && xon < xoff, "PFC needs 0 <= xon < xoff");
@@ -217,24 +203,60 @@ impl PortQueue {
         self
     }
 
-    /// True when PFC is armed on this port.
+    /// True when PFC is armed on the port.
     #[inline]
     pub fn pfc_enabled(&self) -> bool {
         self.xoff_bytes > 0
+    }
+}
+
+/// The state of a byte-limited FIFO output queue with RED ECN marking and
+/// an optional phantom queue; its constants are its [`QueueProfile`].
+///
+/// The ring holds handles into the engine's [`PacketPool`] next to each
+/// packet's wire size, 8 bytes a slot: dequeue and byte accounting never
+/// touch the pool.
+#[derive(Clone, Debug, Default)]
+pub struct PortQueue {
+    fifo: VecDeque<(PacketRef, u32)>,
+    bytes: u64,
+    /// Phantom-queue state; it stays at zero on a port whose profile has
+    /// no phantom queue.
+    phantom: PhantomQueue,
+    /// Cumulative count of dropped packets.
+    pub drops: u64,
+    /// Cumulative count of ECN-marked packets.
+    pub marks: u64,
+    /// Of [`PortQueue::marks`], how many were driven by the phantom queue.
+    pub phantom_marks: u64,
+    /// High-water mark of physical occupancy in bytes.
+    pub max_bytes_seen: u64,
+    /// Cumulative count of PAUSE assertions by this port.
+    pub pauses_sent: u64,
+    /// True while this port holds its upstream feeders paused.
+    pub pause_asserted: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<PortQueue>() <= 104);
+
+impl PortQueue {
+    /// An empty queue.
+    pub fn new() -> Self {
+        PortQueue::default()
     }
 
     /// True when occupancy crossed XOFF and no PAUSE is outstanding — the
     /// engine then asserts pause upstream and calls [`PortQueue::note_pause`].
     #[inline]
-    pub fn should_assert_pause(&self) -> bool {
-        self.xoff_bytes > 0 && !self.pause_asserted && self.bytes >= self.xoff_bytes
+    pub fn should_assert_pause(&self, p: &QueueProfile) -> bool {
+        p.xoff_bytes > 0 && !self.pause_asserted && self.bytes >= p.xoff_bytes
     }
 
     /// True when a PAUSE is outstanding and occupancy drained to XON — the
     /// engine then resumes upstream and calls [`PortQueue::note_resume`].
     #[inline]
-    pub fn should_release_pause(&self) -> bool {
-        self.pause_asserted && self.bytes <= self.xon_bytes
+    pub fn should_release_pause(&self, p: &QueueProfile) -> bool {
+        self.pause_asserted && self.bytes <= p.xon_bytes
     }
 
     /// Record that the engine asserted PAUSE on behalf of this port.
@@ -254,6 +276,11 @@ impl PortQueue {
     #[inline]
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Phantom occupancy at `now`, when the profile has a phantom queue.
+    pub fn phantom_occupancy(&self, p: &QueueProfile, now: Time) -> Option<u64> {
+        p.phantom.as_ref().map(|ph| self.phantom.occupancy(ph, now))
     }
 
     /// Number of queued packets.
@@ -276,6 +303,7 @@ impl PortQueue {
     /// handle stays live: releasing it is the caller's job.
     pub fn try_enqueue<R: Rng>(
         &mut self,
+        profile: &QueueProfile,
         pkt: PacketRef,
         packets: &mut PacketPool,
         now: Time,
@@ -283,20 +311,20 @@ impl PortQueue {
     ) -> EnqueueOutcome {
         let p = packets.get_mut(pkt);
         let size = p.size;
-        if self.bytes + size as u64 > self.capacity {
+        if self.bytes + size as u64 > profile.capacity {
             self.drops += 1;
             return EnqueueOutcome::Dropped;
         }
         let mut mark = false;
         let mut phantom_mark = false;
         if !p.is_control() {
-            if let Some(ph) = &mut self.phantom {
-                phantom_mark = ph.on_enqueue(size, now, rng);
+            if let Some(ph) = &profile.phantom {
+                phantom_mark = self.phantom.on_enqueue(ph, size, now, rng);
                 mark |= phantom_mark;
             }
             // Physical RED is evaluated regardless: with a phantom queue it
             // acts as a backstop signal for deep physical congestion.
-            let prob = self.red.mark_probability(self.bytes, self.capacity);
+            let prob = profile.red.mark_probability(self.bytes, profile.capacity);
             if prob > 0.0 && rng.gen::<f64>() < prob {
                 mark = true;
             }
@@ -307,9 +335,9 @@ impl PortQueue {
                     self.phantom_marks += 1;
                 }
             }
-        } else if let Some(ph) = &mut self.phantom {
+        } else if let Some(ph) = &profile.phantom {
             // Control packets still add load to the virtual queue.
-            let _ = ph.on_enqueue(size, now, rng);
+            let _ = self.phantom.on_enqueue(ph, size, now, rng);
         }
         self.bytes += size as u64;
         self.max_bytes_seen = self.max_bytes_seen.max(self.bytes);
@@ -347,7 +375,7 @@ mod tests {
 
     /// A pooled data packet of `size` bytes.
     fn pkt(pool: &mut PacketPool, size: u32) -> PacketRef {
-        pool.alloc(Packet::data(FlowId(0), 0, size, NodeId(0), NodeId(1)))
+        pool.alloc(Packet::data(FlowId(0), 0, size, NodeId(1)))
     }
 
     fn rng() -> SmallRng {
@@ -398,38 +426,49 @@ mod tests {
 
     #[test]
     fn pfc_thresholds_assert_and_release() {
-        let mut q = PortQueue::new(10_000, RedParams::default()).with_pfc(3000, 1000);
+        let prof = QueueProfile::new(10_000, RedParams::default()).with_pfc(3000, 1000);
+        let mut q = PortQueue::new();
         let (mut pool, mut r) = (PacketPool::new(), rng());
-        assert!(q.pfc_enabled());
-        assert!(!q.should_assert_pause());
+        assert!(prof.pfc_enabled());
+        assert!(!q.should_assert_pause(&prof));
         for _ in 0..3 {
             let p = pkt(&mut pool, 1000);
-            assert!(q.try_enqueue(p, &mut pool, 0, &mut r).is_enqueued());
+            assert!(q.try_enqueue(&prof, p, &mut pool, 0, &mut r).is_enqueued());
         }
-        assert!(q.should_assert_pause(), "occupancy 3000 >= xoff 3000");
+        assert!(q.should_assert_pause(&prof), "occupancy 3000 >= xoff 3000");
         q.note_pause();
-        assert!(!q.should_assert_pause(), "already asserted");
-        assert!(!q.should_release_pause(), "still above xon");
+        assert!(!q.should_assert_pause(&prof), "already asserted");
+        assert!(!q.should_release_pause(&prof), "still above xon");
         q.dequeue();
         q.dequeue();
-        assert!(q.should_release_pause(), "occupancy 1000 <= xon 1000");
+        assert!(q.should_release_pause(&prof), "occupancy 1000 <= xon 1000");
         q.note_resume();
-        assert!(!q.should_release_pause());
+        assert!(!q.should_release_pause(&prof));
         assert_eq!(q.pauses_sent, 1);
         // PFC-off queues never report pause work: the lossy hot path stays
         // a pair of always-false comparisons.
-        let off = PortQueue::new(10_000, RedParams::default());
-        assert!(!off.pfc_enabled() && !off.should_assert_pause() && !off.should_release_pause());
+        let off = QueueProfile::new(10_000, RedParams::default());
+        let mut lossy = PortQueue::new();
+        assert!(!off.pfc_enabled());
+        assert!(!lossy.should_assert_pause(&off) && !lossy.should_release_pause(&off));
+        for _ in 0..5 {
+            let p = pkt(&mut pool, 1000);
+            assert!(lossy
+                .try_enqueue(&off, p, &mut pool, 0, &mut r)
+                .is_enqueued());
+        }
+        assert!(!lossy.should_assert_pause(&off) && !lossy.should_release_pause(&off));
     }
 
     #[test]
     fn fifo_order_and_byte_accounting() {
-        let mut q = PortQueue::new(10_000, RedParams::default());
+        let prof = QueueProfile::new(10_000, RedParams::default());
+        let mut q = PortQueue::new();
         let (mut pool, mut r) = (PacketPool::new(), rng());
         for i in 0..3 {
             let p = pkt(&mut pool, 1000);
             pool.get_mut(p).seq = i;
-            assert!(q.try_enqueue(p, &mut pool, 0, &mut r).is_enqueued());
+            assert!(q.try_enqueue(&prof, p, &mut pool, 0, &mut r).is_enqueued());
         }
         assert_eq!(q.bytes(), 3000);
         assert_eq!(q.len(), 3);
@@ -441,13 +480,16 @@ mod tests {
 
     #[test]
     fn drop_tail_when_full() {
-        let mut q = PortQueue::new(2048, RedParams::default());
+        let prof = QueueProfile::new(2048, RedParams::default());
+        let mut q = PortQueue::new();
         let (mut pool, mut r) = (PacketPool::new(), rng());
         let full = pkt(&mut pool, 2048);
-        assert!(q.try_enqueue(full, &mut pool, 0, &mut r).is_enqueued());
+        assert!(q
+            .try_enqueue(&prof, full, &mut pool, 0, &mut r)
+            .is_enqueued());
         let extra = pkt(&mut pool, 1);
         assert_eq!(
-            q.try_enqueue(extra, &mut pool, 0, &mut r),
+            q.try_enqueue(&prof, extra, &mut pool, 0, &mut r),
             EnqueueOutcome::Dropped
         );
         assert_eq!(q.drops, 1);
@@ -456,19 +498,20 @@ mod tests {
 
     #[test]
     fn marks_above_max_threshold() {
-        let mut q = PortQueue::new(1000, RedParams::default());
+        let prof = QueueProfile::new(1000, RedParams::default());
+        let mut q = PortQueue::new();
         let (mut pool, mut r) = (PacketPool::new(), rng());
         // Fill past 75%: subsequent packets must be marked.
         let (a, b) = (pkt(&mut pool, 800), pkt(&mut pool, 100));
         assert_eq!(
-            q.try_enqueue(a, &mut pool, 0, &mut r),
+            q.try_enqueue(&prof, a, &mut pool, 0, &mut r),
             EnqueueOutcome::Enqueued {
                 marked: false,
                 phantom: false
             }
         );
         assert_eq!(
-            q.try_enqueue(b, &mut pool, 0, &mut r),
+            q.try_enqueue(&prof, b, &mut pool, 0, &mut r),
             EnqueueOutcome::Enqueued {
                 marked: true,
                 phantom: false
@@ -486,15 +529,16 @@ mod tests {
 
     #[test]
     fn control_packets_never_marked() {
-        let mut q = PortQueue::new(1000, RedParams::default());
+        let prof = QueueProfile::new(1000, RedParams::default());
+        let mut q = PortQueue::new();
         let (mut pool, mut r) = (PacketPool::new(), rng());
         let fill = pkt(&mut pool, 900);
-        let _ = q.try_enqueue(fill, &mut pool, 0, &mut r);
-        let data = Packet::data(FlowId(0), 0, 50, NodeId(0), NodeId(1));
-        let ack = Packet::ack_for(&data, 50, 0);
+        let _ = q.try_enqueue(&prof, fill, &mut pool, 0, &mut r);
+        let data = Packet::data(FlowId(0), 0, 50, NodeId(1));
+        let ack = Packet::ack_for(&data, NodeId(0), 50, 0);
         assert!(!ack.ecn);
         let ack = pool.alloc(ack);
-        let _ = q.try_enqueue(ack, &mut pool, 0, &mut r);
+        let _ = q.try_enqueue(&prof, ack, &mut pool, 0, &mut r);
         q.dequeue();
         assert!(!pool.get(q.dequeue().unwrap().0).ecn);
     }
@@ -502,12 +546,13 @@ mod tests {
     #[test]
     fn phantom_drains_at_configured_rate() {
         // 8 Gbps drain => 1 byte/ns.
-        let mut ph = PhantomQueue::new(8_000_000_000, 1.0, 1_000_000, RedParams::default());
+        let p = PhantomProfile::new(8_000_000_000, 1.0, 1_000_000, RedParams::default());
+        let mut ph = PhantomQueue::default();
         let mut r = rng();
-        let _ = ph.on_enqueue(10_000, 0, &mut r);
-        assert_eq!(ph.occupancy(0), 10_000);
-        assert_eq!(ph.occupancy(4_000), 6_000);
-        assert_eq!(ph.occupancy(100_000), 0);
+        let _ = ph.on_enqueue(&p, 10_000, 0, &mut r);
+        assert_eq!(ph.occupancy(&p, 0), 10_000);
+        assert_eq!(ph.occupancy(&p, 4_000), 6_000);
+        assert_eq!(ph.occupancy(&p, 100_000), 0);
     }
 
     #[test]
@@ -517,8 +562,8 @@ mod tests {
         // packet), at random gaps averaging about that, so the counter
         // wanders through the marking region; one copy is also read at
         // several random times between enqueues.
-        let new = || PhantomQueue::new(100_000_000_000, 0.9, 256 << 10, RedParams::default());
-        let (mut quiet, mut read) = (new(), new());
+        let p = PhantomProfile::new(100_000_000_000, 0.9, 256 << 10, RedParams::default());
+        let (mut quiet, mut read) = (PhantomQueue::default(), PhantomQueue::default());
         let (mut r_quiet, mut r_read, mut gaps) = (rng(), rng(), SmallRng::seed_from_u64(11));
         let mut now = 0;
         let mut marks = 0;
@@ -526,15 +571,15 @@ mod tests {
         for _ in 0..20_000 {
             let gap: Time = gaps.gen_range(0..730);
             for _ in 0..3 {
-                let _ = read.occupancy(now + gaps.gen_range(0..=gap));
+                let _ = read.occupancy(&p, now + gaps.gen_range(0..=gap));
             }
             now += gap;
-            let a = quiet.on_enqueue(4096, now, &mut r_quiet);
-            let b = read.on_enqueue(4096, now, &mut r_read);
+            let a = quiet.on_enqueue(&p, 4096, now, &mut r_quiet);
+            let b = read.on_enqueue(&p, 4096, now, &mut r_read);
             assert_eq!(a, b, "mark decisions diverged at {now} ns");
             assert_eq!(quiet.occupancy.to_bits(), read.occupancy.to_bits());
             marks += a as u32;
-            let frac = quiet.occupancy / quiet.capacity as f64;
+            let frac = quiet.occupancy / p.capacity as f64;
             unmarked_in_region += (!a && (0.3..0.7).contains(&frac)) as u32;
         }
         assert!(marks > 0, "the queue must reach its marking region");
@@ -545,16 +590,14 @@ mod tests {
     #[test]
     fn phantom_marks_when_virtually_congested() {
         // Tiny virtual capacity so a single packet exceeds max_frac.
-        let mut q = PortQueue::new(1 << 20, RedParams::default()).with_phantom(PhantomQueue::new(
-            100_000_000_000,
-            0.9,
-            1000,
-            RedParams::default(),
-        ));
+        let prof = QueueProfile::new(1 << 20, RedParams::default()).with_phantom(
+            PhantomProfile::new(100_000_000_000, 0.9, 1000, RedParams::default()),
+        );
+        let mut q = PortQueue::new();
         let (mut pool, mut r) = (PacketPool::new(), rng());
         let (a, b) = (pkt(&mut pool, 900), pkt(&mut pool, 900));
-        let _ = q.try_enqueue(a, &mut pool, 0, &mut r); // phantom occ 0 -> no mark
-        let out = q.try_enqueue(b, &mut pool, 0, &mut r); // phantom occ 900/1000 -> mark
+        let _ = q.try_enqueue(&prof, a, &mut pool, 0, &mut r); // phantom occ 0 -> no mark
+        let out = q.try_enqueue(&prof, b, &mut pool, 0, &mut r); // phantom occ 900/1000 -> mark
         assert_eq!(
             out,
             EnqueueOutcome::Enqueued {
@@ -570,12 +613,13 @@ mod tests {
 
     #[test]
     fn clear_counts_drops() {
-        let mut q = PortQueue::new(10_000, RedParams::default());
+        let prof = QueueProfile::new(10_000, RedParams::default());
+        let mut q = PortQueue::new();
         let (mut pool, mut r) = (PacketPool::new(), rng());
         let mut queued = Vec::new();
         for _ in 0..4 {
             let p = pkt(&mut pool, 100);
-            assert!(q.try_enqueue(p, &mut pool, 0, &mut r).is_enqueued());
+            assert!(q.try_enqueue(&prof, p, &mut pool, 0, &mut r).is_enqueued());
             queued.push(p);
         }
         let purged = q.clear();

@@ -11,8 +11,11 @@
 //!
 //! Three tables live here:
 //!
-//! * [`LinkTable`] — per-link state (endpoints, rate, delay, queue, fault
-//!   health, counters), replacing the old `Vec<Link>` of 200-byte structs.
+//! * [`LinkTable`] — per-link state (endpoints, profile id, queue, up flag
+//!   and failure epoch, counters), replacing the old `Vec<Link>` of
+//!   200-byte structs. The constants a link shares with its class (rate,
+//!   delay, queue thresholds) live once in its [`LinkProfile`], and fault
+//!   health and loss processes live in a side table of impaired links.
 //! * [`FwdTable`] — forwarding ports as one flat arena of [`LinkId`]s with
 //!   per-node ranges, replacing per-node `Vec`s; border peer groups are
 //!   keyed by `(src_dc, dst_dc)` so N-site topologies route per
@@ -20,26 +23,64 @@
 //! * [`FlowTable`] — per-flow metadata, transport logic, and terminal
 //!   state as parallel columns, replacing `Vec<FlowSlot>`.
 
+use std::collections::BTreeMap;
+
+use rand::rngs::SmallRng;
+use rand::Rng;
+
 use crate::engine::{FlowLogic, FlowMeta, FlowOutcome};
 use crate::fault::LinkHealth;
 use crate::ids::{LinkId, NodeId};
 use crate::loss::GilbertElliott;
-use crate::queue::PortQueue;
+use crate::pool::{PacketPool, PacketRef};
+use crate::queue::{EnqueueOutcome, PortQueue, QueueProfile};
 use crate::time::{Bps, Time};
 use crate::topology::LinkClass;
+
+/// The constants of a link: line rate, propagation delay and its port's
+/// [`QueueProfile`]. Every link of a class shares one, so a [`LinkTable`]
+/// stores each distinct profile once and each link names its own by id.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LinkProfile {
+    /// Line rate (bits/s).
+    pub bps: Bps,
+    /// Propagation delay (ns).
+    pub delay: Time,
+    /// The output port's constants.
+    pub queue: QueueProfile,
+}
+
+/// What faults and loss processes do to one link. Only impaired links
+/// have one, in [`LinkTable`]'s side table.
+#[derive(Clone, Debug, Default)]
+struct Impairment {
+    health: LinkHealth,
+    loss: Option<GilbertElliott>,
+}
+
+impl Impairment {
+    /// True when the link behaves as if it never had an impairment.
+    fn is_clear(&self) -> bool {
+        self.health.is_healthy() && self.loss.is_none()
+    }
+}
 
 /// Dense per-link state, one entry per [`LinkId`], in id order.
 ///
 /// Columns are private so the table controls invariants (e.g. the epoch
 /// bump on link-down); the engine and topology go through the accessors,
-/// which the optimizer flattens to direct indexing.
+/// which the optimizer flattens to direct indexing. A table built by
+/// [`crate::Topology::build`] allocates its columns once, at the final link
+/// count.
 #[derive(Clone, Debug, Default)]
 pub struct LinkTable {
     from: Vec<NodeId>,
     to: Vec<NodeId>,
-    bps: Vec<Bps>,
-    delay: Vec<Time>,
     class: Vec<LinkClass>,
+    /// Index into `profiles`.
+    profile: Vec<u8>,
+    /// Every distinct [`LinkProfile`], in order of first use.
+    profiles: Vec<LinkProfile>,
     queue: Vec<PortQueue>,
     /// Where the transmitter frees, as a `(time, seq)` position in the
     /// scheduler's order: the port is busy while this orders after the
@@ -53,8 +94,12 @@ pub struct LinkTable {
     /// Bumped on every down transition; in-flight packets carry the epoch
     /// they departed under and die on mismatch.
     epoch: Vec<u32>,
-    health: Vec<LinkHealth>,
-    loss: Vec<Option<GilbertElliott>>,
+    /// True while the link has an entry in `impairments`: the one byte
+    /// the hop path reads to learn that a link has no fault health and no
+    /// loss process.
+    impaired: Vec<bool>,
+    /// Fault health and loss process of each impaired link.
+    impairments: BTreeMap<LinkId, Impairment>,
     tx_packets: Vec<u64>,
     tx_bytes: Vec<u64>,
     lost_packets: Vec<u64>,
@@ -82,6 +127,30 @@ impl LinkTable {
     /// the port reads idle from the first pop on.
     pub(crate) const FREE_PASSED: (Time, u64) = (0, 0);
 
+    /// An empty table whose columns hold `links` links without growing.
+    pub(crate) fn with_capacity(links: usize) -> Self {
+        LinkTable {
+            from: Vec::with_capacity(links),
+            to: Vec::with_capacity(links),
+            class: Vec::with_capacity(links),
+            profile: Vec::with_capacity(links),
+            profiles: Vec::new(),
+            queue: Vec::with_capacity(links),
+            free_at: Vec::with_capacity(links),
+            up: Vec::with_capacity(links),
+            epoch: Vec::with_capacity(links),
+            impaired: Vec::with_capacity(links),
+            impairments: BTreeMap::new(),
+            tx_packets: Vec::with_capacity(links),
+            tx_bytes: Vec::with_capacity(links),
+            lost_packets: Vec::with_capacity(links),
+            pause_refs: Vec::with_capacity(links),
+            pause_depth: Vec::with_capacity(links),
+            paused_since: Vec::with_capacity(links),
+            paused_ns: Vec::with_capacity(links),
+        }
+    }
+
     /// Number of links.
     pub fn len(&self) -> usize {
         self.from.len()
@@ -97,28 +166,34 @@ impl LinkTable {
         (0..self.len()).map(LinkId::from)
     }
 
-    /// Append a link; returns its id (always `len - 1`).
+    /// Append a link with `profile`, interned among the table's profiles;
+    /// returns its id (always `len - 1`). Panics past 256 distinct
+    /// profiles.
     pub fn push(
         &mut self,
         from: NodeId,
         to: NodeId,
-        bps: Bps,
-        delay: Time,
         class: LinkClass,
-        queue: PortQueue,
+        profile: LinkProfile,
     ) -> LinkId {
         let id = LinkId::from(self.len());
+        let p = match self.profiles.iter().position(|p| *p == profile) {
+            Some(p) => p,
+            None => {
+                self.profiles.push(profile);
+                self.profiles.len() - 1
+            }
+        };
         self.from.push(from);
         self.to.push(to);
-        self.bps.push(bps);
-        self.delay.push(delay);
         self.class.push(class);
-        self.queue.push(queue);
+        self.profile
+            .push(u8::try_from(p).expect("a link table holds at most 256 profiles"));
+        self.queue.push(PortQueue::new());
         self.free_at.push(Self::FREE_PASSED);
         self.up.push(true);
         self.epoch.push(0);
-        self.health.push(LinkHealth::default());
-        self.loss.push(None);
+        self.impaired.push(false);
         self.tx_packets.push(0);
         self.tx_bytes.push(0);
         self.lost_packets.push(0);
@@ -139,14 +214,20 @@ impl LinkTable {
         self.to[l.index()]
     }
 
+    /// The link's constants.
+    #[inline]
+    pub fn profile(&self, l: LinkId) -> &LinkProfile {
+        &self.profiles[self.profile[l.index()] as usize]
+    }
+
     /// Line rate (bits/s).
     pub fn bps(&self, l: LinkId) -> Bps {
-        self.bps[l.index()]
+        self.profile(l).bps
     }
 
     /// Propagation delay (ns).
     pub fn delay(&self, l: LinkId) -> Time {
-        self.delay[l.index()]
+        self.profile(l).delay
     }
 
     /// Topology role of the link.
@@ -162,6 +243,40 @@ impl LinkTable {
     /// Mutable output port queue.
     pub fn queue_mut(&mut self, l: LinkId) -> &mut PortQueue {
         &mut self.queue[l.index()]
+    }
+
+    /// Offer the packet behind `pkt` to the link's output port (see
+    /// [`PortQueue::try_enqueue`]).
+    #[inline]
+    pub(crate) fn enqueue(
+        &mut self,
+        l: LinkId,
+        pkt: PacketRef,
+        packets: &mut PacketPool,
+        now: Time,
+        rng: &mut SmallRng,
+    ) -> EnqueueOutcome {
+        let i = l.index();
+        let profile = &self.profiles[self.profile[i] as usize].queue;
+        self.queue[i].try_enqueue(profile, pkt, packets, now, rng)
+    }
+
+    /// True when the link's port crossed XOFF with no PAUSE outstanding.
+    #[inline]
+    pub(crate) fn should_assert_pause(&self, l: LinkId) -> bool {
+        self.queue(l).should_assert_pause(&self.profile(l).queue)
+    }
+
+    /// True when the link's port holds a PAUSE and drained to XON.
+    #[inline]
+    pub(crate) fn should_release_pause(&self, l: LinkId) -> bool {
+        self.queue(l).should_release_pause(&self.profile(l).queue)
+    }
+
+    /// Phantom occupancy of the link's port at `now`, when its profile has
+    /// a phantom queue.
+    pub(crate) fn phantom_occupancy(&self, l: LinkId, now: Time) -> Option<u64> {
+        self.queue(l).phantom_occupancy(&self.profile(l).queue, now)
     }
 
     /// True while the link is serviceable.
@@ -212,24 +327,57 @@ impl LinkTable {
         *e = e.wrapping_add(1);
     }
 
-    /// Current fault health.
-    pub fn health(&self, l: LinkId) -> &LinkHealth {
-        &self.health[l.index()]
+    /// True while the link has a fault health other than the default or a
+    /// loss process.
+    #[inline]
+    pub fn impaired(&self, l: LinkId) -> bool {
+        self.impaired[l.index()]
     }
 
-    /// Mutable fault health (fault plane transitions).
-    pub fn health_mut(&mut self, l: LinkId) -> &mut LinkHealth {
-        &mut self.health[l.index()]
+    /// Current fault health (the default unless the link is impaired).
+    pub fn health(&self, l: LinkId) -> LinkHealth {
+        if self.impaired(l) {
+            self.impairments[&l].health
+        } else {
+            LinkHealth::default()
+        }
     }
 
-    /// Mutable correlated-loss model slot (`None` = lossless).
-    pub fn loss_mut(&mut self, l: LinkId) -> &mut Option<GilbertElliott> {
-        &mut self.loss[l.index()]
+    /// Change the fault health (fault plane transitions).
+    pub fn update_health(&mut self, l: LinkId, change: impl FnOnce(&mut LinkHealth)) {
+        self.update_impairment(l, |i| change(&mut i.health));
     }
 
-    /// Install (or replace) the correlated-loss model.
+    /// Install (or replace) the correlated-loss model; `None` = lossless.
     pub fn set_loss(&mut self, l: LinkId, model: Option<GilbertElliott>) {
-        self.loss[l.index()] = model;
+        self.update_impairment(l, |i| i.loss = model);
+    }
+
+    /// Apply `change` to the link's impairment, creating the entry or
+    /// dropping it when the link ends up clear, and keep the flag in step.
+    fn update_impairment(&mut self, l: LinkId, change: impl FnOnce(&mut Impairment)) {
+        let entry = self.impairments.entry(l).or_default();
+        change(entry);
+        let impaired = !entry.is_clear();
+        if !impaired {
+            self.impairments.remove(&l);
+        }
+        self.impaired[l.index()] = impaired;
+    }
+
+    /// Draw whether an impaired link loses an arriving packet: its loss
+    /// process first, then its gray-loss rate, each drawing from `rng` only
+    /// when present. Call only when [`LinkTable::impaired`] holds.
+    pub(crate) fn impaired_drop(&mut self, l: LinkId, rng: &mut SmallRng) -> bool {
+        let i = self
+            .impairments
+            .get_mut(&l)
+            .expect("an impaired link has an impairment entry");
+        if i.loss.as_mut().is_some_and(|loss| loss.drops(rng)) {
+            return true;
+        }
+        let gray = i.health.gray_loss;
+        gray > 0.0 && rng.gen::<f64>() < gray
     }
 
     /// Record one transmitted packet of `bytes`.
@@ -550,15 +698,33 @@ impl FlowTable {
 mod tests {
     use super::*;
 
+    /// A profile with a 64 KiB port, 100 bits/s and 500 ns.
+    fn profile() -> LinkProfile {
+        LinkProfile {
+            bps: 100,
+            delay: 500,
+            queue: QueueProfile::new(64 * 1024, crate::queue::RedParams::default()),
+        }
+    }
+
     #[test]
     fn link_table_round_trips_fields() {
         let mut t = LinkTable::default();
-        let q = PortQueue::new(64 * 1024, crate::queue::RedParams::default());
-        let l = t.push(NodeId(3), NodeId(7), 100, 500, LinkClass::HostEdge, q);
+        let l = t.push(NodeId(3), NodeId(7), LinkClass::HostEdge, profile());
         assert_eq!(l, LinkId(0));
         assert_eq!(t.len(), 1);
         assert_eq!((t.from(l), t.to(l)), (NodeId(3), NodeId(7)));
         assert_eq!((t.bps(l), t.delay(l)), (100, 500));
+        // Links with equal constants share one profile.
+        let slow = LinkProfile {
+            bps: 10,
+            ..profile()
+        };
+        let m = t.push(NodeId(7), NodeId(3), LinkClass::HostEdge, slow);
+        let n = t.push(NodeId(7), NodeId(9), LinkClass::EdgeAgg, profile());
+        assert!(std::ptr::eq(t.profile(l), t.profile(n)));
+        assert_eq!((t.profiles.len(), *t.profile(m)), (2, slow));
+        assert_eq!(t.class(n), LinkClass::EdgeAgg);
         assert!(t.is_up(l));
         assert_eq!(t.free_at(l), LinkTable::FREE_PASSED);
         t.set_up(l, false);
@@ -585,8 +751,7 @@ mod tests {
             (250, 3),
         ];
         for at in free {
-            let q = PortQueue::new(64 * 1024, crate::queue::RedParams::default());
-            let l = t.push(NodeId(0), NodeId(1), 100, 500, LinkClass::EdgeAgg, q);
+            let l = t.push(NodeId(0), NodeId(1), LinkClass::EdgeAgg, profile());
             t.set_free_at(l, at);
         }
         assert_eq!(t.settle_free_transitions((100, 8)), 1);
@@ -601,8 +766,7 @@ mod tests {
     #[test]
     fn pause_refcount_and_time_accounting() {
         let mut t = LinkTable::default();
-        let q = PortQueue::new(64 * 1024, crate::queue::RedParams::default());
-        let l = t.push(NodeId(0), NodeId(1), 100, 500, LinkClass::EdgeAgg, q);
+        let l = t.push(NodeId(0), NodeId(1), LinkClass::EdgeAgg, profile());
         assert!(!t.paused(l));
         assert_eq!(t.paused_ns(l, 100), 0);
         // Two overlapping pauses: the epoch opens on the first, closes on

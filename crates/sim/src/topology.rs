@@ -17,14 +17,17 @@
 //! Link and forwarding state live in the struct-of-arrays tables from
 //! [`crate::tables`]: the builder wires ports into plain scratch `Vec`s and
 //! interns them once at the end, so the finished topology is dense
-//! id-indexed columns with no per-node allocations.
+//! id-indexed columns with no per-node allocations. The link columns are
+//! allocated once, at the final link count, and each link names one of a
+//! handful of interned [`LinkProfile`]s instead of repeating its class's
+//! constants.
 
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{LinkId, NodeId};
 use crate::packet::Packet;
-use crate::queue::{PhantomQueue, PortQueue, RedParams};
-use crate::tables::{FwdScratch, FwdTable, LinkTable};
+use crate::queue::{PhantomProfile, QueueProfile, RedParams};
+use crate::tables::{FwdScratch, FwdTable, LinkProfile, LinkTable};
 use crate::time::{Bps, Time, GBPS, MICROS, MILLIS};
 
 /// Location of a host within the multi-DC fat-tree.
@@ -404,13 +407,25 @@ impl Topology {
         }
         .max(1);
 
+        // Every host has one duplex link to its edge switch, every edge
+        // one to each agg of its pod, every agg one to each of its k/2
+        // cores, every core (with several DCs) one to its border, and each
+        // site pair `border_links` between their borders.
+        let hosts = dcs * params.hosts_per_dc();
+        let fabric_links = 2 * k * half * half;
+        let border_up = if dcs >= 2 { cores_per_dc } else { 0 };
+        let mesh = dcs * (dcs - 1) / 2 * params.border_links;
+        let num_links = 2 * (hosts + dcs * (fabric_links + border_up) + mesh);
+        let num_nodes =
+            hosts + dcs * (2 * k * half + cores_per_dc) + if dcs >= 2 { dcs } else { 0 };
+
         let mut b = Builder {
             topo: Topology {
                 params: params.clone(),
-                nodes: Vec::new(),
-                links: LinkTable::default(),
+                nodes: Vec::with_capacity(num_nodes),
+                links: LinkTable::with_capacity(num_links),
                 fwd: FwdTable::default(),
-                hosts: Vec::new(),
+                hosts: Vec::with_capacity(hosts),
                 border_forward: Vec::new(),
                 border_reverse: Vec::new(),
             },
@@ -549,6 +564,8 @@ impl Topology {
             }
         }
         let Builder { mut topo, fwd } = b;
+        debug_assert_eq!(topo.links.len(), num_links);
+        debug_assert_eq!(topo.nodes.len(), num_nodes);
         topo.fwd = FwdTable::intern(fwd);
         topo
     }
@@ -663,7 +680,7 @@ impl Topology {
     /// Walk the path a packet with the given identity would take; for tests
     /// and diagnostics. Panics if the path exceeds 32 hops (routing loop).
     pub fn trace_path(&self, src: NodeId, dst: NodeId, flow: u32, entropy: u16) -> Vec<NodeId> {
-        let mut pkt = Packet::data(crate::ids::FlowId(flow), 0, 0, src, dst);
+        let mut pkt = Packet::data(crate::ids::FlowId(flow), 0, 0, dst);
         pkt.entropy = entropy;
         let mut at = src;
         let mut path = vec![at];
@@ -716,14 +733,14 @@ impl Builder {
         } else {
             params.queue_bytes
         };
-        let mut queue = PortQueue::new(capacity, params.red);
+        let mut queue = QueueProfile::new(capacity, params.red);
         if let Some(ph) = &params.phantom {
             if !from_is_host {
                 let cap = match class {
                     LinkClass::BorderBorder | LinkClass::CoreBorder => ph.capacity_wan,
                     _ => ph.capacity_intra,
                 };
-                queue = queue.with_phantom(PhantomQueue::new(
+                queue = queue.with_phantom(PhantomProfile::new(
                     bps,
                     ph.drain_factor,
                     cap,
@@ -741,7 +758,8 @@ impl Builder {
             let (xoff, xon) = params.pfc.thresholds(capacity);
             queue = queue.with_pfc(xoff, xon);
         }
-        let id = self.topo.links.push(from, to, bps, delay, class, queue);
+        let profile = LinkProfile { bps, delay, queue };
+        let id = self.topo.links.push(from, to, class, profile);
         self.fwd.feeders[to.index()].push(id);
         id
     }
@@ -911,10 +929,10 @@ mod tests {
         p.wan_queue_bytes = 7 << 20;
         let t = Topology::build(p);
         for &l in &t.border_forward {
-            assert_eq!(t.links.queue(l).capacity, 7 << 20);
+            assert_eq!(t.links.profile(l).queue.capacity, 7 << 20);
         }
         let up = t.host_uplink(t.host(0, 0));
-        assert_eq!(t.links.queue(up).capacity, 8 << 30);
+        assert_eq!(t.links.profile(up).queue.capacity, 8 << 30);
     }
 
     #[test]
@@ -923,11 +941,11 @@ mod tests {
         p.phantom = Some(PhantomParams::default());
         let t = Topology::build(p);
         let up = t.host_uplink(t.host(0, 0));
-        assert!(t.links.queue(up).phantom.is_none());
+        assert!(t.links.profile(up).queue.phantom.is_none());
         let down = t.host_downlink(t.host(0, 0));
-        assert!(t.links.queue(down).phantom.is_some());
+        assert!(t.links.profile(down).queue.phantom.is_some());
         for &l in &t.border_forward {
-            let ph = t.links.queue(l).phantom.as_ref().unwrap();
+            let ph = t.links.profile(l).queue.phantom.unwrap();
             assert_eq!(ph.capacity, PhantomParams::default().capacity_wan);
         }
     }

@@ -75,7 +75,7 @@ impl FlowLogic for TickSender {
         match pkt.kind {
             PacketKind::Data => {
                 let e = ctx.random_entropy();
-                ctx.send(Packet::ack_for(&pkt, 64, e));
+                ctx.send(Packet::ack_for(&pkt, self.src, 64, e));
             }
             PacketKind::Ack => {
                 self.acked += 1;
@@ -89,7 +89,7 @@ impl FlowLogic for TickSender {
     fn on_timer(&mut self, _token: u64, ctx: &mut Ctx) {
         if self.remaining > 0 {
             self.remaining -= 1;
-            let mut p = Packet::data(ctx.flow, self.remaining, 4096, self.src, self.dst);
+            let mut p = Packet::data(ctx.flow, self.remaining as u32, 4096, self.dst);
             p.sent_at = ctx.now;
             p.entropy = ctx.random_entropy();
             ctx.send(p);

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use uno_sim::{
-    ecmp_pick, EnqueueOutcome, Packet, PacketPool, PortQueue, RedParams, Topology, TopologyParams,
+    ecmp_pick, EnqueueOutcome, Packet, PacketPool, PortQueue, QueueProfile, RedParams, Topology,
+    TopologyParams,
 };
 
 proptest! {
@@ -56,14 +57,13 @@ proptest! {
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
         let mut pool = PacketPool::new();
-        let mut q = PortQueue::new(64 << 10, RedParams::default());
+        let prof = QueueProfile::new(64 << 10, RedParams::default());
+        let mut q = PortQueue::new();
         let mut model = std::collections::VecDeque::new();
         for (i, (enq, size)) in ops.into_iter().enumerate() {
             if enq {
-                let pkt = pool.alloc(Packet::data(
-                    uno_sim::FlowId(0), i as u64, size, uno_sim::NodeId(0), uno_sim::NodeId(1),
-                ));
-                match q.try_enqueue(pkt, &mut pool, 0, &mut rng) {
+                let pkt = pool.alloc(Packet::data(uno_sim::FlowId(0), i as u32, size, uno_sim::NodeId(1)));
+                match q.try_enqueue(&prof, pkt, &mut pool, 0, &mut rng) {
                     EnqueueOutcome::Enqueued { .. } => model.push_back((pkt, size)),
                     EnqueueOutcome::Dropped => {
                         prop_assert!(q.bytes() + size as u64 > 64 << 10, "drop only when full");

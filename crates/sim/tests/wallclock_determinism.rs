@@ -29,7 +29,7 @@ impl FlowLogic for Blaster {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut uno_sim::Ctx) {
         match pkt.kind {
             PacketKind::Data => {
-                let mut ack = Packet::data(pkt.flow, pkt.seq, 64, pkt.dst, pkt.src);
+                let mut ack = Packet::data(pkt.flow, pkt.seq, 64, self.src);
                 ack.kind = PacketKind::Ack;
                 ack.sent_at = pkt.sent_at;
                 ctx.send(ack);
@@ -39,7 +39,7 @@ impl FlowLogic for Blaster {
                 ctx.trace(TraceEvent::Ack {
                     t: ctx.now,
                     flow: ctx.flow.0,
-                    seq: pkt.seq,
+                    seq: pkt.seq as u64,
                     bytes: 4096,
                     ecn: pkt.ecn,
                     rtt: ctx.now.saturating_sub(pkt.sent_at),
@@ -63,7 +63,7 @@ impl FlowLogic for Blaster {
 impl Blaster {
     fn pump(&mut self, ctx: &mut uno_sim::Ctx) {
         while self.sent < self.n && self.sent < self.acked + 8 {
-            let mut pkt = Packet::data(ctx.flow, self.sent, 4096, self.src, self.dst);
+            let mut pkt = Packet::data(ctx.flow, self.sent as u32, 4096, self.dst);
             pkt.entropy = ctx.random_entropy();
             pkt.sent_at = ctx.now;
             ctx.send(pkt);

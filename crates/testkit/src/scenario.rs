@@ -602,7 +602,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         let queue_capacity: Vec<u64> = topo
             .links
             .ids()
-            .map(|l| topo.links.queue(l).capacity)
+            .map(|l| topo.links.profile(l).queue.capacity)
             .collect();
         let flows = specs
             .iter()

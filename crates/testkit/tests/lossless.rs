@@ -80,7 +80,7 @@ fn pfc_spec(exp: &Experiment, window: Time, duty: f64) -> NetSpec {
             .topo
             .links
             .ids()
-            .map(|l| exp.sim.topo.links.queue(l).capacity)
+            .map(|l| exp.sim.topo.links.profile(l).queue.capacity)
             .collect(),
         flows: vec![],
         liveness_grace: SECONDS / 2,

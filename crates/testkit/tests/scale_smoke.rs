@@ -59,7 +59,7 @@ fn incast_4k_hosts_with_telemetry_and_invariants() {
         let queue_capacity: Vec<u64> = topo
             .links
             .ids()
-            .map(|l| topo.links.queue(l).capacity)
+            .map(|l| topo.links.profile(l).queue.capacity)
             .collect();
         let flows = specs
             .iter()

@@ -515,15 +515,12 @@ impl MessageFlow {
         (self.data_pkts - b * x).min(x)
     }
 
-    fn seq_block(&self, seq: u64) -> (u32, u8, bool) {
+    /// The EC block of wire sequence `seq` (0 without EC). Packets carry
+    /// no block field: both halves derive it from the sequence.
+    fn seq_block(&self, seq: u64) -> u64 {
         match self.cfg.ec {
-            Some(ec) => {
-                let n = ec.total() as u64;
-                let b = seq / n;
-                let i = seq % n;
-                (b as u32, i as u8, i >= ec.data as u64)
-            }
-            None => (0, 0, false),
+            Some(_) => seq / self.block_n,
+            None => 0,
         }
     }
 
@@ -609,7 +606,6 @@ impl MessageFlow {
         let order = self.send_order;
         self.send_order += 1;
         let delivered = self.delivered;
-        let (block, idx, parity) = self.seq_block(seq);
         if seq >= self.ring.hi() {
             // First transmission: the packet enters the ring, after any
             // empty slots the fresh-packet scan skipped.
@@ -638,13 +634,9 @@ impl MessageFlow {
             set_bit(&mut self.rtx_bitmap, seq);
             self.rtx_packets += 1;
         }
-        let mut p = Packet::data(ctx.flow, seq, size, self.cfg.src, self.cfg.dst);
+        let mut p = Packet::data(ctx.flow, seq as u32, size, self.cfg.dst);
         p.entropy = entropy;
         p.sent_at = ctx.now;
-        p.block = block;
-        p.index_in_block = idx;
-        p.is_parity = parity;
-        p.is_rtx = is_rtx;
         if self.cfg.ec.is_none() {
             self.sent_fifo.push_back(seq as u32);
         }
@@ -738,7 +730,8 @@ impl MessageFlow {
     }
 
     fn on_ack(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let seq = pkt.seq;
+        let seq = pkt.seq as u64;
+        let b = self.seq_block(seq);
         let rtt_sample = ctx.now.saturating_sub(pkt.sent_at).max(1);
         // Karn's algorithm: an ACK for a packet that was ever retransmitted
         // is ambiguous (it may acknowledge any copy), so it must not feed
@@ -763,7 +756,7 @@ impl MessageFlow {
                 });
             }
             if self.cfg.ec.is_some() && pkt.block_complete {
-                self.finish_block(pkt.block as u64);
+                self.finish_block(b);
                 if self.blocks_done == self.nblocks {
                     self.complete(ctx);
                     return;
@@ -777,14 +770,16 @@ impl MessageFlow {
             self.inflight = self.inflight.saturating_sub(s.size as u64);
         }
         s.phase = Phase::Acked;
-        let (order, entropy, delivered_at_send) = (s.order, s.entropy, s.delivered_at_send);
+        // The ACK acknowledges the wire bytes its sequence was sent with.
+        let (order, entropy, delivered_at_send, bytes) =
+            (s.order, s.entropy, s.delivered_at_send, s.size as u64);
         self.ring.advance();
-        self.delivered += pkt.acked_size as u64;
+        self.delivered += bytes;
         self.max_acked_order = self.max_acked_order.max(order);
 
         let ev = AckEvent {
             now: ctx.now,
-            bytes: pkt.acked_size as u64,
+            bytes,
             ecn: pkt.ecn,
             rtt: rtt_sample,
             pkt_sent_at: pkt.sent_at,
@@ -806,7 +801,7 @@ impl MessageFlow {
                 t: ctx.now,
                 flow: ctx.flow.0,
                 seq,
-                bytes: pkt.acked_size as u64,
+                bytes,
                 ecn: pkt.ecn,
                 rtt: rtt_sample,
                 done: pkt.block_complete,
@@ -818,7 +813,6 @@ impl MessageFlow {
         // Completion accounting.
         if self.cfg.ec.is_some() {
             ctx.profiler.enter("erasure_encode");
-            let b = pkt.block as u64;
             let needed = self.block_data_count(b) as u8;
             let done_at = self.block_done_thresh(b);
             let acked = &mut self.blocks[b as usize].0;
@@ -952,7 +946,8 @@ impl MessageFlow {
     }
 
     fn on_nack(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        let b = pkt.block as u64;
+        // A NACK's sequence is the block it asks for.
+        let b = pkt.seq as u64;
         if self.cfg.ec.is_none() || b >= self.nblocks {
             return;
         }
@@ -1075,10 +1070,11 @@ impl MessageFlow {
     }
 
     fn on_data(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        if self.cfg.ec.is_some() && !bit(&self.rx_bitmap, pkt.seq) {
-            set_bit(&mut self.rx_bitmap, pkt.seq);
+        let seq = pkt.seq as u64;
+        let b = self.seq_block(seq);
+        if self.cfg.ec.is_some() && !bit(&self.rx_bitmap, seq) {
+            set_bit(&mut self.rx_bitmap, seq);
             ctx.profiler.enter("erasure_decode");
-            let b = pkt.block as u64;
             // Paper: timer set to the estimated max queuing and transmission
             // delay, armed on the block's first packet; blocks skipped so
             // far are armed first (see `rx_armed`).
@@ -1097,9 +1093,9 @@ impl MessageFlow {
         // been lost). The ACK sprays its own reverse-path entropy and, for
         // EC flows, tells the sender once the block is reconstructable.
         let e = ctx.random_entropy();
-        let mut ack = Packet::ack_for(&pkt, self.cfg.ack_size, e);
+        let mut ack = Packet::ack_for(&pkt, self.cfg.src, self.cfg.ack_size, e);
         if self.cfg.ec.is_some() {
-            ack.block_complete = self.rx_done(pkt.block as u64);
+            ack.block_complete = self.rx_done(b);
         }
         ctx.send(ack);
     }
@@ -1122,14 +1118,7 @@ impl MessageFlow {
                 block: b,
             });
         }
-        let nack = Packet::nack(
-            ctx.flow,
-            b as u32,
-            self.cfg.ack_size,
-            self.cfg.dst,
-            self.cfg.src,
-        );
-        let mut nack = nack;
+        let mut nack = Packet::nack(ctx.flow, b as u32, self.cfg.ack_size, self.cfg.src);
         nack.entropy = ctx.random_entropy();
         ctx.send(nack);
         // Re-arm with backoff: retransmissions need a round trip to land.
@@ -1347,7 +1336,7 @@ mod tests {
     }
 
     fn seqs(pkts: &[Packet]) -> Vec<u64> {
-        pkts.iter().map(|p| p.seq).collect()
+        pkts.iter().map(|p| p.seq as u64).collect()
     }
 
     #[test]
@@ -1372,10 +1361,10 @@ mod tests {
         assert_eq!(f.total_wire, 20);
         // All 20 wire slots are sent; parity sized like the data shards.
         assert_eq!(slot_sizes(&mut f), [4096; 20]);
-        let (b, i, parity) = f.seq_block(13);
-        assert_eq!((b, i, parity), (1, 3, false));
-        let (b, i, parity) = f.seq_block(18);
-        assert_eq!((b, i, parity), (1, 8, true));
+        assert_eq!(
+            [f.seq_block(9), f.seq_block(10), f.seq_block(19)],
+            [0, 1, 1]
+        );
     }
 
     #[test]
@@ -1403,6 +1392,53 @@ mod tests {
         // Parity mirrors the first shard's size.
         assert_eq!(sizes[8], 100);
         assert_eq!(sizes[9], 100);
+    }
+
+    /// Packets carry neither their block nor, on ACKs, the acknowledged
+    /// size: both halves derive them from the sequence (the sender reads
+    /// the size from the sequence's send-ring slot). For every sequence of
+    /// a plain message with a short last packet, a message of full (8, 2)
+    /// blocks and one whose last block holds 3 data packets, the slot's
+    /// size is the one `transmit` sent and the derived block is the one
+    /// whose sequences hold it; the ACKs credit exactly the message.
+    #[test]
+    fn acks_derive_the_size_and_block_transmit_used() {
+        let ec = Some(EcParams::PAPER_DEFAULT);
+        for (size, ec) in [
+            (10 * 4096 - 100, None),
+            (24 * 4096, ec),
+            (19 * 4096 - 100, ec),
+        ] {
+            let mut f = flow_with_cc(size, ec, Box::new(FixedWindow(64.0 * 4096.0)));
+            let mut wire = Wire::new();
+            let sent = wire.start(&mut f);
+            let full: Vec<u64> = (0..f.total_wire).filter(|&s| f.wire_size(s) > 0).collect();
+            assert_eq!(seqs(&sent), full, "the window lets every packet out");
+            for p in &sent {
+                let seq = p.seq as u64;
+                assert_eq!(p.dst, f.cfg.dst);
+                assert_eq!(f.wire_size(seq), p.size, "size of seq {seq}");
+                assert_eq!(f.ring.get(seq).map(|s| s.size), Some(p.size));
+                let b = f.seq_block(seq);
+                match ec {
+                    Some(_) => assert!(b < f.nblocks && f.block_seqs(b).contains(&seq)),
+                    None => assert_eq!(b, 0),
+                }
+            }
+            // Every data packet reaches the receiver, in order, then every
+            // ACK the sender. A block's last data ACK settles its parity,
+            // whose ACKs then credit nothing.
+            let acks: Vec<Packet> = sent.iter().flat_map(|&p| wire.deliver(&mut f, p)).collect();
+            assert_eq!(seqs(&acks), full);
+            assert!(acks
+                .iter()
+                .all(|a| a.kind == PacketKind::Ack && a.dst == f.cfg.src));
+            for ack in acks {
+                wire.deliver(&mut f, ack);
+            }
+            assert!(f.completed);
+            assert_eq!(f.delivered, size, "the ACKs credit the message");
+        }
     }
 
     #[test]
@@ -1671,7 +1707,7 @@ mod tests {
         assert_eq!(seqs(&first), (0..30).collect::<Vec<_>>());
         // A NACK for block 0 one base RTT later resends all of it.
         wire.now = f.cfg.base_rtt + 1;
-        let nack = Packet::nack(FlowId(0), 0, 64, f.cfg.dst, f.cfg.src);
+        let nack = Packet::nack(FlowId(0), 0, 64, f.cfg.src);
         let resent = wire.deliver(&mut f, nack);
         assert_eq!(seqs(&resent), (0..10).collect::<Vec<_>>());
         // The resent data of block 0 and the first data of block 1 reach
@@ -1718,7 +1754,7 @@ mod tests {
             sent.extend(
                 out.iter()
                     .filter(|p| p.kind == PacketKind::Data)
-                    .map(|p| p.seq),
+                    .map(|p| p.seq as u64),
             );
             queue.extend(out);
         }
@@ -1808,8 +1844,9 @@ mod tests {
             arrivals.shuffle(&mut rng);
             for p in arrivals {
                 wire.deliver(&mut f, p);
-                let (b, i, _) = f.seq_block(p.seq);
-                let (b, i) = (b as usize, i as usize);
+                let seq = p.seq as usize;
+                let (b, i) = (seq / n, seq % n);
+                assert_eq!(f.seq_block(seq as u64), b as u64);
                 rx[b][i] = Some(blocks[b][i].clone());
                 let mut decoded = rx[b].clone();
                 rebuilt[b] = rs.reconstruct(&mut decoded).is_ok()
