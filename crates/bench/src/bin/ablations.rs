@@ -13,7 +13,7 @@
 use uno::metrics::{jain_fairness, rates_from_progress, FctTable};
 use uno::sim::{GilbertElliott, PhantomParams, MILLIS, SECONDS};
 use uno::transport::{CcAlgorithm, CcConfig, LbMode, UnoCc};
-use uno::{Experiment, ExperimentConfig, ExperimentResults, SchemeSpec};
+use uno::{ExperimentConfig, ExperimentResults, SchemeSpec};
 use uno_bench::{experiment, run_cell, HarnessArgs};
 use uno_erasure::EcParams;
 use uno_workloads::{incast, FlowSpec};
@@ -122,10 +122,9 @@ fn ablation_pq(args: &HarnessArgs) {
     let drains = vec![0.8, 0.9, 0.95, 1.0];
     let results = args.sweep().run(drains.clone(), |_, drain| {
         let mut cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 3);
-        let base = Experiment::default_phantom(&cfg.topo);
         cfg.topo.phantom = Some(PhantomParams {
             drain_factor: drain,
-            ..base
+            ..PhantomParams::for_topology(&cfg.topo)
         });
         let mut exp = experiment(cfg);
         let hosts = exp.sim.topo.params.hosts_per_dc() as u32;

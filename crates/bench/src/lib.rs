@@ -209,7 +209,7 @@ pub fn print_table2(topo: &TopologyParams) {
     );
     println!(
         "  phantom queue drain rate     = {} x line rate",
-        PhantomParams::default().drain_factor
+        PhantomParams::for_topology(topo).drain_factor
     );
     println!(
         "  link bandwidth               = {} Gbps",

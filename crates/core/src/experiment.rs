@@ -8,11 +8,9 @@ use serde::{Deserialize, Serialize, Value};
 use uno_sim::{
     FailRecord, FctRecord, FlowClass, FlowId, FlowMeta, LinkStats, NetworkStats, PhantomParams,
     QueueSampler, RunManifest, SampleConfig, Simulator, Telemetry, Time, Topology, TopologyParams,
-    MILLIS,
 };
 use uno_transport::{
-    Bbr, CcAlgorithm, CcConfig, FaultInjection, FlowConfig, Gemini, LbMode, MessageFlow, Mprdma,
-    UnoCc,
+    Bbr, CcAlgorithm, CcConfig, FaultInjection, FlowConfig, Gemini, MessageFlow, Mprdma, UnoCc,
 };
 use uno_workloads::FlowSpec;
 
@@ -151,7 +149,7 @@ impl Experiment {
     pub fn new(cfg: ExperimentConfig) -> Self {
         let mut topo_params = cfg.topo.clone();
         if cfg.scheme.phantom_queues && topo_params.phantom.is_none() {
-            topo_params.phantom = Some(Self::default_phantom(&topo_params));
+            topo_params.phantom = Some(PhantomParams::for_topology(&topo_params));
         } else if !cfg.scheme.phantom_queues {
             topo_params.phantom = None;
         }
@@ -164,25 +162,6 @@ impl Experiment {
             sim.profiler.set_enabled(true);
         }
         Experiment { sim, cfg }
-    }
-
-    /// Phantom-queue sizing rule: virtual capacity tracks the BDP of the
-    /// traffic class crossing the port (paper §4.1.3 — "virtual queues with
-    /// arbitrary sizes ... to match the high BDPs of the inter-DC
-    /// connections"), with the Table 2 drain factor of 0.9.
-    pub fn default_phantom(p: &TopologyParams) -> PhantomParams {
-        // Marking must engage while the *physical* queue is still empty —
-        // the phantom builds whenever arrival exceeds the 0.9x drain, so its
-        // marking region starts below the physical RED minimum (25% of the
-        // 1 MiB port buffer). Intra ports track a couple of intra BDPs; WAN
-        // ports scale with the inter-DC BDP per §4.1.3.
-        PhantomParams {
-            drain_factor: 0.9,
-            capacity_intra: (2 * p.intra_bdp()).clamp(64 << 10, 1 << 20),
-            capacity_wan: (p.inter_bdp() / 8).max(1 << 20),
-            red_min_frac: 0.25,
-            red_max_frac: 0.75,
-        }
     }
 
     /// The scheme under test.
@@ -205,10 +184,9 @@ impl Experiment {
 
     /// Register one workload flow wired as [`Experiment::add_spec`] wires
     /// it, except that `make_cc` builds its congestion controller from the
-    /// [`CcConfig`] derived for the flow (paper defaults at its path's RTT
-    /// and BDP) and whether the flow crosses datacenters. Ablations use it
-    /// to run a hand-tuned controller under the scheme's load balancing,
-    /// erasure coding and timers.
+    /// flow's [`CcConfig::for_class`] and whether the flow crosses
+    /// datacenters. Ablations use it to run a hand-tuned controller under
+    /// the scheme's load balancing, erasure coding and timers.
     pub fn add_spec_with(
         &mut self,
         spec: &FlowSpec,
@@ -217,31 +195,13 @@ impl Experiment {
         let topo = &self.sim.topo;
         let src = topo.host(spec.src_dc, spec.src_idx);
         let dst = topo.host(spec.dst_dc, spec.dst_idx);
-        let inter = topo.is_inter_dc(src, dst);
-        let p = &topo.params;
+        let class = topo.flow_class(src, dst);
+        let inter = class == FlowClass::Inter;
 
-        let (base_rtt, bdp) = if inter {
-            (p.inter_rtt, p.inter_bdp() as f64)
-        } else {
-            (p.intra_rtt, p.intra_bdp() as f64)
-        };
-        let cc_cfg = CcConfig {
-            mtu: p.mtu,
-            ..CcConfig::paper_defaults(bdp, base_rtt, p.intra_bdp() as f64, p.intra_rtt)
-        };
-        let cc = make_cc(cc_cfg, inter);
-        let lb = self.cfg.scheme.lb_for(inter);
-        let mut fc = FlowConfig::basic(src, dst, spec.size, base_rtt);
-        fc.mtu = p.mtu;
+        let cc = make_cc(CcConfig::for_class(&topo.params, class), inter);
+        let mut fc = FlowConfig::for_path(topo, src, dst, spec.size);
         fc.ec = self.cfg.scheme.ec_for(inter);
-        fc.lb = lb;
-        fc.dup_thresh = dup_thresh_for(lb);
-        fc.min_rto = if inter {
-            2 * base_rtt
-        } else {
-            MILLIS.max(4 * base_rtt)
-        };
-        fc.block_timeout = base_rtt;
+        fc.lb = self.cfg.scheme.lb_for(inter);
         fc.faults = self.cfg.faults;
         if self.cfg.degrade {
             fc = fc.with_degradation(STALL_RTOS, MAX_RTO_RETRIES);
@@ -253,11 +213,6 @@ impl Experiment {
             dst,
             size: spec.size,
             start: spec.start,
-            class: if inter {
-                FlowClass::Inter
-            } else {
-                FlowClass::Intra
-            },
         };
         let record = self.cfg.record_progress;
         self.sim.add_flow_recorded(meta, Box::new(flow), record)
@@ -331,16 +286,6 @@ impl Experiment {
     }
 }
 
-/// Reorder tolerance appropriate to each load balancer: single-path schemes
-/// see little reordering; spraying and subflow schemes see a lot.
-pub fn dup_thresh_for(lb: LbMode) -> u64 {
-    match lb {
-        LbMode::Ecmp | LbMode::Plb => 16,
-        LbMode::Spray => 128,
-        LbMode::UnoLb { subflows } => (8 * subflows as u64).max(64),
-    }
-}
-
 /// Ideal (unloaded) FCT of a flow: one base RTT plus serialization at the
 /// path's bottleneck rate. Used for slowdown metrics (Fig. 11).
 pub fn ideal_fct(size: u64, base_rtt: Time, bottleneck_bps: u64) -> Time {
@@ -350,7 +295,7 @@ pub fn ideal_fct(size: u64, base_rtt: Time, bottleneck_bps: u64) -> Time {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uno_sim::SECONDS;
+    use uno_sim::{MILLIS, SECONDS};
 
     fn quick(scheme: SchemeSpec, seed: u64) -> Experiment {
         Experiment::new(ExperimentConfig::quick(scheme, seed))
@@ -467,13 +412,6 @@ mod tests {
         // 1 MiB at 100 Gbps = 83.9 us, plus 2 ms RTT.
         let t = ideal_fct(1 << 20, 2 * MILLIS, 100 * uno_sim::GBPS);
         assert!(t > 2 * MILLIS && t < 2 * MILLIS + 100_000);
-    }
-
-    #[test]
-    fn dup_thresh_scales_with_reordering_risk() {
-        assert_eq!(dup_thresh_for(LbMode::Ecmp), 16);
-        assert_eq!(dup_thresh_for(LbMode::Spray), 128);
-        assert_eq!(dup_thresh_for(LbMode::UnoLb { subflows: 10 }), 80);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod experiment;
 pub mod scheme;
 pub mod sweep;
 
-pub use experiment::{dup_thresh_for, ideal_fct, Experiment, ExperimentConfig, ExperimentResults};
+pub use experiment::{ideal_fct, Experiment, ExperimentConfig, ExperimentResults};
 pub use scheme::{CcKind, SchemeSpec};
 pub use sweep::SweepRunner;
 

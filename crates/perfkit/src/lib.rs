@@ -106,18 +106,37 @@ impl PerfReport {
     }
 }
 
-/// Abbreviated git revision of the working tree (or `unknown` outside a
-/// repo / without git).
+/// Abbreviated git revision of the source this crate was built from, with
+/// `-dirty` appended when tracked files there have uncommitted changes
+/// (`unknown` outside a repository or without git). It does not depend on
+/// the directory the process runs in.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
+    git_rev_in(Path::new(env!("CARGO_MANIFEST_DIR")))
+}
+
+/// [`git_rev`] of the repository holding `dir`.
+fn git_rev_in(dir: &Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .output()
+            .ok()
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"])
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    else {
+        return "unknown".to_string();
+    };
+    // `diff --quiet` exits 1 when tracked files differ from HEAD.
+    match git(&["diff", "--quiet", "HEAD"]).map(|o| o.status.code()) {
+        Some(Some(1)) => format!("{rev}-dirty"),
+        _ => rev,
+    }
 }
 
 /// Peak resident set size of this process in KiB, from `/proc/self/status`
@@ -284,6 +303,31 @@ mod tests {
                 })
                 .collect(),
         }
+    }
+
+    #[test]
+    fn git_rev_names_the_source_tree_not_the_working_directory() {
+        let src = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let rev = git_rev();
+        assert_eq!(rev, git_rev_in(src));
+        if rev != "unknown" {
+            let hash = rev.strip_suffix("-dirty").unwrap_or(&rev);
+            assert!(hash.len() >= 4, "{rev}");
+            assert!(hash.bytes().all(|b| b.is_ascii_hexdigit()), "{rev}");
+            let full = std::process::Command::new("git")
+                .arg("-C")
+                .arg(src)
+                .args(["rev-parse", "HEAD"])
+                .output()
+                .unwrap();
+            assert!(String::from_utf8_lossy(&full.stdout).starts_with(hash));
+        }
+        // A fresh directory under the system temp dir is in no repository.
+        let outside = std::env::temp_dir().join(format!("uno-perfkit-rev-{}", std::process::id()));
+        std::fs::create_dir_all(&outside).unwrap();
+        let rev = git_rev_in(&outside);
+        std::fs::remove_dir(&outside).unwrap();
+        assert_eq!(rev, "unknown");
     }
 
     #[test]

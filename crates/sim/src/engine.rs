@@ -36,6 +36,8 @@ pub enum FlowClass {
 }
 
 /// Static description of a flow, used for bookkeeping and FCT records.
+/// Its class is not stored: the engine derives it from the endpoints
+/// ([`Topology::flow_class`]) when it writes a record.
 #[derive(Clone, Debug)]
 pub struct FlowMeta {
     /// Source host.
@@ -46,8 +48,6 @@ pub struct FlowMeta {
     pub size: u64,
     /// Absolute start time.
     pub start: Time,
-    /// Intra- or inter-DC.
-    pub class: FlowClass,
 }
 
 /// Completion record for a finished flow.
@@ -489,7 +489,7 @@ impl Simulator {
                     size: m.size,
                     start: m.start,
                     end: self.now,
-                    class: m.class,
+                    class: self.topo.flow_class(m.src, m.dst),
                 }
             })
             .collect()
@@ -1363,7 +1363,8 @@ impl Simulator {
         }
         self.terminated_flows += 1;
         let m = self.flows.meta(i);
-        let (size, start, class, end) = (m.size, m.start, m.class, self.now);
+        let class = self.topo.flow_class(m.src, m.dst);
+        let (size, start, end) = (m.size, m.start, self.now);
         if outcome == FlowOutcome::Completed {
             self.fcts.push(FctRecord {
                 flow,
@@ -1460,7 +1461,6 @@ mod tests {
             dst,
             size: 10 * 4096,
             start: 0,
-            class: FlowClass::Intra,
         };
         let logic = Blaster {
             src,
@@ -1488,7 +1488,6 @@ mod tests {
             dst,
             size: 4096,
             start: 0,
-            class: FlowClass::Inter,
         };
         let logic = Blaster {
             src,
@@ -1514,7 +1513,6 @@ mod tests {
                     dst,
                     size: 50 * 4096,
                     start: 0,
-                    class: FlowClass::Inter,
                 },
                 Box::new(Blaster {
                     src,
@@ -1544,7 +1542,6 @@ mod tests {
                 dst,
                 size: 5 * 4096,
                 start: 1000,
-                class: FlowClass::Inter,
             },
             Box::new(Blaster {
                 src,
@@ -1575,7 +1572,6 @@ mod tests {
                 dst,
                 size: 4096,
                 start: 0,
-                class: FlowClass::Intra,
             },
             Box::new(Blaster {
                 src,
@@ -1608,7 +1604,6 @@ mod tests {
                 dst,
                 size: 4096,
                 start: 20 * MICROS,
-                class: FlowClass::Intra,
             },
             Box::new(Blaster {
                 src,
@@ -1633,7 +1628,6 @@ mod tests {
                 dst,
                 size: 100 * 4096,
                 start: 0,
-                class: FlowClass::Intra,
             },
             Box::new(Blaster {
                 src,
@@ -1684,7 +1678,6 @@ mod tests {
                 dst,
                 size: 4096,
                 start: 1000,
-                class: FlowClass::Intra,
             },
             Box::new(Blaster {
                 src,
@@ -1702,7 +1695,6 @@ mod tests {
                 dst,
                 size: 4096,
                 start: late_start,
-                class: FlowClass::Intra,
             },
             Box::new(Blaster {
                 src,
@@ -1731,7 +1723,6 @@ mod tests {
                 dst,
                 size: 10 * 4096,
                 start: 0,
-                class: FlowClass::Intra,
             },
             Box::new(Blaster {
                 src,
@@ -1773,7 +1764,6 @@ mod tests {
                     dst,
                     size: 50 * 4096,
                     start: 0,
-                    class: FlowClass::Inter,
                 },
                 Box::new(Blaster {
                     src,
@@ -1818,7 +1808,6 @@ mod tests {
                 dst,
                 size: 200 * 4096,
                 start: 0,
-                class: FlowClass::Intra,
             },
             Box::new(Blaster {
                 src,
@@ -1858,7 +1847,6 @@ mod tests {
                 dst,
                 size: 200 * 4096,
                 start: 0,
-                class: FlowClass::Intra,
             },
             Box::new(Blaster {
                 src,
@@ -1873,14 +1861,78 @@ mod tests {
         assert!(sim.network_stats().link_losses > 50);
     }
 
-    fn one_pkt_flow(sim: &mut Simulator, src: NodeId, dst: NodeId, class: FlowClass) {
+    /// Ends on start as `outcome` says; `None` never ends (its one timer
+    /// only moves the clock past its start).
+    struct EndsAs(Option<FlowOutcome>);
+
+    impl FlowLogic for EndsAs {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            match self.0 {
+                Some(FlowOutcome::Completed) => ctx.complete(),
+                Some(outcome) => ctx.fail(outcome),
+                None => ctx.set_timer(MICROS, 0),
+            }
+        }
+
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx) {}
+
+        fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx) {}
+    }
+
+    #[test]
+    fn records_carry_the_class_of_their_endpoints() {
+        let mut sim = small_sim(3);
+        let topo = &sim.topo;
+        let (a, b, c) = (topo.host(0, 0), topo.host(0, 5), topo.host(1, 2));
+        // Both directions of an intra and of an inter pair, each ending
+        // complete, aborted and not at all.
+        let pairs = [
+            (a, b, FlowClass::Intra),
+            (b, a, FlowClass::Intra),
+            (a, c, FlowClass::Inter),
+            (c, b, FlowClass::Inter),
+        ];
+        let ends = [
+            Some(FlowOutcome::Completed),
+            Some(FlowOutcome::Aborted),
+            None,
+        ];
+        let mut class = Vec::new();
+        for &(src, dst, cls) in &pairs {
+            for end in ends {
+                let meta = FlowMeta {
+                    src,
+                    dst,
+                    size: 4096,
+                    start: 0,
+                };
+                sim.add_flow(meta, Box::new(EndsAs(end)));
+                class.push(cls);
+            }
+        }
+        assert!(!sim.run_to_completion(crate::time::SECONDS));
+        let censored = sim.censored_fcts();
+        for (records, outcome) in [(&sim.fcts, 0), (&censored, 2)] {
+            assert_eq!(records.len(), pairs.len());
+            for r in records {
+                assert_eq!(r.flow.index() % 3, outcome);
+                assert_eq!(r.class, class[r.flow.index()], "flow {}", r.flow.0);
+            }
+        }
+        assert_eq!(sim.failures.len(), pairs.len());
+        for r in &sim.failures {
+            assert_eq!(r.outcome, FlowOutcome::Aborted);
+            assert_eq!(r.class, class[r.flow.index()], "flow {}", r.flow.0);
+        }
+    }
+
+    fn one_pkt_flow(sim: &mut Simulator, src: NodeId, dst: NodeId) {
         sim.add_flow(
             FlowMeta {
                 src,
                 dst,
                 size: 4096,
                 start: 0,
-                class,
             },
             Box::new(Blaster {
                 src,
@@ -1920,7 +1972,7 @@ mod tests {
             Some(100 * MICROS),
         ))
         .unwrap();
-        one_pkt_flow(&mut sim, src, dst, FlowClass::Intra);
+        one_pkt_flow(&mut sim, src, dst);
         assert!(!sim.run_to_completion(50 * MICROS));
         assert!(sim.per_link_stats()[up.index()].losses >= 1);
         // Onset + healing, one link each.
@@ -2011,7 +2063,6 @@ mod tests {
                     dst,
                     size: 50 * 4096,
                     start: 2 * MICROS,
-                    class: FlowClass::Intra,
                 },
                 Box::new(Blaster {
                     src,
@@ -2043,7 +2094,7 @@ mod tests {
                 ))
                 .unwrap();
             }
-            one_pkt_flow(&mut sim, src, dst, FlowClass::Intra);
+            one_pkt_flow(&mut sim, src, dst);
             assert!(sim.run_to_completion(crate::time::SECONDS));
             sim.fcts[0].fct()
         };
@@ -2072,7 +2123,7 @@ mod tests {
             None,
         ))
         .unwrap();
-        one_pkt_flow(&mut sim, src, dst, FlowClass::Intra);
+        one_pkt_flow(&mut sim, src, dst);
         assert!(sim.run_to_completion(crate::time::SECONDS));
         assert!(sim.fcts[0].fct() >= 500 * MICROS);
     }
@@ -2095,7 +2146,7 @@ mod tests {
                 .collect(),
         };
         sim.install_faults(&spec).unwrap();
-        one_pkt_flow(&mut sim, src, dst, FlowClass::Inter);
+        one_pkt_flow(&mut sim, src, dst);
         assert!(!sim.run_to_completion(50 * crate::time::MILLIS));
         let fwd_tx: u64 = sim
             .topo
@@ -2136,7 +2187,6 @@ mod tests {
                     dst,
                     size: 200 * 4096,
                     start: 0,
-                    class: FlowClass::Intra,
                 },
                 Box::new(Blaster {
                     src,
@@ -2174,7 +2224,7 @@ mod tests {
             None,
         ))
         .unwrap();
-        one_pkt_flow(&mut sim, src, dst, FlowClass::Inter);
+        one_pkt_flow(&mut sim, src, dst);
         assert!(!sim.run_to_completion(50 * crate::time::MILLIS));
         assert!(sim.fcts.is_empty());
         assert!(sim.network_stats().link_losses >= 1);
@@ -2209,7 +2259,6 @@ mod tests {
                 dst,
                 size: 4096,
                 start: 0,
-                class: FlowClass::Intra,
             },
             Box::new(GiveUp),
         );
@@ -2262,7 +2311,6 @@ mod tests {
                     dst,
                     size: n * 4096,
                     start: 0,
-                    class: FlowClass::Intra,
                 },
                 Box::new(Blaster {
                     src,
@@ -2363,7 +2411,6 @@ mod tests {
                 dst,
                 size: 100 * 4096,
                 start: 0,
-                class: FlowClass::Intra,
             },
             Box::new(Blaster {
                 src,
@@ -2503,7 +2550,6 @@ mod tests {
                 dst,
                 size: 20 * 4096,
                 start: 0,
-                class: FlowClass::Intra,
             };
             sim.add_flow(meta, Box::new(FirstAck(src, dst)));
         }
@@ -2576,7 +2622,6 @@ mod tests {
                     dst,
                     size: size as u64,
                     start,
-                    class: FlowClass::Intra,
                 },
                 Box::new(Blaster {
                     src,

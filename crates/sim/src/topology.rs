@@ -24,6 +24,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::engine::FlowClass;
 use crate::ids::{LinkId, NodeId};
 use crate::packet::Packet;
 use crate::queue::{PhantomProfile, QueueProfile, RedParams};
@@ -171,12 +172,21 @@ pub struct PhantomParams {
     pub red_max_frac: f64,
 }
 
-impl Default for PhantomParams {
-    fn default() -> Self {
+impl PhantomParams {
+    /// Phantom queues sized for `p`'s network: virtual capacity tracks the
+    /// BDP of the traffic class crossing the port (paper §4.1.3: "virtual
+    /// queues with arbitrary sizes ... to match the high BDPs of the
+    /// inter-DC connections"), drained at Table 2's 0.9 x line rate.
+    pub fn for_topology(p: &TopologyParams) -> Self {
+        // Marking must engage while the *physical* queue is still empty —
+        // the phantom builds whenever arrival exceeds the 0.9x drain, so its
+        // marking region starts below the physical RED minimum (25% of the
+        // 1 MiB port buffer). Intra ports track a couple of intra BDPs; WAN
+        // ports scale with the inter-DC BDP per §4.1.3.
         PhantomParams {
             drain_factor: 0.9,
-            capacity_intra: 2 << 20,
-            capacity_wan: 16 << 20,
+            capacity_intra: (2 * p.intra_bdp()).clamp(64 << 10, 1 << 20),
+            capacity_wan: (p.inter_bdp() / 8).max(1 << 20),
             red_min_frac: 0.25,
             red_max_frac: 0.75,
         }
@@ -594,6 +604,15 @@ impl Topology {
         self.nodes[a.index()].kind.dc() != self.nodes[b.index()].kind.dc()
     }
 
+    /// The class of a flow between hosts `a` and `b`.
+    pub fn flow_class(&self, a: NodeId, b: NodeId) -> FlowClass {
+        if self.is_inter_dc(a, b) {
+            FlowClass::Inter
+        } else {
+            FlowClass::Intra
+        }
+    }
+
     /// The host's NIC uplink (where locally sourced packets are injected).
     pub fn host_uplink(&self, host: NodeId) -> LinkId {
         self.fwd.up(host)[0]
@@ -938,16 +957,29 @@ mod tests {
     #[test]
     fn phantom_attached_to_switch_ports_only() {
         let mut p = TopologyParams::small();
-        p.phantom = Some(PhantomParams::default());
+        let ph = PhantomParams::for_topology(&p);
+        p.phantom = Some(ph);
         let t = Topology::build(p);
         let up = t.host_uplink(t.host(0, 0));
         assert!(t.links.profile(up).queue.phantom.is_none());
         let down = t.host_downlink(t.host(0, 0));
-        assert!(t.links.profile(down).queue.phantom.is_some());
+        let intra = t.links.profile(down).queue.phantom.unwrap();
+        assert_eq!(intra.capacity, ph.capacity_intra);
         for &l in &t.border_forward {
-            let ph = t.links.profile(l).queue.phantom.unwrap();
-            assert_eq!(ph.capacity, PhantomParams::default().capacity_wan);
+            let wan = t.links.profile(l).queue.phantom.unwrap();
+            assert_eq!(wan.capacity, ph.capacity_wan);
         }
+    }
+
+    #[test]
+    fn phantom_sizing_tracks_each_class_bdp() {
+        let ph = PhantomParams::for_topology(&TopologyParams::small());
+        // Two intra BDPs (2 x 175,000 B) and an eighth of the inter BDP
+        // (25,000,000 B / 8), drained at 0.9 x line rate.
+        assert_eq!(ph.capacity_intra, 350_000);
+        assert_eq!(ph.capacity_wan, 3_125_000);
+        assert_eq!(ph.drain_factor, 0.9);
+        assert_eq!((ph.red_min_frac, ph.red_max_frac), (0.25, 0.75));
     }
 
     #[test]

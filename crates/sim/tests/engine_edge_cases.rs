@@ -2,7 +2,7 @@
 //! host pair, samplers on phantom-enabled ports, and statistics accounting.
 
 use uno_sim::{
-    Ctx, FlowClass, FlowLogic, FlowMeta, Packet, PacketKind, PhantomParams, Simulator, Topology,
+    Ctx, FlowLogic, FlowMeta, Packet, PacketKind, PhantomParams, Simulator, Topology,
     TopologyParams, MICROS, MILLIS, SECONDS,
 };
 
@@ -43,7 +43,6 @@ fn timers_fire_in_order_at_exact_times() {
             dst,
             size: 1,
             start: 5 * MICROS,
-            class: FlowClass::Intra,
         },
         Box::new(probe),
     );
@@ -109,7 +108,6 @@ fn timer_driven_sender_completes() {
             dst,
             size: 20 * 4096,
             start: 0,
-            class: FlowClass::Inter,
         },
         Box::new(TickSender {
             src,
@@ -136,7 +134,6 @@ fn many_flows_between_same_hosts_are_isolated() {
                 dst,
                 size: (i + 1) * 4096,
                 start: i * MICROS,
-                class: FlowClass::Intra,
             },
             Box::new(TickSender {
                 src,
@@ -158,7 +155,7 @@ fn many_flows_between_same_hosts_are_isolated() {
 #[test]
 fn phantom_sampler_records_virtual_occupancy() {
     let mut params = TopologyParams::small();
-    params.phantom = Some(PhantomParams::default());
+    params.phantom = Some(PhantomParams::for_topology(&params));
     let mut sim = Simulator::new(Topology::build(params), 4);
     let dst = sim.topo.host(0, 0);
     let src = sim.topo.host(0, 4);
@@ -170,7 +167,6 @@ fn phantom_sampler_records_virtual_occupancy() {
             dst,
             size: 50 * 4096,
             start: 0,
-            class: FlowClass::Intra,
         },
         Box::new(TickSender {
             src,
@@ -201,7 +197,6 @@ fn network_stats_tally_matches_links() {
             dst,
             size: 10 * 4096,
             start: 0,
-            class: FlowClass::Inter,
         },
         Box::new(TickSender {
             src,
@@ -237,7 +232,6 @@ fn flow_start_time_is_honoured() {
             dst,
             size: 4096,
             start: 5 * MILLIS,
-            class: FlowClass::Intra,
         },
         Box::new(TickSender {
             src,

@@ -6,8 +6,8 @@
 use std::time::Duration;
 
 use uno_sim::{
-    FlowClass, FlowLogic, FlowMeta, Packet, PacketKind, Simulator, Time, Topology, TopologyParams,
-    TraceEvent, Tracer, MICROS, MILLIS, SECONDS,
+    FlowLogic, FlowMeta, Packet, PacketKind, Simulator, Time, Topology, TopologyParams, TraceEvent,
+    Tracer, MICROS, MILLIS, SECONDS,
 };
 
 /// Minimal transport: blast `n` spaced packets, receiver ACKs each, sender
@@ -89,7 +89,6 @@ fn run(seed: u64, chunks: u64, delay: Duration) -> (Vec<(u32, Time)>, String, Ve
             dst,
             size: 64 * 4096,
             start: 0,
-            class: FlowClass::Intra,
         },
         Box::new(Blaster {
             src,

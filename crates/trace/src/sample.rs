@@ -19,32 +19,23 @@ use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::event::Time;
 
-/// Default per-series point budget: at 512 points a series occupies 8 KiB
-/// and a compaction halves it to 256.
-pub const DEFAULT_SERIES_CAPACITY: usize = 512;
+/// Per-series point budget of a [`Telemetry`] collector: at 512 points a
+/// series occupies 8 KiB and a compaction halves it to 256.
+pub const SERIES_CAPACITY: usize = 512;
 
 /// Configuration for [`Telemetry`] sampling.
 #[derive(Clone, Copy, Debug)]
 pub struct SampleConfig {
     /// Base sampling period in simulated nanoseconds.
     pub interval: Time,
-    /// Maximum points retained per series before 2x-downsampling.
-    pub capacity: usize,
 }
 
 impl SampleConfig {
-    /// Sampling every `interval` ns with the default point budget.
+    /// Sampling every `interval` ns.
     pub fn every(interval: Time) -> Self {
         SampleConfig {
             interval: interval.max(1),
-            capacity: DEFAULT_SERIES_CAPACITY,
         }
-    }
-
-    /// Override the per-series point budget (clamped to at least 8).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity.max(8);
-        self
     }
 }
 
@@ -140,8 +131,8 @@ impl Serialize for Series {
 impl Series {
     /// A series holding the serialized `points`, accepting further points
     /// per `interval` and `capacity` as [`Series::new`] does.
-    fn from_value(points: &Value, interval: Time, capacity: usize) -> Result<Self, Error> {
-        let mut s = Series::new(interval, capacity);
+    fn from_value(points: &Value, interval: Time) -> Result<Self, Error> {
+        let mut s = Series::new(interval, SERIES_CAPACITY);
         s.points = Vec::deserialize_value(points)?;
         s.next = s.last().map_or(0, |(t, _)| t + s.stride);
         Ok(s)
@@ -211,7 +202,6 @@ struct FlowSeries {
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     interval: Time,
-    cap: usize,
     ticks: u64,
     links: Vec<Option<LinkSeries>>,
     flows: Vec<Option<FlowSeries>>,
@@ -223,15 +213,13 @@ impl Telemetry {
     /// Fresh collector sampling per `cfg`.
     pub fn new(cfg: SampleConfig) -> Self {
         let interval = cfg.interval.max(1);
-        let cap = cfg.capacity.max(8);
         Telemetry {
             interval,
-            cap,
             ticks: 0,
             links: Vec::new(),
             flows: Vec::new(),
-            fault_active: Series::new(interval, cap),
-            links_down: Series::new(interval, cap),
+            fault_active: Series::new(interval, SERIES_CAPACITY),
+            links_down: Series::new(interval, SERIES_CAPACITY),
         }
     }
 
@@ -275,9 +263,9 @@ impl Telemetry {
                 self.links.resize_with(i + 1, || None);
             }
             self.links[i] = Some(LinkSeries {
-                queue: Series::new(self.interval, self.cap),
-                phantom: Series::new(self.interval, self.cap),
-                up: Series::new(self.interval, self.cap),
+                queue: Series::new(self.interval, SERIES_CAPACITY),
+                phantom: Series::new(self.interval, SERIES_CAPACITY),
+                up: Series::new(self.interval, SERIES_CAPACITY),
                 pause: None,
             });
         }
@@ -287,8 +275,8 @@ impl Telemetry {
         s.up.push(t, up as u64);
         if s.pause.is_none() && (paused || paused_ns > 0) {
             s.pause = Some(PauseSeries {
-                paused: Series::new(self.interval, self.cap),
-                paused_ns: Series::new(self.interval, self.cap),
+                paused: Series::new(self.interval, SERIES_CAPACITY),
+                paused_ns: Series::new(self.interval, SERIES_CAPACITY),
             });
         }
         if let Some(p) = &mut s.pause {
@@ -304,10 +292,10 @@ impl Telemetry {
             self.flows.resize_with(i + 1, || None);
         }
         let s = self.flows[i].get_or_insert_with(|| FlowSeries {
-            cwnd: Series::new(self.interval, self.cap),
-            rate: Series::new(self.interval, self.cap),
-            srtt: Series::new(self.interval, self.cap),
-            outstanding: Series::new(self.interval, self.cap),
+            cwnd: Series::new(self.interval, SERIES_CAPACITY),
+            rate: Series::new(self.interval, SERIES_CAPACITY),
+            srtt: Series::new(self.interval, SERIES_CAPACITY),
+            outstanding: Series::new(self.interval, SERIES_CAPACITY),
             last_t: t,
             last_delivered: sample.delivered,
         });
@@ -397,8 +385,8 @@ impl Serialize for Telemetry {
 }
 
 /// Reads back the section [`Telemetry::to_value`] writes, so serializing
-/// the result gives the same bytes. The point budget is not serialized; the
-/// read-back collector gets the default.
+/// the result gives the same bytes. The point budget is not serialized;
+/// every collector has the same one, [`SERIES_CAPACITY`].
 impl Deserialize for Telemetry {
     fn deserialize_value(v: &Value) -> Result<Self, Error> {
         let interval: Time = serde::field(v, "interval_ns")?;
@@ -406,7 +394,7 @@ impl Deserialize for Telemetry {
         t.ticks = serde::field(v, "ticks")?;
         let series = |group: &Value, key: &str| -> Result<Series, Error> {
             let points = group.get(key).ok_or_else(|| Error::missing_field(key))?;
-            Series::from_value(points, t.interval, t.cap)
+            Series::from_value(points, t.interval)
         };
         for (id, s) in entries(v, "links")? {
             let pause = match (s.get("paused"), s.get("paused_ns")) {
@@ -582,7 +570,9 @@ mod tests {
 
     #[test]
     fn serialized_telemetry_reads_back_to_the_same_bytes() {
-        let once = serde_json::to_string(&build()).unwrap();
+        let t = build();
+        assert!(t.fault_active.stride() > t.interval, "series compacted");
+        let once = serde_json::to_string(&t).unwrap();
         assert!(once.contains("\"paused_ns\""), "pause series covered");
         let back: Telemetry = serde_json::from_str(&once).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), once);
@@ -592,11 +582,12 @@ mod tests {
         assert!(serde_json::from_str::<Telemetry>(r#"{"ticks": 1}"#).is_err());
     }
 
-    /// A collector fed 50 ticks of two links (one of them pausing), one
-    /// flow and the fault plane.
+    /// A collector fed 1200 ticks of two links (one of them pausing), one
+    /// flow and the fault plane: past [`SERIES_CAPACITY`], so every series
+    /// has compacted.
     fn build() -> Telemetry {
-        let mut t = Telemetry::new(SampleConfig::every(10).with_capacity(16));
-        for tick in 0..50u64 {
+        let mut t = Telemetry::new(SampleConfig::every(10));
+        for tick in 0..1200u64 {
             let now = tick * 10;
             t.record_link(
                 7,

@@ -189,10 +189,10 @@ impl CcAlgorithm for Bbr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uno_sim::{MICROS, MILLIS};
+    use uno_sim::{FlowClass, TopologyParams, MILLIS};
 
     fn cfg() -> CcConfig {
-        CcConfig::paper_defaults(25_000_000.0, 2 * MILLIS, 175_000.0, 14 * MICROS)
+        CcConfig::for_class(&TopologyParams::default(), FlowClass::Inter)
     }
 
     /// Feed `n` ACKs representing a steady `rate_bytes_per_s` delivery.

@@ -1,7 +1,7 @@
 //! The congestion-control interface shared by UnoCC and the baselines.
 
 use serde::{Deserialize, Serialize};
-use uno_sim::{Time, MICROS};
+use uno_sim::{FlowClass, Time, TopologyParams, MICROS};
 
 /// Everything a congestion controller learns from one acknowledgement.
 #[derive(Clone, Copy, Debug)]
@@ -111,15 +111,20 @@ pub struct CcConfig {
 }
 
 impl CcConfig {
-    /// Build the paper's default configuration for a flow with the given
-    /// path BDP/RTT on a network with the given intra-DC BDP/RTT.
-    pub fn paper_defaults(bdp: f64, base_rtt: Time, intra_bdp: f64, intra_rtt: Time) -> Self {
+    /// The configuration of a `class` flow on `p`'s network: the MTU, the
+    /// class's base RTT and BDP, and the intra-DC RTT and BDP that set
+    /// UnoCC's epoch period and `K` for both classes.
+    pub fn for_class(p: &TopologyParams, class: FlowClass) -> Self {
+        let (base_rtt, bdp) = match class {
+            FlowClass::Intra => (p.intra_rtt, p.intra_bdp()),
+            FlowClass::Inter => (p.inter_rtt, p.inter_bdp()),
+        };
         CcConfig {
-            mtu: 4096,
-            bdp,
-            intra_bdp,
+            mtu: p.mtu,
+            bdp: bdp as f64,
+            intra_bdp: p.intra_bdp() as f64,
             base_rtt,
-            intra_rtt,
+            intra_rtt: p.intra_rtt,
         }
     }
 
@@ -176,7 +181,8 @@ mod tests {
 
     #[test]
     fn paper_defaults_match_table2() {
-        let c = CcConfig::paper_defaults(25e6, 2_000_000, 175_000.0, 14_000);
+        // The paper's network: 100 Gbps links, 14 us and 2 ms base RTTs.
+        let c = CcConfig::for_class(&TopologyParams::default(), FlowClass::Inter);
         assert!((c.alpha() - 25_000.0).abs() < 1.0); // 0.001 x 25 MB
         assert!((c.k() - 25_000.0).abs() < 1.0); // 175 KB / 7
         assert_eq!(c.min_cwnd(), 4096.0);
@@ -187,7 +193,7 @@ mod tests {
     #[test]
     fn unocc_md_factor_is_dctcp_like_for_intra() {
         // 4K/(K+BDP) with K = BDP/7 gives exactly 1/2 for intra flows.
-        let c = CcConfig::paper_defaults(175_000.0, 14_000, 175_000.0, 14_000);
+        let c = CcConfig::for_class(&TopologyParams::default(), FlowClass::Intra);
         let f = 4.0 * c.k() / (c.k() + c.bdp);
         assert!((f - 0.5).abs() < 1e-9, "{f}");
     }

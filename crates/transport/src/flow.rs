@@ -20,8 +20,8 @@ use std::collections::VecDeque;
 
 use uno_erasure::EcParams;
 use uno_sim::{
-    Counters, Ctx, FlowLogic, FlowOutcome, FlowSample, NodeId, Packet, PacketKind, StallCause,
-    Time, TraceEvent,
+    Counters, Ctx, FlowClass, FlowLogic, FlowOutcome, FlowSample, NodeId, Packet, PacketKind,
+    StallCause, Time, Topology, TraceEvent, MILLIS,
 };
 
 use crate::cc::{AckEvent, CcAlgorithm};
@@ -36,6 +36,9 @@ const TK_WATCHDOG: u64 = 4;
 
 /// Maximum NACK retries per block before relying on the sender RTO.
 const MAX_NACKS_PER_BLOCK: u8 = 8;
+
+/// Wire size of ACK and NACK packets.
+const ACK_SIZE: u32 = 64;
 
 /// Test-only fault-injection switches. `uno-testkit` plants these bugs to
 /// prove its invariant checkers catch them; production configs leave every
@@ -58,22 +61,17 @@ pub struct FlowConfig {
     pub size: u64,
     /// Wire MTU for data packets.
     pub mtu: u32,
-    /// Wire size of ACK/NACK packets.
-    pub ack_size: u32,
-    /// Base (propagation) RTT of this flow's path.
+    /// Base (propagation) RTT of this flow's path. It is also the
+    /// receiver's block timer (paper: the estimated max queuing and
+    /// transmission delay), used with EC only.
     pub base_rtt: Time,
     /// Minimum retransmission timeout.
     pub min_rto: Time,
     /// Erasure coding geometry; `None` disables UnoRC framing.
     pub ec: Option<EcParams>,
-    /// Load-balancing policy.
+    /// Load-balancing policy; it also sets the reorder tolerance of fast
+    /// retransmit ([`LbMode::reorder_tolerance`]).
     pub lb: LbMode,
-    /// Reorder tolerance for fast retransmit, in packets: a sent packet is
-    /// presumed lost once this many later transmissions have been ACKed.
-    pub dup_thresh: u64,
-    /// Receiver block timer (paper: estimated max queuing + transmission
-    /// delay); only used with EC.
-    pub block_timeout: Time,
     /// Stall watchdog: check cumulative-ACK progress every `n × rto`; two
     /// consecutive checks without progress terminate the flow as
     /// [`FlowOutcome::Stalled`]. `None` disables the watchdog (flows under a
@@ -89,20 +87,25 @@ pub struct FlowConfig {
 }
 
 impl FlowConfig {
-    /// Reasonable defaults for tests; experiment configs override.
-    pub fn basic(src: NodeId, dst: NodeId, size: u64, base_rtt: Time) -> Self {
+    /// A `size`-byte message from `src` to `dst` over `topo`: the path's
+    /// base RTT, the network's MTU, and a minimum RTO of 2 base RTTs across
+    /// the WAN and max(1 ms, 4 base RTTs) within a DC. It starts on ECMP
+    /// without EC or degradation; callers set those.
+    pub fn for_path(topo: &Topology, src: NodeId, dst: NodeId, size: u64) -> Self {
+        let base_rtt = topo.base_rtt(src, dst);
+        let min_rto = match topo.flow_class(src, dst) {
+            FlowClass::Inter => 2 * base_rtt,
+            FlowClass::Intra => MILLIS.max(4 * base_rtt),
+        };
         FlowConfig {
             src,
             dst,
             size,
-            mtu: 4096,
-            ack_size: 64,
+            mtu: topo.params.mtu,
             base_rtt,
-            min_rto: 4 * base_rtt,
+            min_rto,
             ec: None,
             lb: LbMode::Ecmp,
-            dup_thresh: 16,
-            block_timeout: base_rtt,
             stall_rtos: None,
             max_rto_retries: None,
             faults: FaultInjection::default(),
@@ -858,7 +861,7 @@ impl MessageFlow {
     }
 
     /// Reorder-tolerant loss inference: a transmission is presumed lost once
-    /// `dup_thresh` later transmissions have been ACKed.
+    /// [`LbMode::reorder_tolerance`] later transmissions have been ACKed.
     ///
     /// Erasure-coded flows skip this entirely: their loss repair is the
     /// receiver's block-timer/NACK machinery (paper §4.2), and inferring
@@ -867,9 +870,10 @@ impl MessageFlow {
         if self.cfg.ec.is_some() {
             return;
         }
+        let tolerance = self.cfg.lb.reorder_tolerance();
         let mut loss = false;
         while let Some((order, seq)) = self.log_front() {
-            if order + self.cfg.dup_thresh > self.max_acked_order {
+            if order + tolerance > self.max_acked_order {
                 break;
             }
             self.sent_fifo.pop_front();
@@ -1079,7 +1083,7 @@ impl MessageFlow {
             // delay, armed on the block's first packet; blocks skipped so
             // far are armed first (see `rx_armed`).
             while self.rx_armed <= b {
-                ctx.set_timer(self.cfg.block_timeout, TK_BLOCK | (self.rx_armed << 8));
+                ctx.set_timer(self.cfg.base_rtt, TK_BLOCK | (self.rx_armed << 8));
                 self.rx_armed += 1;
             }
             let needed = self.block_data_count(b);
@@ -1093,7 +1097,7 @@ impl MessageFlow {
         // been lost). The ACK sprays its own reverse-path entropy and, for
         // EC flows, tells the sender once the block is reconstructable.
         let e = ctx.random_entropy();
-        let mut ack = Packet::ack_for(&pkt, self.cfg.src, self.cfg.ack_size, e);
+        let mut ack = Packet::ack_for(&pkt, self.cfg.src, ACK_SIZE, e);
         if self.cfg.ec.is_some() {
             ack.block_complete = self.rx_done(b);
         }
@@ -1118,7 +1122,7 @@ impl MessageFlow {
                 block: b,
             });
         }
-        let mut nack = Packet::nack(ctx.flow, b as u32, self.cfg.ack_size, self.cfg.src);
+        let mut nack = Packet::nack(ctx.flow, b as u32, ACK_SIZE, self.cfg.src);
         nack.entropy = ctx.random_entropy();
         ctx.send(nack);
         // Re-arm with backoff: retransmissions need a round trip to land.
@@ -1203,23 +1207,26 @@ impl FlowLogic for MessageFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc::CcConfig;
     use rand::SeedableRng;
-    use uno_sim::{
-        Action, FlowId, NodeId, Profiler, Topology, TopologyParams, Tracer, MICROS, MILLIS,
-    };
+    use std::sync::OnceLock;
+    use uno_sim::{Action, FlowId, Profiler, TopologyParams, Tracer, MICROS};
 
-    fn flow_with(size: u64, ec: Option<EcParams>) -> MessageFlow {
-        let cc = crate::unocc::UnoCc::new(crate::cc::CcConfig::paper_defaults(
-            175_000.0,
-            14 * MICROS,
-            175_000.0,
-            14 * MICROS,
-        ));
-        flow_with_cc(size, ec, Box::new(cc))
+    /// The k=4 test network, built once.
+    fn topo() -> &'static Topology {
+        static TOPO: OnceLock<Topology> = OnceLock::new();
+        TOPO.get_or_init(|| Topology::build(TopologyParams::small()))
     }
 
+    fn flow_with(size: u64, ec: Option<EcParams>) -> MessageFlow {
+        let cc = CcConfig::for_class(&topo().params, FlowClass::Intra);
+        flow_with_cc(size, ec, Box::new(crate::unocc::UnoCc::new(cc)))
+    }
+
+    /// An intra-DC flow between two hosts under one edge switch.
     fn flow_with_cc(size: u64, ec: Option<EcParams>, cc: Box<dyn CcAlgorithm>) -> MessageFlow {
-        let mut cfg = FlowConfig::basic(NodeId(0), NodeId(1), size, 14 * MICROS);
+        let t = topo();
+        let mut cfg = FlowConfig::for_path(t, t.host(0, 0), t.host(0, 1), size);
         cfg.ec = ec;
         MessageFlow::new(cfg, cc)
     }
@@ -1270,9 +1277,13 @@ mod tests {
 
     impl Wire {
         fn new() -> Self {
+            Wire::over(topo().clone())
+        }
+
+        fn over(topo: Topology) -> Self {
             Wire {
                 rng: rand::rngs::SmallRng::seed_from_u64(1),
-                topo: Topology::build(TopologyParams::small()),
+                topo,
                 tracer: Tracer::disabled(),
                 profiler: Profiler::disabled(),
                 now: 0,
@@ -1450,12 +1461,67 @@ mod tests {
 
     #[test]
     fn config_defaults_are_sane() {
-        let cfg = FlowConfig::basic(NodeId(0), NodeId(1), 1 << 20, 2 * MILLIS);
-        assert_eq!(cfg.mtu, 4096);
-        assert_eq!(cfg.ack_size, 64);
-        assert_eq!(cfg.min_rto, 8 * MILLIS);
-        assert_eq!(cfg.block_timeout, 2 * MILLIS);
+        let t = topo();
+        let (src, dst) = (t.host(0, 0), t.host(1, 0));
+        let cfg = FlowConfig::for_path(t, src, dst, 1 << 20);
+        assert_eq!((cfg.src, cfg.dst, cfg.size), (src, dst, 1 << 20));
         assert!(cfg.ec.is_none());
+        assert!(matches!(cfg.lb, LbMode::Ecmp));
+        assert_eq!((cfg.stall_rtos, cfg.max_rto_retries), (None, None));
+        assert_eq!(cfg.faults, FaultInjection::default());
+    }
+
+    /// `FlowConfig::for_path` and `CcConfig::for_class` give, as literals,
+    /// the values every experiment's flows run with (the golden digests and
+    /// figure outputs were recorded with them): for intra and inter flows
+    /// on the k=4 network, and on one whose WAN RTT is 8 intra-DC RTTs
+    /// (fig11's smallest ratio). The load balancers' reorder tolerances
+    /// are pinned in `lb.rs`.
+    #[test]
+    fn path_parameters_match_the_experiment_policy() {
+        use FlowClass::{Inter, Intra};
+        // (WAN RTT, class, base RTT, min RTO, path BDP), times in ns.
+        let cases = [
+            (2 * MILLIS, Intra, 14_000, 1_000_000, 175_000.0),
+            (2 * MILLIS, Inter, 2_000_000, 4_000_000, 25_000_000.0),
+            (112 * MICROS, Intra, 14_000, 1_000_000, 175_000.0),
+            (112 * MICROS, Inter, 112_000, 224_000, 1_400_000.0),
+        ];
+        for (wan_rtt, class, base_rtt, min_rto, bdp) in cases {
+            let mut p = TopologyParams::small();
+            p.inter_rtt = wan_rtt;
+            let t = Topology::build(p);
+            let dst_dc = (class == Inter) as u8;
+            let (src, dst) = (t.host(0, 3), t.host(dst_dc, 12));
+            let cc = CcConfig::for_class(&t.params, class);
+            assert_eq!((cc.mtu, cc.bdp, cc.base_rtt), (4096, bdp, base_rtt));
+            assert_eq!((cc.intra_bdp, cc.intra_rtt), (175_000.0, 14_000));
+            let mut cfg = FlowConfig::for_path(&t, src, dst, 1 << 20);
+            assert_eq!(cfg.mtu, 4096);
+            assert_eq!((cfg.base_rtt, cfg.min_rto), (base_rtt, min_rto));
+            // The receiver arms a block's timer one base RTT out, and its
+            // ACKs and NACKs are 64 B.
+            cfg.ec = Some(EcParams::PAPER_DEFAULT);
+            let mut f = MessageFlow::new(cfg, Box::new(FixedWindow(64.0 * 4096.0)));
+            let mut wire = Wire::over(t);
+            let sent = wire.start(&mut f);
+            wire.now = 7;
+            let acts = wire.act(&mut f, |f, ctx| f.on_packet(sent[0], ctx));
+            let timer = acts.iter().find_map(|a| match *a {
+                Action::Timer { at, token } if token == TK_BLOCK => Some(at),
+                _ => None,
+            });
+            assert_eq!(timer, Some(7 + base_rtt));
+            let nack = wire.call(&mut f, |f, ctx| f.on_timer(TK_BLOCK, ctx));
+            for p in wire
+                .call(&mut f, |f, ctx| f.on_packet(sent[1], ctx))
+                .iter()
+                .chain(&nack)
+            {
+                assert_eq!(p.size, 64, "{:?}", p.kind);
+            }
+            assert_eq!(nack[0].kind, PacketKind::Nack);
+        }
     }
 
     #[test]

@@ -161,14 +161,14 @@ impl CcAlgorithm for Gemini {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uno_sim::MILLIS;
+    use uno_sim::{FlowClass, TopologyParams, MILLIS};
 
     fn intra_cfg() -> CcConfig {
-        CcConfig::paper_defaults(175_000.0, 14 * MICROS, 175_000.0, 14 * MICROS)
+        CcConfig::for_class(&TopologyParams::default(), FlowClass::Intra)
     }
 
     fn inter_cfg() -> CcConfig {
-        CcConfig::paper_defaults(25_000_000.0, 2 * MILLIS, 175_000.0, 14 * MICROS)
+        CcConfig::for_class(&TopologyParams::default(), FlowClass::Inter)
     }
 
     fn ack(now: Time, ecn: bool, rtt: Time) -> AckEvent {

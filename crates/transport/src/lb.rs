@@ -46,6 +46,18 @@ impl LbMode {
             LbMode::UnoLb { .. } => "UnoLB",
         }
     }
+
+    /// Reorder tolerance for fast retransmit, in packets: a sent packet is
+    /// presumed lost once this many later transmissions have been ACKed.
+    /// Single-path policies see little reordering; spraying and subflow
+    /// policies see a lot.
+    pub fn reorder_tolerance(&self) -> u64 {
+        match *self {
+            LbMode::Ecmp | LbMode::Plb => 16,
+            LbMode::Spray => 128,
+            LbMode::UnoLb { subflows } => (8 * subflows as u64).max(64),
+        }
+    }
 }
 
 /// Per-flow load-balancer state machine.
@@ -189,6 +201,19 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(9)
+    }
+
+    #[test]
+    fn reorder_tolerance_scales_with_reordering_risk() {
+        for (lb, tolerance) in [
+            (LbMode::Ecmp, 16),
+            (LbMode::Plb, 16),
+            (LbMode::Spray, 128),
+            (LbMode::UnoLb { subflows: 8 }, 64),
+            (LbMode::UnoLb { subflows: 10 }, 80),
+        ] {
+            assert_eq!(lb.reorder_tolerance(), tolerance, "{}", lb.name());
+        }
     }
 
     #[test]

@@ -72,10 +72,10 @@ impl CcAlgorithm for Mprdma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uno_sim::{MICROS, MILLIS};
+    use uno_sim::{FlowClass, TopologyParams, MICROS, MILLIS};
 
     fn cfg() -> CcConfig {
-        CcConfig::paper_defaults(175_000.0, 14 * MICROS, 175_000.0, 14 * MICROS)
+        CcConfig::for_class(&TopologyParams::default(), FlowClass::Intra)
     }
 
     fn ack(ecn: bool) -> AckEvent {

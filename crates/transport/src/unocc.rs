@@ -265,14 +265,14 @@ impl CcAlgorithm for UnoCc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uno_sim::{MICROS, MILLIS};
+    use uno_sim::{FlowClass, TopologyParams, MICROS, MILLIS};
 
     fn intra_cfg() -> CcConfig {
-        CcConfig::paper_defaults(175_000.0, 14 * MICROS, 175_000.0, 14 * MICROS)
+        CcConfig::for_class(&TopologyParams::default(), FlowClass::Intra)
     }
 
     fn inter_cfg() -> CcConfig {
-        CcConfig::paper_defaults(25_000_000.0, 2 * MILLIS, 175_000.0, 14 * MICROS)
+        CcConfig::for_class(&TopologyParams::default(), FlowClass::Inter)
     }
 
     fn ack(now: Time, ecn: bool, sent_at: Time, rtt: Time) -> AckEvent {

@@ -3,7 +3,7 @@
 
 use uno_erasure::EcParams;
 use uno_sim::{
-    FlowClass, FlowMeta, GilbertElliott, Simulator, Topology, TopologyParams, GBPS, MICROS, MILLIS,
+    FlowMeta, GilbertElliott, NodeId, Simulator, Topology, TopologyParams, GBPS, MICROS, MILLIS,
     SECONDS,
 };
 use uno_transport::{Bbr, CcConfig, FlowConfig, LbMode, MessageFlow, Mprdma, UnoCc};
@@ -12,14 +12,9 @@ fn sim(seed: u64) -> Simulator {
     Simulator::new(Topology::build(TopologyParams::small()), seed)
 }
 
-fn cc_config(topo: &Topology, inter: bool) -> CcConfig {
-    let p = &topo.params;
-    let (rtt, bdp) = if inter {
-        (p.inter_rtt, p.inter_bdp() as f64)
-    } else {
-        (p.intra_rtt, p.intra_bdp() as f64)
-    };
-    CcConfig::paper_defaults(bdp, rtt, p.intra_bdp() as f64, p.intra_rtt)
+/// The congestion-control configuration of a flow from `s` to `d`.
+fn cc_config(topo: &Topology, s: NodeId, d: NodeId) -> CcConfig {
+    CcConfig::for_class(&topo.params, topo.flow_class(s, d))
 }
 
 fn add_unocc_flow(
@@ -32,13 +27,11 @@ fn add_unocc_flow(
 ) -> uno_sim::FlowId {
     let s = sim.topo.host(src.0, src.1);
     let d = sim.topo.host(dst.0, dst.1);
-    let inter = sim.topo.is_inter_dc(s, d);
-    let cfg = cc_config(&sim.topo, inter);
-    let base_rtt = sim.topo.base_rtt(s, d);
-    let mut fc = FlowConfig::basic(s, d, size, base_rtt);
+    let cfg = cc_config(&sim.topo, s, d);
+    let mut fc = FlowConfig::for_path(&sim.topo, s, d, size);
     fc.ec = ec;
     fc.lb = lb;
-    fc.min_rto = 4 * base_rtt;
+    fc.min_rto = 4 * fc.base_rtt;
     let flow = MessageFlow::new(fc, Box::new(UnoCc::new(cfg)));
     sim.add_flow(
         FlowMeta {
@@ -46,11 +39,6 @@ fn add_unocc_flow(
             dst: d,
             size,
             start: 0,
-            class: if inter {
-                FlowClass::Inter
-            } else {
-                FlowClass::Intra
-            },
         },
         Box::new(flow),
     )
@@ -191,8 +179,8 @@ fn mprdma_intra_flow_completes() {
     let mut sim = sim(8);
     let s = sim.topo.host(0, 0);
     let d = sim.topo.host(0, 12);
-    let cfg = cc_config(&sim.topo, false);
-    let fc = FlowConfig::basic(s, d, 4 << 20, sim.topo.params.intra_rtt);
+    let cfg = cc_config(&sim.topo, s, d);
+    let fc = FlowConfig::for_path(&sim.topo, s, d, 4 << 20);
     let flow = MessageFlow::new(fc, Box::new(Mprdma::new(cfg)));
     sim.add_flow(
         FlowMeta {
@@ -200,7 +188,6 @@ fn mprdma_intra_flow_completes() {
             dst: d,
             size: 4 << 20,
             start: 0,
-            class: FlowClass::Intra,
         },
         Box::new(flow),
     );
@@ -212,10 +199,9 @@ fn bbr_inter_flow_completes_with_pacing() {
     let mut sim = sim(9);
     let s = sim.topo.host(0, 0);
     let d = sim.topo.host(1, 1);
-    let cfg = cc_config(&sim.topo, true);
-    let base = sim.topo.params.inter_rtt;
-    let mut fc = FlowConfig::basic(s, d, 16 << 20, base);
-    fc.min_rto = 4 * base;
+    let cfg = cc_config(&sim.topo, s, d);
+    let mut fc = FlowConfig::for_path(&sim.topo, s, d, 16 << 20);
+    fc.min_rto = 4 * fc.base_rtt;
     let flow = MessageFlow::new(fc, Box::new(Bbr::new(cfg)));
     sim.add_flow(
         FlowMeta {
@@ -223,7 +209,6 @@ fn bbr_inter_flow_completes_with_pacing() {
             dst: d,
             size: 16 << 20,
             start: 0,
-            class: FlowClass::Inter,
         },
         Box::new(flow),
     );
@@ -300,9 +285,8 @@ fn blackhole_reverse_border(sim: &mut Simulator) {
 fn add_degraded_inter_flow(sim: &mut Simulator, fc_tweak: impl FnOnce(&mut FlowConfig)) {
     let s = sim.topo.host(0, 0);
     let d = sim.topo.host(1, 0);
-    let cfg = cc_config(&sim.topo, true);
-    let base_rtt = sim.topo.base_rtt(s, d);
-    let mut fc = FlowConfig::basic(s, d, 1 << 20, base_rtt);
+    let cfg = cc_config(&sim.topo, s, d);
+    let mut fc = FlowConfig::for_path(&sim.topo, s, d, 1 << 20);
     fc_tweak(&mut fc);
     let flow = MessageFlow::new(fc, Box::new(UnoCc::new(cfg)));
     sim.add_flow(
@@ -311,7 +295,6 @@ fn add_degraded_inter_flow(sim: &mut Simulator, fc_tweak: impl FnOnce(&mut FlowC
             dst: d,
             size: 1 << 20,
             start: 0,
-            class: FlowClass::Inter,
         },
         Box::new(flow),
     );

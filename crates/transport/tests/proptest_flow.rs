@@ -5,9 +5,7 @@
 
 use proptest::prelude::*;
 use uno_erasure::EcParams;
-use uno_sim::{
-    FlowClass, FlowMeta, GilbertElliott, Simulator, Topology, TopologyParams, MILLIS, SECONDS,
-};
+use uno_sim::{FlowMeta, GilbertElliott, Simulator, Topology, TopologyParams, MILLIS, SECONDS};
 use uno_transport::{CcConfig, FlowConfig, LbMode, MessageFlow, UnoCc};
 
 fn build_flow(
@@ -22,23 +20,12 @@ fn build_flow(
     } else {
         (sim.topo.host(0, 1), sim.topo.host(0, 9))
     };
-    let p = &sim.topo.params;
-    let (rtt, bdp) = if inter {
-        (p.inter_rtt, p.inter_bdp() as f64)
-    } else {
-        (p.intra_rtt, p.intra_bdp() as f64)
-    };
-    let cc = UnoCc::new(CcConfig::paper_defaults(
-        bdp,
-        rtt,
-        p.intra_bdp() as f64,
-        p.intra_rtt,
-    ));
-    let mut fc = FlowConfig::basic(src, dst, size, rtt);
+    let class = sim.topo.flow_class(src, dst);
+    let cc = UnoCc::new(CcConfig::for_class(&sim.topo.params, class));
+    let mut fc = FlowConfig::for_path(&sim.topo, src, dst, size);
     fc.ec = ec;
     fc.lb = lb;
-    fc.dup_thresh = 64;
-    fc.min_rto = 2 * rtt.max(MILLIS);
+    fc.min_rto = 2 * fc.base_rtt.max(MILLIS);
     let flow = MessageFlow::new(fc, Box::new(cc));
     sim.add_flow(
         FlowMeta {
@@ -46,11 +33,6 @@ fn build_flow(
             dst,
             size,
             start: 0,
-            class: if inter {
-                FlowClass::Inter
-            } else {
-                FlowClass::Intra
-            },
         },
         Box::new(flow),
     )
