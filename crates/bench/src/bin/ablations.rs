@@ -204,7 +204,7 @@ fn ablation_qa(args: &HarnessArgs) {
     });
     for (qa, r) in results {
         let t = FctTable::new(r.fcts);
-        let drops = r.stats.queue_drops;
+        let drops = r.manifest.counters.get("queue.drops");
         println!(
             "  QA {:>3}: mean FCT {:7.2} ms | p99 {:7.2} ms | drops {}",
             if qa { "on" } else { "off" },

@@ -603,6 +603,7 @@ fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Outp
 
     let fcts_ms: Vec<f64> = r.fcts.iter().map(|f| f.fct() as f64 / 1e6).collect();
     let outcomes = OutcomeCounts::tally(&r.fcts, &r.failures, &r.censored);
+    let counter = |name| r.manifest.counters.get(name);
     Ok(Output {
         scheme: r.scheme.clone(),
         flows: r.flows,
@@ -614,11 +615,11 @@ fn try_run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Result<Outp
         mean_fct_ms: uno::metrics::mean(&fcts_ms),
         p99_fct_ms: uno::metrics::percentile(&fcts_ms, 0.99),
         fcts_ms,
-        ecn_marks: r.stats.ecn_marks,
-        queue_drops: r.stats.queue_drops,
-        link_losses: r.stats.link_losses,
-        pfc_pauses: r.manifest.counters.get("pfc.pauses"),
-        pfc_paused_ns: r.manifest.counters.get("pfc.paused_ns"),
+        ecn_marks: counter("queue.ecn_marks"),
+        queue_drops: counter("queue.drops"),
+        link_losses: counter("link.losses"),
+        pfc_pauses: counter("pfc.pauses"),
+        pfc_paused_ns: counter("pfc.paused_ns"),
         manifest: r.manifest,
         telemetry: r.telemetry,
         profile: r.profile,

@@ -4,10 +4,10 @@
 //!
 //! This is the public API the examples and the figure-harness binaries use.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use uno_sim::{
-    FailRecord, FctRecord, FlowClass, FlowId, FlowMeta, LinkStats, NetworkStats, PhantomParams,
-    QueueSampler, RunManifest, SampleConfig, Simulator, Telemetry, Time, Topology, TopologyParams,
+    FailRecord, FctRecord, FlowClass, FlowId, FlowMeta, LinkStats, PhantomParams, QueueSampler,
+    RunManifest, SampleConfig, Simulator, Telemetry, Time, Topology, TopologyParams,
 };
 use uno_transport::{
     Bbr, CcAlgorithm, CcConfig, FaultInjection, FlowConfig, Gemini, MessageFlow, Mprdma, UnoCc,
@@ -78,7 +78,7 @@ impl ExperimentConfig {
 }
 
 /// One queue sampler's output.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SamplerSeries {
     /// The sampled link's totals at the end of the run (its id included).
     pub link: LinkStats,
@@ -90,15 +90,15 @@ pub struct SamplerSeries {
 }
 
 /// Everything a finished run yields.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ExperimentResults {
     /// Scheme name.
     pub scheme: String,
     /// Completion records.
     pub fcts: Vec<FctRecord>,
-    /// Aggregate queue/link statistics.
-    pub stats: NetworkStats,
-    /// Per-flow progress series (flow id, (time, cumulative acked bytes)).
+    /// Per-flow progress series (flow id, (time, cumulative acked bytes)),
+    /// recorded under [`ExperimentConfig::record_progress`] for every flow
+    /// that acknowledged data.
     pub progress: Vec<(u32, Vec<(Time, u64)>)>,
     /// Queue samplers registered before the run.
     pub samplers: Vec<SamplerSeries>,
@@ -116,7 +116,8 @@ pub struct ExperimentResults {
     pub sim_time: Time,
     /// Number of flows registered.
     pub flows: usize,
-    /// Run manifest: seed, topology, throughput and final counter snapshot.
+    /// Run manifest: seed, topology, throughput and final counter snapshot,
+    /// whose `queue.*` and `link.*` counters are the run's network totals.
     /// `manifest.name` is the scheme name here; the figure binaries' cell
     /// runner (`uno_bench::run_cell`) replaces it with the cell's label,
     /// the swept parameters that tell the figure's cells apart.
@@ -131,7 +132,6 @@ pub struct ExperimentResults {
     pub profile: Option<Value>,
     /// First error writing the run's trace (a JSONL tracer whose writer
     /// failed); `None` when the trace was written in full or tracing was off.
-    #[serde(default)]
     pub trace_error: Option<String>,
 }
 
@@ -160,6 +160,9 @@ impl Experiment {
         }
         if cfg.profile {
             sim.profiler.set_enabled(true);
+        }
+        if cfg.record_progress {
+            sim.record_progress();
         }
         Experiment { sim, cfg }
     }
@@ -214,8 +217,7 @@ impl Experiment {
             size: spec.size,
             start: spec.start,
         };
-        let record = self.cfg.record_progress;
-        self.sim.add_flow_recorded(meta, Box::new(flow), record)
+        self.sim.add_flow(meta, Box::new(flow))
     }
 
     /// Register many workload flows.
@@ -259,7 +261,6 @@ impl Experiment {
                 .is_enabled()
                 .then(|| sim.profiler.report().to_value()),
             scheme: cfg.scheme.name.to_string(),
-            stats: sim.network_stats(),
             censored: sim.censored_fcts(),
             failures: sim.failures.clone(),
             all_completed,

@@ -107,9 +107,11 @@ impl PerfReport {
 }
 
 /// Abbreviated git revision of the source this crate was built from, with
-/// `-dirty` appended when tracked files there have uncommitted changes
-/// (`unknown` outside a repository or without git). It does not depend on
-/// the directory the process runs in.
+/// `-dirty` appended when tracked files there have uncommitted changes. It
+/// does not depend on the directory the process runs in. Outside a
+/// repository (an exported tree) or without git it is `unknown-` and a short
+/// hash of the source directory's path, so builds from trees at different
+/// paths get different names.
 pub fn git_rev() -> String {
     git_rev_in(Path::new(env!("CARGO_MANIFEST_DIR")))
 }
@@ -130,13 +132,24 @@ fn git_rev_in(dir: &Path) -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
     else {
-        return "unknown".to_string();
+        return format!(
+            "unknown-{:08x}",
+            fnv1a(dir.as_os_str().as_encoded_bytes()) as u32
+        );
     };
     // `diff --quiet` exits 1 when tracked files differ from HEAD.
     match git(&["diff", "--quiet", "HEAD"]).map(|o| o.status.code()) {
         Some(Some(1)) => format!("{rev}-dirty"),
         _ => rev,
     }
+}
+
+/// 64-bit FNV-1a hash of `bytes`: fixed, so a path hashes the same in
+/// every build and process.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Peak resident set size of this process in KiB, from `/proc/self/status`
@@ -310,7 +323,7 @@ mod tests {
         let src = Path::new(env!("CARGO_MANIFEST_DIR"));
         let rev = git_rev();
         assert_eq!(rev, git_rev_in(src));
-        if rev != "unknown" {
+        if !rev.starts_with("unknown-") {
             let hash = rev.strip_suffix("-dirty").unwrap_or(&rev);
             assert!(hash.len() >= 4, "{rev}");
             assert!(hash.bytes().all(|b| b.is_ascii_hexdigit()), "{rev}");
@@ -322,12 +335,22 @@ mod tests {
                 .unwrap();
             assert!(String::from_utf8_lossy(&full.stdout).starts_with(hash));
         }
-        // A fresh directory under the system temp dir is in no repository.
-        let outside = std::env::temp_dir().join(format!("uno-perfkit-rev-{}", std::process::id()));
-        std::fs::create_dir_all(&outside).unwrap();
-        let rev = git_rev_in(&outside);
-        std::fs::remove_dir(&outside).unwrap();
-        assert_eq!(rev, "unknown");
+        // Fresh directories under the system temp dir are in no
+        // repository: each is named after its path, the same name each time.
+        let outside = |n: u32| {
+            let dir =
+                std::env::temp_dir().join(format!("uno-perfkit-rev-{}-{n}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let revs = (git_rev_in(&dir), git_rev_in(&dir));
+            std::fs::remove_dir(&dir).unwrap();
+            revs
+        };
+        let (a, a_again) = outside(0);
+        let (b, _) = outside(1);
+        assert!(a.starts_with("unknown-"), "{a}");
+        assert!(b.starts_with("unknown-"), "{b}");
+        assert_eq!(a, a_again, "one tree always gets the same name");
+        assert_ne!(a, b, "trees at different paths get different names");
     }
 
     #[test]

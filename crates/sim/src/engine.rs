@@ -228,8 +228,8 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::Fail(outcome));
     }
 
-    /// Report cumulative acked bytes (recorded only when the flow was added
-    /// with progress recording enabled).
+    /// Report cumulative acked bytes (recorded only once
+    /// [`Simulator::record_progress`] is on).
     pub fn progress(&mut self, cumulative_bytes: u64) {
         self.actions.push(Action::Progress(cumulative_bytes));
     }
@@ -303,26 +303,10 @@ pub struct QueueSampler {
     pub phantom_samples: Vec<(Time, u64)>,
 }
 
-/// Aggregate drop/mark/transmit statistics over all links.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct NetworkStats {
-    /// Packets dropped at full queues.
-    pub queue_drops: u64,
-    /// Packets ECN-marked.
-    pub ecn_marks: u64,
-    /// Of [`NetworkStats::ecn_marks`], marks driven by phantom queues.
-    pub phantom_marks: u64,
-    /// Packets lost to loss processes or failed links.
-    pub link_losses: u64,
-    /// Packets transmitted.
-    pub tx_packets: u64,
-    /// Bytes transmitted.
-    pub tx_bytes: u64,
-}
-
-/// Per-link drop/mark/transmit statistics (the per-link breakdown of
-/// [`NetworkStats`]).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+/// Per-link drop/mark/transmit statistics. The run's `queue.*` and
+/// `link.*` counters ([`Simulator::counter_snapshot`]) are their sums over
+/// every link.
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct LinkStats {
     /// Link id.
     pub link: u32,
@@ -363,8 +347,11 @@ pub struct Simulator {
     pub fault: FaultPlane,
     /// Registered queue samplers.
     pub samplers: Vec<QueueSampler>,
-    /// Per-flow progress time-series (empty unless enabled per flow).
+    /// Per-flow progress time-series, indexed by flow id: one per flow
+    /// once [`Simulator::record_progress`] is called, none before.
     pub progress: Vec<Vec<(Time, u64)>>,
+    /// Whether [`Ctx::progress`] reports land in [`Simulator::progress`].
+    progress_on: bool,
     /// The action buffer of [`Simulator::call_flow`], taken for each
     /// callback and put back empty with its capacity intact, so the
     /// steady-state hot path performs no allocation. One buffer suffices:
@@ -420,6 +407,7 @@ impl Simulator {
             fault: FaultPlane::default(),
             samplers: Vec::new(),
             progress: Vec::new(),
+            progress_on: false,
             actions: Vec::new(),
             events_processed: 0,
             tracer: Tracer::disabled(),
@@ -458,21 +446,21 @@ impl Simulator {
 
     /// Register a flow; its [`FlowLogic::on_start`] runs at `meta.start`.
     pub fn add_flow(&mut self, meta: FlowMeta, logic: Box<dyn FlowLogic>) -> FlowId {
-        self.add_flow_recorded(meta, logic, false)
-    }
-
-    /// Like [`Self::add_flow`], optionally recording progress reports.
-    pub fn add_flow_recorded(
-        &mut self,
-        meta: FlowMeta,
-        logic: Box<dyn FlowLogic>,
-        record_progress: bool,
-    ) -> FlowId {
         let id = FlowId::from(self.flows.len());
         self.events.push(meta.start, Event::FlowStart(id));
-        self.flows.push(meta, logic, record_progress);
-        self.progress.push(Vec::new());
+        self.flows.push(meta, logic);
+        if self.progress_on {
+            self.progress.push(Vec::new());
+        }
         id
+    }
+
+    /// Record every flow's progress reports ([`Ctx::progress`]) in
+    /// [`Simulator::progress`], for the flows added before this call and
+    /// after it alike.
+    pub fn record_progress(&mut self) {
+        self.progress_on = true;
+        self.progress.resize_with(self.flows.len(), Vec::new);
     }
 
     /// Records for flows that have **not** completed, with `end` set to the
@@ -607,23 +595,7 @@ impl Simulator {
         hb.last_events = self.events_processed;
     }
 
-    /// Aggregate network statistics.
-    pub fn network_stats(&self) -> NetworkStats {
-        let mut s = NetworkStats::default();
-        let links = &self.topo.links;
-        for l in links.ids() {
-            let q = links.queue(l);
-            s.queue_drops += q.drops;
-            s.ecn_marks += q.marks;
-            s.phantom_marks += q.phantom_marks;
-            s.link_losses += links.lost_packets(l);
-            s.tx_packets += links.tx_packets(l);
-            s.tx_bytes += links.tx_bytes(l);
-        }
-        s
-    }
-
-    /// Per-link breakdown of [`Simulator::network_stats`], in link-id order.
+    /// Every link's statistics, in link-id order.
     pub fn per_link_stats(&self) -> Vec<LinkStats> {
         self.topo.links.ids().map(|l| self.link_stats(l)).collect()
     }
@@ -649,17 +621,33 @@ impl Simulator {
     /// contributes. Deterministic for a given seed — wall-clock timing is
     /// deliberately *not* part of the snapshot (it lives in the manifest).
     /// `engine.events_processed` is [`Simulator::events_processed`], so it
-    /// counts the `LinkFree` transitions left unscheduled too.
+    /// counts the `LinkFree` transitions left unscheduled too. The `queue.*`
+    /// and `link.*` counters are the run's network totals: the sums of
+    /// [`Simulator::per_link_stats`].
     pub fn counter_snapshot(&self) -> Counters {
         let mut c = Counters::new();
         c.set("engine.events_processed", self.events_processed);
-        let s = self.network_stats();
-        c.set("queue.drops", s.queue_drops);
-        c.set("queue.ecn_marks", s.ecn_marks);
-        c.set("queue.phantom_marks", s.phantom_marks);
-        c.set("link.losses", s.link_losses);
-        c.set("link.tx_packets", s.tx_packets);
-        c.set("link.tx_bytes", s.tx_bytes);
+        let mut sum = LinkStats::default();
+        let mut pfc_pauses = 0u64;
+        let mut pfc_paused_ns = 0u64;
+        let links = &self.topo.links;
+        for l in links.ids() {
+            let s = self.link_stats(l);
+            sum.drops += s.drops;
+            sum.ecn_marks += s.ecn_marks;
+            sum.phantom_marks += s.phantom_marks;
+            sum.losses += s.losses;
+            sum.tx_packets += s.tx_packets;
+            sum.tx_bytes += s.tx_bytes;
+            pfc_pauses += links.queue(l).pauses_sent;
+            pfc_paused_ns += links.paused_ns(l, self.now);
+        }
+        c.set("queue.drops", sum.drops);
+        c.set("queue.ecn_marks", sum.ecn_marks);
+        c.set("queue.phantom_marks", sum.phantom_marks);
+        c.set("link.losses", sum.losses);
+        c.set("link.tx_packets", sum.tx_packets);
+        c.set("link.tx_bytes", sum.tx_bytes);
         if !self.fault.is_empty() {
             c.set("fault.transitions", self.fault.transitions);
             c.set("fault.downs", self.fault.downs);
@@ -675,14 +663,6 @@ impl Simulator {
         }
         // PFC aggregates, emitted only when pauses actually fired so lossy
         // runs keep a byte-identical counter set.
-        let mut pfc_pauses = 0u64;
-        let mut pfc_paused_ns = 0u64;
-        let links = &self.topo.links;
-        for i in 0..links.len() {
-            let l = LinkId::from(i);
-            pfc_pauses += links.queue(l).pauses_sent;
-            pfc_paused_ns += links.paused_ns(l, self.now);
-        }
         if pfc_pauses > 0 {
             c.set("pfc.pauses", pfc_pauses);
             c.set("pfc.paused_ns", pfc_paused_ns);
@@ -1345,7 +1325,7 @@ impl Simulator {
                 // every flow completed *or* gave up is over.
                 Action::Fail(outcome) => self.terminate(flow, outcome),
                 Action::Progress(bytes) => {
-                    if self.flows.records_progress(i) {
+                    if self.progress_on {
                         self.progress[i].push((self.now, bytes));
                     }
                 }
@@ -1406,7 +1386,8 @@ mod tests {
     use crate::packet::PacketKind;
     use crate::time::{GBPS, MICROS};
     use crate::topology::TopologyParams;
-    use uno_trace::Counters;
+    use std::sync::{Arc, Mutex};
+    use uno_trace::{Counters, TraceConfig};
 
     /// Minimal test transport: fire-and-forget `n` packets, receiver ACKs
     /// each, sender completes when all are acked.
@@ -1452,9 +1433,19 @@ mod tests {
         Simulator::new(Topology::build(TopologyParams::small()), seed)
     }
 
-    #[test]
-    fn single_flow_delivers_and_completes() {
-        let mut sim = small_sim(1);
+    /// Trace every event of `sim` into the returned log, in emission order.
+    fn log_events(sim: &mut Simulator) -> Arc<Mutex<Vec<TraceEvent>>> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&log);
+        sim.set_tracer(Tracer::callback(
+            Box::new(move |ev| sink.lock().unwrap().push(*ev)),
+            TraceConfig::all(),
+        ));
+        log
+    }
+
+    /// Add a 10-packet `Blaster` flow between two hosts of DC0 to `sim`.
+    fn add_blaster(sim: &mut Simulator) -> FlowId {
         let (src, dst) = (sim.topo.host(0, 0), sim.topo.host(0, 15));
         let meta = FlowMeta {
             src,
@@ -1469,7 +1460,14 @@ mod tests {
             acked: 0,
             mtu: 4096,
         };
-        let id = sim.add_flow_recorded(meta, Box::new(logic), true);
+        sim.add_flow(meta, Box::new(logic))
+    }
+
+    #[test]
+    fn single_flow_delivers_and_completes() {
+        let mut sim = small_sim(1);
+        sim.record_progress();
+        let id = add_blaster(&mut sim);
         assert!(sim.run_to_completion(crate::time::SECONDS));
         assert_eq!(sim.fcts.len(), 1);
         let fct = sim.fcts[0].fct();
@@ -1477,6 +1475,32 @@ mod tests {
         assert!(fct > sim.topo.params.intra_rtt, "fct {fct}");
         assert!(fct < 500 * MICROS, "fct {fct}");
         assert_eq!(sim.progress[id.index()].len(), 10);
+    }
+
+    #[test]
+    fn progress_is_recorded_only_once_switched_on() {
+        // Off: the run keeps no series, not even empty ones.
+        let mut sim = small_sim(1);
+        add_blaster(&mut sim);
+        add_blaster(&mut sim);
+        assert!(sim.run_to_completion(crate::time::SECONDS));
+        assert_eq!(sim.fcts.len(), 2);
+        assert!(sim.progress.is_empty());
+
+        // Switched on after the first flow was added: both flows record
+        // one point per ACK, stamped in order.
+        let mut sim = small_sim(1);
+        let first = add_blaster(&mut sim);
+        sim.record_progress();
+        let second = add_blaster(&mut sim);
+        assert!(sim.run_to_completion(crate::time::SECONDS));
+        assert_eq!(sim.progress.len(), 2);
+        for id in [first, second] {
+            let series = &sim.progress[id.index()];
+            assert_eq!(series.len(), 10);
+            assert_eq!(series.last().unwrap().1, 10 * 4096);
+            assert!(series.windows(2).all(|w| w[0].0 <= w[1].0));
+        }
     }
 
     #[test]
@@ -1552,7 +1576,8 @@ mod tests {
             }),
         );
         assert!(!sim.run_to_completion(50 * crate::time::MILLIS));
-        assert!(sim.network_stats().link_losses > 0 || sim.network_stats().queue_drops > 0);
+        let c = sim.counter_snapshot();
+        assert!(c.get("link.losses") > 0 || c.get("queue.drops") > 0);
         assert_eq!(sim.fcts.len(), 0);
 
         // In-flight case: a packet already propagating on a link when it
@@ -1715,7 +1740,7 @@ mod tests {
     #[test]
     fn ring_tracer_captures_queue_events_and_counters() {
         let mut sim = small_sim(14);
-        sim.set_tracer(Tracer::ring(100_000));
+        let log = log_events(&mut sim);
         let (src, dst) = (sim.topo.host(0, 0), sim.topo.host(0, 15));
         sim.add_flow(
             FlowMeta {
@@ -1733,7 +1758,7 @@ mod tests {
             }),
         );
         assert!(sim.run_to_completion(crate::time::SECONDS));
-        let events = sim.tracer.ring_events();
+        let events = log.lock().unwrap();
         let enq = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::Enqueue { .. }))
@@ -1798,7 +1823,7 @@ mod tests {
     }
 
     #[test]
-    fn per_link_stats_sum_to_network_stats() {
+    fn network_counters_are_the_sums_of_per_link_stats() {
         let mut sim = small_sim(15);
         let (src, dst) = (sim.topo.host(0, 0), sim.topo.host(0, 8));
         sim.set_link_loss(sim.topo.host_uplink(src), GilbertElliott::uniform(0.2));
@@ -1818,18 +1843,17 @@ mod tests {
             }),
         );
         sim.run_until(crate::time::MILLIS);
-        let agg = sim.network_stats();
+        let c = sim.counter_snapshot();
         let per_link = sim.per_link_stats();
         assert_eq!(per_link.len(), sim.topo.links.len());
-        let drops: u64 = per_link.iter().map(|l| l.drops).sum();
-        let marks: u64 = per_link.iter().map(|l| l.ecn_marks).sum();
-        let losses: u64 = per_link.iter().map(|l| l.losses).sum();
-        let txp: u64 = per_link.iter().map(|l| l.tx_packets).sum();
-        assert_eq!(drops, agg.queue_drops);
-        assert_eq!(marks, agg.ecn_marks);
-        assert_eq!(losses, agg.link_losses);
-        assert_eq!(txp, agg.tx_packets);
-        assert!(losses > 0, "loss process must have fired");
+        let sum = |f: fn(&LinkStats) -> u64| per_link.iter().map(f).sum::<u64>();
+        assert_eq!(c.get("queue.drops"), sum(|l| l.drops));
+        assert_eq!(c.get("queue.ecn_marks"), sum(|l| l.ecn_marks));
+        assert_eq!(c.get("queue.phantom_marks"), sum(|l| l.phantom_marks));
+        assert_eq!(c.get("link.losses"), sum(|l| l.losses));
+        assert_eq!(c.get("link.tx_packets"), sum(|l| l.tx_packets));
+        assert_eq!(c.get("link.tx_bytes"), sum(|l| l.tx_bytes));
+        assert!(c.get("link.losses") > 0, "loss process must have fired");
         // The lossy uplink's losses are attributed to that link.
         let up = sim.topo.host_uplink(src);
         assert!(per_link[up.index()].losses > 0);
@@ -1858,7 +1882,7 @@ mod tests {
         );
         // Blaster has no retransmission: with 50% loss it cannot finish.
         assert!(!sim.run_to_completion(crate::time::SECONDS));
-        assert!(sim.network_stats().link_losses > 50);
+        assert!(sim.counter_snapshot().get("link.losses") > 50);
     }
 
     /// Ends on start as `outcome` says; `None` never ends (its one timer
@@ -2199,7 +2223,7 @@ mod tests {
             sim.run_until(2 * crate::time::MILLIS);
             (
                 sim.fault.transitions,
-                sim.network_stats().link_losses,
+                sim.counter_snapshot().get("link.losses"),
                 sim.counter_snapshot().to_json(),
             )
         };
@@ -2227,7 +2251,7 @@ mod tests {
         one_pkt_flow(&mut sim, src, dst);
         assert!(!sim.run_to_completion(50 * crate::time::MILLIS));
         assert!(sim.fcts.is_empty());
-        assert!(sim.network_stats().link_losses >= 1);
+        assert!(sim.counter_snapshot().get("link.losses") >= 1);
         let links = &sim.topo.links;
         for l in links.ids() {
             if links.from(l) == border_node || links.to(l) == border_node {
@@ -2251,7 +2275,7 @@ mod tests {
             }
         }
         let mut sim = small_sim(47);
-        sim.set_tracer(Tracer::ring(1024));
+        let log = log_events(&mut sim);
         let (src, dst) = (sim.topo.host(0, 0), sim.topo.host(0, 1));
         let id = sim.add_flow(
             FlowMeta {
@@ -2276,9 +2300,9 @@ mod tests {
         assert_eq!(sim.failures[0].outcome, stalled);
         // Failed flows are terminal, not censored.
         assert!(sim.censored_fcts().is_empty());
-        assert!(sim
-            .tracer
-            .ring_events()
+        assert!(log
+            .lock()
+            .unwrap()
             .iter()
             .any(|e| matches!(e, TraceEvent::FlowFail { aborted: false, .. })));
         let c = sim.counter_snapshot();
@@ -2330,26 +2354,29 @@ mod tests {
         // Delivery: data and ACKs are all consumed by hosts.
         let sim = drain_and_assert_no_live_packets(incast_sim(60, TopologyParams::small(), 2, 20));
         assert_eq!(sim.fcts.len(), 2);
-        assert_eq!(sim.network_stats().queue_drops, 0);
+        assert_eq!(sim.counter_snapshot().get("queue.drops"), 0);
 
         // Drop-tail at a full switch queue.
         let mut shallow = TopologyParams::small();
         shallow.queue_bytes = 16 << 10;
         let sim = drain_and_assert_no_live_packets(incast_sim(61, shallow, 4, 50));
-        assert!(sim.network_stats().queue_drops > 0, "queues overflowed");
+        assert!(
+            sim.counter_snapshot().get("queue.drops") > 0,
+            "queues overflowed"
+        );
 
         // Link-down purge plus stale-epoch arrivals: the uplink fails with
         // a queue of packets behind it and two on the wire, then recovers
         // before they would have arrived.
         let mut sim = incast_sim(62, TopologyParams::small(), 1, 100);
-        sim.set_tracer(Tracer::ring(100_000));
+        let log = log_events(&mut sim);
         let up = sim.topo.host_uplink(sim.topo.host(0, 4));
         sim.schedule_link_down(up, 600);
         sim.schedule_link_up(up, 700);
         let sim = drain_and_assert_no_live_packets(sim);
-        let purged: u64 = sim
-            .tracer
-            .ring_events()
+        let purged: u64 = log
+            .lock()
+            .unwrap()
             .iter()
             .map(|e| match e {
                 TraceEvent::QueueClear { pkts, .. } => *pkts,
@@ -2395,7 +2422,7 @@ mod tests {
         lossless.queue_bytes = 256 << 10;
         let sim = drain_and_assert_no_live_packets(incast_sim(66, lossless, 4, 200));
         assert!(sim.counter_snapshot().get("pfc.pauses") > 0, "PFC paused");
-        assert_eq!(sim.network_stats().queue_drops, 0);
+        assert_eq!(sim.counter_snapshot().get("queue.drops"), 0);
         assert_eq!(sim.fcts.len(), 4);
     }
 
@@ -2594,7 +2621,7 @@ mod tests {
     /// trace, the samples and the events processed.
     fn tie_at_free_time(a_size: u32) -> (Vec<TraceEvent>, Vec<(Time, u64)>, u64) {
         let mut sim = small_sim(80);
-        sim.set_tracer(Tracer::ring(10_000));
+        let log = log_events(&mut sim);
         let (dst, near, far) = (
             sim.topo.host(0, 0),
             sim.topo.host(0, 1),
@@ -2633,10 +2660,11 @@ mod tests {
             );
         }
         assert!(sim.run_to_completion(crate::time::SECONDS));
-        let trace = sim
-            .tracer
-            .ring_events()
-            .into_iter()
+        let trace = log
+            .lock()
+            .unwrap()
+            .iter()
+            .copied()
             .filter(|e| match e {
                 TraceEvent::Enqueue { link, .. } | TraceEvent::Dequeue { link, .. } => {
                     *link == port.0
@@ -2648,7 +2676,7 @@ mod tests {
         (trace, samples, sim.events_processed)
     }
 
-    /// The ring trace, samples and event counts were recorded with an
+    /// The trace, samples and event counts were recorded with an
     /// engine that scheduled every `LinkFree`.
     #[test]
     fn packet_reaching_a_port_at_its_free_time_orders_by_reserved_slot() {

@@ -46,7 +46,7 @@ pub mod topology;
 
 pub use engine::{
     Action, Ctx, FailRecord, FctRecord, FlowClass, FlowLogic, FlowMeta, FlowOutcome, LinkStats,
-    NetworkStats, QueueSampler, Simulator, StallCause,
+    QueueSampler, Simulator, StallCause,
 };
 pub use fault::{FaultEntry, FaultKind, FaultPlane, FaultSpec, FaultTarget, LinkHealth};
 // Observability vocabulary, re-exported so dependents need not name

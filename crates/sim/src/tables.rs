@@ -600,7 +600,6 @@ pub struct FlowTable {
     logic: Vec<Option<Box<dyn FlowLogic>>>,
     done: Vec<bool>,
     outcome: Vec<Option<FlowOutcome>>,
-    record_progress: Vec<bool>,
 }
 
 impl FlowTable {
@@ -615,12 +614,11 @@ impl FlowTable {
     }
 
     /// Register a flow; its id is `len - 1` at return.
-    pub fn push(&mut self, meta: FlowMeta, logic: Box<dyn FlowLogic>, record_progress: bool) {
+    pub fn push(&mut self, meta: FlowMeta, logic: Box<dyn FlowLogic>) {
         self.meta.push(meta);
         self.logic.push(Some(logic));
         self.done.push(false);
         self.outcome.push(None);
-        self.record_progress.push(record_progress);
     }
 
     /// Flow metadata by index.
@@ -641,11 +639,6 @@ impl FlowTable {
     /// All terminal outcomes, index-aligned with flow ids.
     pub fn outcomes(&self) -> Vec<Option<FlowOutcome>> {
         self.outcome.clone()
-    }
-
-    /// Whether the flow records progress points.
-    pub fn records_progress(&self, i: usize) -> bool {
-        self.record_progress[i]
     }
 
     /// Check the transport logic out for a callback (`None` while already

@@ -193,6 +193,11 @@ impl PhantomParams {
     }
 }
 
+/// Host NIC queue capacity in bytes: effectively unbounded, it models host
+/// memory. Run manifests still list it under the topology's
+/// `host_queue_bytes`.
+const HOST_QUEUE_BYTES: u64 = 8 << 30;
+
 /// Topology construction parameters.
 ///
 /// `Serialize` is hand-written (below) so that `Lossy`-mode parameter sets
@@ -216,8 +221,6 @@ pub struct TopologyParams {
     pub queue_bytes: u64,
     /// Per-port physical buffering for border–border (WAN) ports.
     pub wan_queue_bytes: u64,
-    /// Host NIC queue (effectively unbounded: models host memory).
-    pub host_queue_bytes: u64,
     /// RED ECN thresholds for physical queues.
     pub red: RedParams,
     /// Target intra-DC base RTT (propagation; paper: 14 µs).
@@ -247,7 +250,6 @@ impl Default for TopologyParams {
             border_links: 8,
             queue_bytes: 1 << 20,
             wan_queue_bytes: 1 << 20,
-            host_queue_bytes: 8 << 30,
             red: RedParams::default(),
             intra_rtt: 14 * MICROS,
             inter_rtt: 2 * MILLIS,
@@ -286,7 +288,7 @@ impl Serialize for TopologyParams {
             ),
             (
                 "host_queue_bytes".to_string(),
-                self.host_queue_bytes.serialize_value(),
+                HOST_QUEUE_BYTES.serialize_value(),
             ),
             ("red".to_string(), self.red.serialize_value()),
             ("intra_rtt".to_string(), self.intra_rtt.serialize_value()),
@@ -746,7 +748,7 @@ impl Builder {
         let params = &self.topo.params;
         let from_is_host = self.topo.nodes[from.index()].kind.is_host();
         let capacity = if from_is_host {
-            params.host_queue_bytes
+            HOST_QUEUE_BYTES
         } else if class == LinkClass::BorderBorder {
             params.wan_queue_bytes
         } else {

@@ -207,18 +207,18 @@ fn network_stats_tally_matches_links() {
         }),
     );
     sim.run_to_completion(SECONDS);
-    let stats = sim.network_stats();
+    let c = sim.counter_snapshot();
     // 10 data packets over 9 hops + 10 ACKs over 9 hops.
-    assert_eq!(stats.tx_packets, 10 * 9 + 10 * 9);
-    assert_eq!(stats.queue_drops, 0);
-    assert_eq!(stats.link_losses, 0);
+    assert_eq!(c.get("link.tx_packets"), 10 * 9 + 10 * 9);
+    assert_eq!(c.get("queue.drops"), 0);
+    assert_eq!(c.get("link.losses"), 0);
     let manual: u64 = sim
         .topo
         .links
         .ids()
         .map(|l| sim.topo.links.tx_packets(l))
         .sum();
-    assert_eq!(stats.tx_packets, manual);
+    assert_eq!(c.get("link.tx_packets"), manual);
 }
 
 #[test]

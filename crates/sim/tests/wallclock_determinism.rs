@@ -3,11 +3,12 @@
 //! produce bit-identical simulated outputs even when one is artificially
 //! slowed down and stepped with different wall-clock pacing.
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use uno_sim::{
-    FlowLogic, FlowMeta, Packet, PacketKind, Simulator, Time, Topology, TopologyParams, TraceEvent,
-    Tracer, MICROS, MILLIS, SECONDS,
+    FlowLogic, FlowMeta, Packet, PacketKind, Simulator, Time, Topology, TopologyParams,
+    TraceConfig, TraceEvent, Tracer, MICROS, MILLIS, SECONDS,
 };
 
 /// Minimal transport: blast `n` spaced packets, receiver ACKs each, sender
@@ -80,7 +81,12 @@ impl Blaster {
 /// simulated the run produced: FCTs, counters JSON, and the full trace.
 fn run(seed: u64, chunks: u64, delay: Duration) -> (Vec<(u32, Time)>, String, Vec<String>) {
     let mut sim = Simulator::new(Topology::build(TopologyParams::small()), seed);
-    sim.set_tracer(Tracer::ring(1 << 20));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&log);
+    sim.set_tracer(Tracer::callback(
+        Box::new(move |ev: &TraceEvent| sink.lock().unwrap().push(ev.to_json())),
+        TraceConfig::all(),
+    ));
     let src = sim.topo.host(0, 0);
     let dst = sim.topo.host(0, 9);
     sim.add_flow(
@@ -110,12 +116,7 @@ fn run(seed: u64, chunks: u64, delay: Duration) -> (Vec<(u32, Time)>, String, Ve
         .map(|r| (r.flow.0, r.end))
         .collect::<Vec<_>>();
     let counters = sim.counter_snapshot().to_json();
-    let trace = sim
-        .tracer
-        .ring_events()
-        .iter()
-        .map(|e| e.to_json())
-        .collect::<Vec<_>>();
+    let trace = log.lock().unwrap().clone();
     (fcts, counters, trace)
 }
 

@@ -5,8 +5,8 @@
 //! * **Structured event traces** — a compact [`TraceEvent`] enum covering
 //!   queue operations (enqueue / dequeue / drop / ECN mark), link losses,
 //!   and transport decisions (ack / nack / timeout / reroute / cwnd change /
-//!   epoch boundary / Quick Adapt), written through a [`Tracer`] to an
-//!   in-memory ring buffer, a live callback, or a streaming JSONL writer.
+//!   epoch boundary / Quick Adapt), written through a [`Tracer`] to a live
+//!   callback or a streaming JSONL writer.
 //!   The JSONL sink hands accepted events in batches to a writer thread,
 //!   which encodes them and passes its writer whole lines in 64 KiB
 //!   blocks, so a traced simulation spends no time on text. A [`TraceConfig`]

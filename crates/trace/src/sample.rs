@@ -15,7 +15,7 @@
 //! profiler (`profile.rs`), whose wall-clock numbers live outside the
 //! determinism guarantee.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Serialize, Value};
 
 use crate::event::Time;
 
@@ -125,17 +125,6 @@ impl Series {
 impl Serialize for Series {
     fn serialize_value(&self) -> Value {
         self.to_value()
-    }
-}
-
-impl Series {
-    /// A series holding the serialized `points`, accepting further points
-    /// per `interval` and `capacity` as [`Series::new`] does.
-    fn from_value(points: &Value, interval: Time) -> Result<Self, Error> {
-        let mut s = Series::new(interval, SERIES_CAPACITY);
-        s.points = Vec::deserialize_value(points)?;
-        s.next = s.last().map_or(0, |(t, _)| t + s.stride);
-        Ok(s)
     }
 }
 
@@ -384,81 +373,6 @@ impl Serialize for Telemetry {
     }
 }
 
-/// Reads back the section [`Telemetry::to_value`] writes, so serializing
-/// the result gives the same bytes. The point budget is not serialized;
-/// every collector has the same one, [`SERIES_CAPACITY`].
-impl Deserialize for Telemetry {
-    fn deserialize_value(v: &Value) -> Result<Self, Error> {
-        let interval: Time = serde::field(v, "interval_ns")?;
-        let mut t = Telemetry::new(SampleConfig::every(interval));
-        t.ticks = serde::field(v, "ticks")?;
-        let series = |group: &Value, key: &str| -> Result<Series, Error> {
-            let points = group.get(key).ok_or_else(|| Error::missing_field(key))?;
-            Series::from_value(points, t.interval)
-        };
-        for (id, s) in entries(v, "links")? {
-            let pause = match (s.get("paused"), s.get("paused_ns")) {
-                (Some(_), Some(_)) => Some(PauseSeries {
-                    paused: series(s, "paused")?,
-                    paused_ns: series(s, "paused_ns")?,
-                }),
-                _ => None,
-            };
-            let link = LinkSeries {
-                queue: series(s, "queue")?,
-                phantom: series(s, "phantom")?,
-                up: series(s, "up")?,
-                pause,
-            };
-            place(&mut t.links, id, link);
-        }
-        for (id, s) in entries(v, "flows")? {
-            let cwnd = series(s, "cwnd")?;
-            let last_t = cwnd.last().map_or(0, |(t, _)| t);
-            let flow = FlowSeries {
-                cwnd,
-                rate: series(s, "rate_bps")?,
-                srtt: series(s, "srtt_ns")?,
-                outstanding: series(s, "outstanding")?,
-                last_t,
-                last_delivered: 0,
-            };
-            place(&mut t.flows, id, flow);
-        }
-        let fault = v
-            .get("fault")
-            .ok_or_else(|| Error::missing_field("fault"))?;
-        t.fault_active = series(fault, "active")?;
-        t.links_down = series(fault, "links_down")?;
-        Ok(t)
-    }
-}
-
-/// The `(id, value)` entries of object field `key` of `v`. Ids are link or
-/// flow ids, so `u32`s, as [`Telemetry::record_link`] takes them.
-fn entries<'a>(v: &'a Value, key: &str) -> Result<Vec<(usize, &'a Value)>, Error> {
-    let group = v.get(key).ok_or_else(|| Error::missing_field(key))?;
-    let fields = group
-        .as_object()
-        .ok_or_else(|| Error::expected("object", group))?;
-    fields
-        .iter()
-        .map(|(id, s)| {
-            id.parse::<u32>()
-                .map(|id| (id as usize, s))
-                .map_err(|_| Error::custom(format!("`{id}` in `{key}` is not an id")))
-        })
-        .collect()
-}
-
-/// Put `item` at index `id` of a dense table, growing it as needed.
-fn place<T>(table: &mut Vec<Option<T>>, id: usize, item: T) {
-    if id >= table.len() {
-        table.resize_with(id + 1, || None);
-    }
-    table[id] = Some(item);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,20 +480,6 @@ mod tests {
             .unwrap();
         let last = rate.last().and_then(|p| p.as_array()).unwrap();
         assert_eq!(last[1].as_f64(), Some(1_000_000_000.0));
-    }
-
-    #[test]
-    fn serialized_telemetry_reads_back_to_the_same_bytes() {
-        let t = build();
-        assert!(t.fault_active.stride() > t.interval, "series compacted");
-        let once = serde_json::to_string(&t).unwrap();
-        assert!(once.contains("\"paused_ns\""), "pause series covered");
-        let back: Telemetry = serde_json::from_str(&once).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), once);
-        let empty = serde_json::to_string(&Telemetry::new(SampleConfig::every(7))).unwrap();
-        let back: Telemetry = serde_json::from_str(&empty).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), empty);
-        assert!(serde_json::from_str::<Telemetry>(r#"{"ticks": 1}"#).is_err());
     }
 
     /// A collector fed 1200 ticks of two links (one of them pausing), one

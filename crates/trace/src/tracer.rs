@@ -1,7 +1,6 @@
 //! The trace writer: filter configuration and sinks.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, Write};
 use std::mem;
@@ -123,11 +122,6 @@ const CHANNEL_DEPTH: usize = 2;
 type Panic = Box<dyn Any + Send + 'static>;
 
 enum Sink {
-    /// Last-N in-memory buffer.
-    Ring {
-        buf: VecDeque<TraceEvent>,
-        cap: usize,
-    },
     /// Streaming JSON-lines writer: accepted events gather in batches that
     /// a writer thread encodes and writes.
     Jsonl(Jsonl),
@@ -325,22 +319,6 @@ impl Tracer {
         Tracer::with_sink(None, TraceConfig::all())
     }
 
-    /// Keep the last `cap` events in memory, unfiltered.
-    pub fn ring(cap: usize) -> Self {
-        Tracer::ring_filtered(cap, TraceConfig::all())
-    }
-
-    /// Keep the last `cap` events passing `config` in memory.
-    pub fn ring_filtered(cap: usize, config: TraceConfig) -> Self {
-        Tracer::with_sink(
-            Some(Sink::Ring {
-                buf: VecDeque::with_capacity(cap.min(4096)),
-                cap: cap.max(1),
-            }),
-            config,
-        )
-    }
-
     /// Stream events passing `config` as JSON lines to a file at `path`.
     pub fn jsonl_file(path: impl AsRef<Path>, config: TraceConfig) -> io::Result<Self> {
         let f = File::create(path)?;
@@ -394,22 +372,8 @@ impl Tracer {
         }
         self.emitted += 1;
         match sink {
-            Sink::Ring { buf, cap } => {
-                if buf.len() == *cap {
-                    buf.pop_front();
-                }
-                buf.push_back(ev);
-            }
             Sink::Jsonl(jsonl) => jsonl.push(ev),
             Sink::Callback(f) => f(&ev),
-        }
-    }
-
-    /// The buffered events, oldest first (empty unless a ring sink is used).
-    pub fn ring_events(&self) -> Vec<TraceEvent> {
-        match &self.sink {
-            Some(Sink::Ring { buf, .. }) => buf.iter().copied().collect(),
-            _ => Vec::new(),
         }
     }
 
@@ -521,24 +485,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_last_n() {
-        let mut t = Tracer::ring(3);
-        assert!(t.enabled());
-        for i in 0..5 {
-            t.emit(enq(i, 0));
-        }
-        let kept: Vec<u32> = t.ring_events().iter().filter_map(|e| e.flow()).collect();
-        assert_eq!(kept, vec![2, 3, 4]);
-        assert_eq!(t.emitted(), 5);
-    }
-
-    #[test]
     fn disabled_tracer_keeps_nothing() {
         let mut t = Tracer::disabled();
         assert!(!t.enabled());
         t.emit(enq(0, 0));
         assert_eq!(t.emitted(), 0);
-        assert!(t.ring_events().is_empty());
     }
 
     #[test]

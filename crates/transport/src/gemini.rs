@@ -17,16 +17,18 @@ use crate::cc::{AckEvent, CcAlgorithm, CcConfig};
 /// EWMA gain for the ECN fraction (DCTCP's g).
 const ECN_EWMA_GAIN: f64 = 1.0 / 16.0;
 
+/// Reduction factor applied on WAN (delay-detected) congestion.
+const WAN_MD: f64 = 0.2;
+
+/// Queuing-delay threshold that flags WAN congestion for inter flows.
+const WAN_DELAY_THRESH: Time = 50 * MICROS;
+
 /// Gemini controller state.
 #[derive(Clone, Debug)]
 pub struct Gemini {
     cfg: CcConfig,
     cwnd: f64,
     max_cwnd: f64,
-    /// Reduction factor applied on WAN (delay-detected) congestion.
-    pub wan_md: f64,
-    /// Queuing-delay threshold that flags WAN congestion for inter flows.
-    pub wan_delay_thresh: Time,
     window_end: Time,
     window_bytes: u64,
     window_ecn_bytes: u64,
@@ -53,8 +55,6 @@ impl Gemini {
             cwnd: (10.0 * cfg.mtu as f64).max(cfg.min_cwnd()),
             max_cwnd: 2.0 * cfg.bdp,
             cfg,
-            wan_md: 0.2,
-            wan_delay_thresh: 50 * MICROS,
             window_end: 0,
             window_bytes: 0,
             window_ecn_bytes: 0,
@@ -83,7 +83,7 @@ impl Gemini {
         let dcn_congested = frac > 0.0;
         let wan_congested = self.is_inter
             && self.window_min_rtt != Time::MAX
-            && self.window_min_rtt.saturating_sub(self.min_rtt) > self.wan_delay_thresh;
+            && self.window_min_rtt.saturating_sub(self.min_rtt) > WAN_DELAY_THRESH;
         if dcn_congested || wan_congested {
             self.slow_start = false;
         }
@@ -98,7 +98,7 @@ impl Gemini {
             self.cwnd *= 1.0 - (f * ratio).min(0.5);
             self.md_count += 1;
         } else if wan_congested {
-            self.cwnd *= 1.0 - self.wan_md;
+            self.cwnd *= 1.0 - WAN_MD;
             self.md_count += 1;
         }
         self.clamp();

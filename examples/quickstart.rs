@@ -52,10 +52,12 @@ fn main() {
             fct.fct() as f64 / 1e6
         );
     }
-    let stats = results.stats;
+    let counters = &results.manifest.counters;
     println!(
         "network: {} packets transmitted, {} ECN marks, {} drops",
-        stats.tx_packets, stats.ecn_marks, stats.queue_drops
+        counters.get("link.tx_packets"),
+        counters.get("queue.ecn_marks"),
+        counters.get("queue.drops")
     );
 
     // Every run carries a manifest: seed, topology, engine throughput and
