@@ -943,11 +943,10 @@ impl Simulator {
         }
         links.set_up(link, false);
         let purged_bytes = links.queue(link).bytes();
-        let purged = links.queue_mut(link).clear();
-        let dropped = purged.len();
-        for pkt in purged {
-            self.packets.release(pkt);
-        }
+        let packets = &mut self.packets;
+        let dropped = links
+            .queue_mut(link)
+            .clear(self.events.blocks_mut(), |pkt| packets.release(pkt));
         links.note_lost(link, dropped as u64);
         if dropped > 0 && self.tracer.enabled() {
             self.tracer.emit(TraceEvent::QueueClear {
@@ -1150,7 +1149,8 @@ impl Simulator {
             return;
         }
         let links = &mut self.topo.links;
-        let outcome = links.enqueue(link, pkt, &mut self.packets, now, &mut self.rng);
+        let blocks = self.events.blocks_mut();
+        let outcome = links.enqueue(link, pkt, &mut self.packets, blocks, now, &mut self.rng);
         let free_at = links.free_at(link);
         if self.tracer.enabled() {
             let qlen = links.queue(link).bytes();
@@ -1218,9 +1218,9 @@ impl Simulator {
         if links.paused(link) {
             return;
         }
-        // The ring carries the size: untraced, transmission never touches
+        // The FIFO carries the size: untraced, transmission never touches
         // the pooled packet.
-        let Some((pkt, size)) = links.queue_mut(link).dequeue() else {
+        let Some((pkt, size)) = links.queue_mut(link).dequeue(self.events.blocks_mut()) else {
             return;
         };
         let release_pause = links.should_release_pause(link);

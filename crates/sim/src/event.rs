@@ -41,20 +41,22 @@
 //! `LinkFree` that would find its port's queue empty, and fills it only
 //! if a packet arrives while the port serializes.
 //!
-//! Wheel memory tracks pending events: when the cursor reaches a bucket,
-//! the bucket's buffer moves into the lane and the previous lane's buffer
-//! goes back to the allocator, and a bucket that fills again grows a fresh
-//! vector from memory recycled from earlier drains. Parking drained buffers
-//! in the wheel instead would make its storage the sum of all buckets' peak
-//! sizes, not the pending count. The lane retains only its links (4 bytes
-//! per entry of the largest tick) and 8 KiB of per-nanosecond head/tail
-//! indices.
+//! Wheel memory tracks pending events. A bucket is a chain of fixed
+//! 8-entry blocks from the queue's [`BlockPool`], which the engine's port
+//! FIFOs share (see [`crate::blocks`]). When the cursor reaches a bucket,
+//! the lane copies the tick's entries into its one buffer and the bucket's
+//! blocks go back to the pool, where the next bucket to fill, or a port,
+//! takes them. The lane's buffer and its links (4 bytes per entry) follow
+//! the current tick under the storage rule of drained buffers
+//! ([`crate::pool::shrunk_capacity`]), next to 8 KiB of per-nanosecond
+//! head/tail indices.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::blocks::{BlockList, BlockPool};
 use crate::ids::{FlowId, LinkId};
-use crate::pool::PacketRef;
+use crate::pool::{shrunk_capacity, PacketRef};
 use crate::time::Time;
 
 /// Events processed by the simulation engine.
@@ -62,7 +64,7 @@ use crate::time::Time;
 /// Every variant fits in 12 bytes of payload, so an `Event` is 16 bytes and
 /// a scheduled entry 32: packets stay in the engine's
 /// [`crate::pool::PacketPool`] and travel here as handles.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum Event {
     /// A link finished serializing a packet; start the next one if queued.
     ///
@@ -139,14 +141,22 @@ const LANE_WORDS: usize = LANE_SLOTS / 64;
 /// End-of-FIFO link. Lane indices stay below it.
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug)]
-struct Entry {
-    time: Time,
-    seq: u64,
-    event: Event,
+/// A scheduled event and its place in the `(time, seq)` order.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Entry {
+    pub(crate) time: Time,
+    pub(crate) seq: u64,
+    pub(crate) event: Event,
 }
 
 impl Entry {
+    /// A placeholder for block storage that holds no entry yet.
+    pub(crate) const VACANT: Entry = Entry {
+        time: 0,
+        seq: 0,
+        event: Event::Telemetry,
+    };
+
     #[inline]
     fn tick(&self) -> u64 {
         self.time >> BUCKET_SHIFT
@@ -172,17 +182,17 @@ impl Ord for Entry {
 
 /// The cursor tick's entries, one FIFO per nanosecond of the tick.
 ///
-/// The FIFOs are threaded in place through the tick's bucket buffer by
-/// `u32` links, and an occupancy bitmap finds the first non-empty
-/// nanosecond, so push and pop are `O(1)` and never compare `(time, seq)`.
-/// A popped entry stays in the buffer (its event moved out) until the next
-/// tick's bucket takes the buffer's place.
+/// The FIFOs are threaded in place through the lane's buffer by `u32`
+/// links, and an occupancy bitmap finds the first non-empty nanosecond, so
+/// push and pop are `O(1)` and never compare `(time, seq)`. A popped entry
+/// stays in the buffer until the next tick's entries replace it.
 #[derive(Debug)]
 struct Lane {
-    /// The cursor tick's bucket buffer, followed by pushes at that tick.
+    /// The cursor tick's bucket, copied out of its blocks, followed by
+    /// pushes at that tick. Kept across ticks, under the shrink rule.
     entries: Vec<Entry>,
     /// `next[i]`: the entry after `entries[i]` in its nanosecond's FIFO, or
-    /// `NIL`. Kept across ticks; it only ever grows to the largest lane.
+    /// `NIL`. Kept across ticks, under the shrink rule.
     next: Vec<u32>,
     /// First entry of each occupied nanosecond's FIFO.
     head: [u32; LANE_SLOTS],
@@ -209,24 +219,31 @@ impl Lane {
         }
     }
 
-    /// Make `bucket` (one tick's entries, in push order) the lane. The
-    /// previous buffer, fully popped, goes back to the allocator.
-    fn load(&mut self, bucket: Vec<Entry>) {
+    /// Make `bucket` (one tick's entries, in push order) the lane, and
+    /// return its blocks to `blocks`. The previous entries must all have
+    /// popped. Kept out of line: it runs once per tick, and inlined it
+    /// would widen the stack frame of every pop.
+    #[inline(never)]
+    fn load(&mut self, mut bucket: BlockList, blocks: &mut BlockPool) {
         debug_assert_eq!(self.pending, 0, "lane replaced while entries pend");
+        let n = bucket.len();
         assert!(
-            bucket.len() < NIL as usize,
-            "{} events in one tick overflow the lane's u32 links",
-            bucket.len()
+            n < NIL as usize,
+            "{n} events in one tick overflow the lane's u32 links"
         );
-        self.entries = bucket;
+        self.entries.clear();
+        shrink(&mut self.entries, n);
+        self.entries.reserve(n);
+        bucket.drain(blocks, |items| self.entries.extend_from_slice(items));
         self.next.clear();
-        self.next.resize(self.entries.len(), NIL);
+        shrink(&mut self.next, n);
+        self.next.resize(n, NIL);
         self.first_word = 0;
-        for i in 0..self.entries.len() {
+        for i in 0..n {
             let slot = (self.entries[i].time & LANE_MASK) as usize;
             self.link(i as u32, slot);
         }
-        self.pending = self.entries.len();
+        self.pending = n;
     }
 
     /// Append `e`, an entry of the lane's tick, to its nanosecond's FIFO.
@@ -289,12 +306,16 @@ impl Lane {
             next => self.head[slot] = next,
         }
         self.pending -= 1;
-        let e = &mut self.entries[i];
-        Some((
-            e.time,
-            e.seq,
-            std::mem::replace(&mut e.event, Event::Telemetry),
-        ))
+        let e = &self.entries[i];
+        Some((e.time, e.seq, e.event))
+    }
+}
+
+/// Shrink `buffer`, about to hold `len` entries, by the storage rule of
+/// drained buffers.
+fn shrink<T>(buffer: &mut Vec<T>, len: usize) {
+    if let Some(capacity) = shrunk_capacity(len, buffer.capacity()) {
+        buffer.shrink_to(capacity);
     }
 }
 
@@ -308,8 +329,12 @@ impl Lane {
 #[derive(Debug)]
 pub struct EventQueue {
     /// The wheel: bucket `i` holds entries whose tick ≡ `i` (mod
-    /// `NUM_BUCKETS`) within the window `(cur_tick, cur_tick + N)`.
-    buckets: Vec<Vec<Entry>>,
+    /// `NUM_BUCKETS`) within the window `(cur_tick, cur_tick + N)`, in
+    /// blocks from `blocks`.
+    buckets: Vec<BlockList>,
+    /// The block slab of the wheel's buckets, which the engine lends to
+    /// its ports' FIFOs too ([`EventQueue::blocks_mut`]).
+    blocks: BlockPool,
     /// One bit per bucket: set while the bucket is non-empty.
     occupied: [u64; WORDS],
     /// Tick of the cursor, whose entries live in `lane`. Only `pop_until`
@@ -349,7 +374,8 @@ impl EventQueue {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: (0..NUM_BUCKETS).map(|_| BlockList::default()).collect(),
+            blocks: BlockPool::new(),
             occupied: [0; WORDS],
             cur_tick: 0,
             lane: Lane::new(),
@@ -377,14 +403,16 @@ impl EventQueue {
         );
         let time = time.max(floor);
         let seq = self.reserve();
-        let e = Entry { time, seq, event };
+        // Each branch builds its entry where it stores it (see
+        // `BlockList::push`).
+        let e = || Entry { time, seq, event };
         self.len += 1;
-        let tick = e.tick();
+        let tick = time >> BUCKET_SHIFT;
         if tick == self.cur_tick {
             // Schedule-at-now and anything else in the cursor tick: the
             // tail of its nanosecond's FIFO. It carries the newest `seq`,
             // so it orders after every queued entry of the same time.
-            self.lane.push(e);
+            self.lane.push(e());
         } else if tick < self.cur_tick {
             // `pop_until` advances the cursor to the minimum *pending* tick
             // even when it declines to pop, and a caller may then legally
@@ -397,11 +425,11 @@ impl EventQueue {
             // cursor has already passed, or it would surface a whole lap
             // late and pop out of order. Its tick is below every lane,
             // wheel and overflow tick, so the side heap pops it first.
-            self.side.push(Reverse(e));
+            self.side.push(Reverse(e()));
         } else if tick >= self.cur_tick + NUM_BUCKETS as u64 {
-            self.overflow.push(Reverse(e));
+            self.overflow.push(Reverse(e()));
         } else {
-            self.insert_wheel(e);
+            self.insert_wheel(time, seq, event);
         }
     }
 
@@ -486,6 +514,13 @@ impl EventQueue {
         self.position
     }
 
+    /// The block slab the wheel draws from, for the engine's port FIFOs:
+    /// the blocks a draining port frees are the next the wheel takes.
+    #[inline]
+    pub(crate) fn blocks_mut(&mut self) -> &mut BlockPool {
+        &mut self.blocks
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -498,9 +533,11 @@ impl EventQueue {
 
     /// Place an entry whose tick is within the current window into its
     /// wheel bucket. Buckets are append-only; ordering happens when the
-    /// cursor reaches them.
-    fn insert_wheel(&mut self, e: Entry) {
-        let tick = e.tick();
+    /// cursor reaches them. Inlined into `push`, so that the entry is built
+    /// in its block (see `BlockList::push`).
+    #[inline(always)]
+    fn insert_wheel(&mut self, time: Time, seq: u64, event: Event) {
+        let tick = time >> BUCKET_SHIFT;
         debug_assert!(tick < self.cur_tick + NUM_BUCKETS as u64);
         // Equality only while `normalize` fills the bucket the lane is
         // about to take over.
@@ -511,7 +548,7 @@ impl EventQueue {
         );
         let idx = (tick & BUCKET_MASK) as usize;
         self.occupied[idx / 64] |= 1u64 << (idx % 64);
-        self.buckets[idx].push(e);
+        self.buckets[idx].push(|| Entry { time, seq, event }, &mut self.blocks);
         self.wheel_len += 1;
     }
 
@@ -533,7 +570,10 @@ impl EventQueue {
         }
         let wheel_tick = if self.wheel_len > 0 {
             let idx = self.next_occupied((self.cur_tick & BUCKET_MASK) as usize);
-            Some(self.buckets[idx][0].tick())
+            let first: &Entry = self.buckets[idx]
+                .first(&self.blocks)
+                .expect("an occupied bucket holds an entry");
+            Some(first.tick())
         } else {
             None
         };
@@ -554,19 +594,18 @@ impl EventQueue {
         while let Some(Reverse(e)) = self.overflow.peek() {
             if e.tick() < target + NUM_BUCKETS as u64 {
                 let Reverse(e) = self.overflow.pop().expect("peeked");
-                self.insert_wheel(e);
+                self.insert_wheel(e.time, e.seq, e.event);
             } else {
                 break;
             }
         }
-        // The target bucket's buffer becomes the lane, and the previous
-        // lane's buffer goes back to the allocator: the wheel holds storage
-        // only for pending events.
+        // The target bucket becomes the lane, and its blocks go back to the
+        // pool: the wheel holds storage only for pending events.
         let idx = (target & BUCKET_MASK) as usize;
         let bucket = std::mem::take(&mut self.buckets[idx]);
         self.wheel_len -= bucket.len();
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
-        self.lane.load(bucket);
+        self.lane.load(bucket, &mut self.blocks);
         true
     }
 
@@ -602,10 +641,11 @@ impl EventQueue {
 
 #[cfg(test)]
 impl EventQueue {
-    /// Entries the queue's buffers can hold without reallocating: every
-    /// wheel bucket, the lane with its links, and both heaps together.
+    /// Entries the queue's storage can hold without allocating: every
+    /// block the wheel has taken, the lane with its links, and both heaps
+    /// together.
     fn retained_capacity(&self) -> usize {
-        self.buckets.iter().map(Vec::capacity).sum::<usize>()
+        self.blocks.high_water() * crate::blocks::ENTRIES
             + self.lane.entries.capacity()
             + self.lane.next.capacity()
             + self.side.capacity()
@@ -931,6 +971,94 @@ mod tests {
             peak_capacity <= 4 * peak_len,
             "queue retained {peak_capacity} entries for at most {peak_len} pending"
         );
+    }
+
+    /// Queue storage is recycled, not regrown. A NIC-style burst parks a
+    /// window of packets in each of 16 ports at once; each port then sends
+    /// one packet per serialization time, which arrives a propagation delay
+    /// later, and the arrivals pop as time passes. Ports and wheel buckets
+    /// draw from the queue's one block pool, so after every operation the
+    /// pool holds exactly the blocks the lists span: each list's items over
+    /// its block size, rounded up, and for a port at most one partial block
+    /// more. The blocks the draining ports free are the next the wheel
+    /// takes: no chunk is allocated after the burst, the pool never grew
+    /// past the most blocks the lists spanned at once, and once everything
+    /// has drained and popped no block is left, drained ports included.
+    #[test]
+    fn ports_and_wheel_recycle_one_block_pool() {
+        use crate::blocks::{ENTRIES, SLOTS};
+        use crate::ids::NodeId;
+        use crate::packet::Packet;
+        use crate::pool::PacketPool;
+        use crate::queue::{PortQueue, QueueProfile, RedParams};
+        const PORTS: usize = 16;
+        const WINDOW: u32 = 600;
+        const SER: Time = 330;
+        const DELAY: Time = 20_000;
+        let profile = QueueProfile::new(1 << 30, RedParams::default());
+        let (mut q, mut packets) = (EventQueue::new(), PacketPool::new());
+        let mut ports: Vec<PortQueue> = (0..PORTS).map(|_| PortQueue::new()).collect();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut peak = 0;
+        let mut check = |q: &EventQueue, ports: &[PortQueue]| {
+            let mut need = 0;
+            let mut partial = 0;
+            for p in ports {
+                need += p.in_blocks().div_ceil(SLOTS);
+                partial += (p.in_blocks() > 0) as usize;
+            }
+            for (w, &word) in q.occupied.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let idx = w * 64 + bits.trailing_zeros() as usize;
+                    need += q.buckets[idx].len().div_ceil(ENTRIES);
+                    bits &= bits - 1;
+                }
+            }
+            let live = q.blocks.live();
+            assert!(
+                (need..=need + partial).contains(&live),
+                "{live} blocks live where the lists span {need} to {}",
+                need + partial
+            );
+            peak = peak.max(live);
+        };
+        for seq in 0..WINDOW {
+            for p in 0..PORTS {
+                let pkt = packets.alloc(Packet::data(FlowId(p as u32), seq, 4096, NodeId(1)));
+                let out =
+                    ports[p].try_enqueue(&profile, pkt, &mut packets, q.blocks_mut(), 0, &mut rng);
+                assert!(out.is_enqueued());
+                check(&q, &ports);
+            }
+        }
+        let chunks = q.blocks.chunks();
+        assert!(chunks > 0 && q.blocks.live() >= PORTS * (WINDOW as usize - 2) / SLOTS);
+        let mut now = 0;
+        while !q.is_empty() || ports.iter().any(|p| !p.is_empty()) {
+            now += SER;
+            for p in 0..PORTS {
+                if let Some((pkt, _)) = ports[p].dequeue(q.blocks_mut()) {
+                    q.push(now + DELAY, Event::Arrive(LinkId(p as u32), pkt, 0));
+                }
+                check(&q, &ports);
+            }
+            while let Some((_, event)) = q.pop_until(now) {
+                let Event::Arrive(_, pkt, _) = event else {
+                    panic!("only arrivals are scheduled, got {event:?}");
+                };
+                packets.release(pkt);
+                check(&q, &ports);
+            }
+        }
+        assert_eq!(
+            q.blocks.chunks(),
+            chunks,
+            "a chunk was allocated after the burst"
+        );
+        assert_eq!(q.blocks.high_water(), peak, "the pool outgrew its lists");
+        assert_eq!(q.blocks.live(), 0, "a drained list kept a block");
+        assert_eq!(packets.live(), 0);
     }
 
     /// The satellite differential oracle: 1M randomized (time, seq)

@@ -7,7 +7,8 @@
 //! * store-and-forward output-queued switches with byte-limited FIFO queues,
 //!   RED ECN marking, and optional HULL-style **phantom queues**; in-flight
 //!   packets live in one slab ([`PacketPool`]) and queues and events carry
-//!   4-byte handles;
+//!   4-byte handles, in fixed blocks that the scheduler's wheel and the
+//!   port FIFOs draw from one shared slab ([`BlockPool`]);
 //! * links with serialization + propagation delay, failure events, and
 //!   correlated (Gilbert–Elliott) loss processes;
 //! * dual-datacenter **k-ary fat-tree** topologies joined by border switches
@@ -32,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+pub mod blocks;
 pub mod engine;
 pub mod event;
 pub mod fault;
@@ -44,6 +46,7 @@ pub mod tables;
 pub mod time;
 pub mod topology;
 
+pub use blocks::BlockPool;
 pub use engine::{
     Action, Ctx, FailRecord, FctRecord, FlowClass, FlowLogic, FlowMeta, FlowOutcome, LinkStats,
     QueueSampler, Simulator, StallCause,

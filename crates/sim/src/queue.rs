@@ -1,11 +1,10 @@
 //! Output-port queues: byte-limited FIFO with RED ECN marking and an
 //! optional phantom queue (HULL-style virtual queue, paper §4.1.3).
 
-use std::collections::VecDeque;
-
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::blocks::{BlockList, BlockPool, PacketSlot};
 use crate::pool::{PacketPool, PacketRef};
 use crate::time::{Bps, Time, SECONDS};
 
@@ -210,15 +209,87 @@ impl QueueProfile {
     }
 }
 
+/// Packets a port FIFO holds without a block.
+const INLINE: usize = 2;
+
+/// A port's FIFO of `(handle, wire size)` slots: the oldest packets in two
+/// inline slots, the rest in a chain of blocks from the shared
+/// [`BlockPool`]. The inline slots fill only while the chain is empty, so a
+/// port holding two packets or fewer takes no block, and a drained port
+/// holds none.
+#[derive(Debug)]
+struct Fifo {
+    inline: [PacketSlot; INLINE],
+    inline_len: u8,
+    blocks: BlockList,
+}
+
+impl Default for Fifo {
+    fn default() -> Self {
+        Fifo {
+            inline: [(PacketRef::VACANT, 0); INLINE],
+            inline_len: 0,
+            blocks: BlockList::default(),
+        }
+    }
+}
+
+impl Clone for Fifo {
+    /// Copies a FIFO that holds no block (as every port of a topology that
+    /// has not run): a copied chain would share its blocks.
+    fn clone(&self) -> Self {
+        assert!(
+            self.blocks.is_empty(),
+            "a port FIFO that holds blocks cannot be cloned"
+        );
+        Fifo {
+            inline: self.inline,
+            inline_len: self.inline_len,
+            blocks: BlockList::default(),
+        }
+    }
+}
+
+impl Fifo {
+    #[inline]
+    fn len(&self) -> usize {
+        self.inline_len as usize + self.blocks.len()
+    }
+
+    #[inline]
+    fn push(&mut self, slot: PacketSlot, pool: &mut BlockPool) {
+        let n = self.inline_len as usize;
+        if n < INLINE && self.blocks.is_empty() {
+            self.inline[n] = slot;
+            self.inline_len += 1;
+        } else {
+            self.blocks.push(|| slot, pool);
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self, pool: &mut BlockPool) -> Option<PacketSlot> {
+        if self.inline_len == 0 {
+            return self.blocks.pop_front(pool);
+        }
+        let head = self.inline[0];
+        self.inline[0] = self.inline[1];
+        self.inline_len -= 1;
+        Some(head)
+    }
+}
+
 /// The state of a byte-limited FIFO output queue with RED ECN marking and
 /// an optional phantom queue; its constants are its [`QueueProfile`].
 ///
-/// The ring holds handles into the engine's [`PacketPool`] next to each
-/// packet's wire size, 8 bytes a slot: dequeue and byte accounting never
-/// touch the pool.
+/// The FIFO holds handles into the engine's [`PacketPool`] next to each
+/// packet's wire size, 8 bytes a slot, so dequeue and byte accounting never
+/// touch the packet pool. Past two packets, the slots live in blocks of
+/// the [`BlockPool`] that every operation that moves packets borrows: the
+/// engine's, which its scheduler shares.
 #[derive(Clone, Debug, Default)]
 pub struct PortQueue {
-    fifo: VecDeque<(PacketRef, u32)>,
+    fifo: Fifo,
     bytes: u64,
     /// Phantom-queue state; it stays at zero on a port whose profile has
     /// no phantom queue.
@@ -292,11 +363,12 @@ impl PortQueue {
     /// True when no packets are queued.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.fifo.is_empty()
+        self.fifo.len() == 0
     }
 
     /// Try to enqueue the packet behind `pkt`, applying drop-tail and ECN
-    /// marking (the mark is set on the pooled packet in place).
+    /// marking (the mark is set on the pooled packet in place). An accepted
+    /// packet past the second takes its slot in `blocks`.
     ///
     /// Control packets (ACK/NACK) are never ECN-marked but still consume
     /// buffer space and can be dropped when the queue is full. A dropped
@@ -306,6 +378,7 @@ impl PortQueue {
         profile: &QueueProfile,
         pkt: PacketRef,
         packets: &mut PacketPool,
+        blocks: &mut BlockPool,
         now: Time,
         rng: &mut R,
     ) -> EnqueueOutcome {
@@ -341,27 +414,42 @@ impl PortQueue {
         }
         self.bytes += size as u64;
         self.max_bytes_seen = self.max_bytes_seen.max(self.bytes);
-        self.fifo.push_back((pkt, size));
+        self.fifo.push((pkt, size), blocks);
         EnqueueOutcome::Enqueued {
             marked: mark,
             phantom: phantom_mark,
         }
     }
 
-    /// Dequeue the head-of-line packet's handle and wire size, if any.
-    pub fn dequeue(&mut self) -> Option<(PacketRef, u32)> {
-        let (pkt, size) = self.fifo.pop_front()?;
+    /// Dequeue the head-of-line packet's handle and wire size, if any. A
+    /// block the FIFO no longer needs goes back to `blocks`.
+    #[inline]
+    pub fn dequeue(&mut self, blocks: &mut BlockPool) -> Option<(PacketRef, u32)> {
+        let (pkt, size) = self.fifo.pop(blocks)?;
         self.bytes -= size as u64;
         Some((pkt, size))
     }
 
     /// Drop every queued packet (used when a link fails), counting the
-    /// drops. Returns the purged handles, in FIFO order, for the caller to
-    /// release.
-    pub fn clear(&mut self) -> impl ExactSizeIterator<Item = PacketRef> + '_ {
-        self.drops += self.fifo.len() as u64;
+    /// drops, and hand each purged handle, in FIFO order, to `purged` for
+    /// the caller to release. Every block goes back to `blocks`. Returns
+    /// the number of packets purged.
+    pub fn clear(&mut self, blocks: &mut BlockPool, mut purged: impl FnMut(PacketRef)) -> usize {
+        let n = self.fifo.len();
+        self.drops += n as u64;
         self.bytes = 0;
-        self.fifo.drain(..).map(|(pkt, _)| pkt)
+        while let Some((pkt, _)) = self.fifo.pop(blocks) {
+            purged(pkt);
+        }
+        n
+    }
+}
+
+#[cfg(test)]
+impl PortQueue {
+    /// Packets queued in blocks, past the inline slots.
+    pub(crate) fn in_blocks(&self) -> usize {
+        self.fifo.blocks.len()
     }
 }
 
@@ -428,19 +516,21 @@ mod tests {
     fn pfc_thresholds_assert_and_release() {
         let prof = QueueProfile::new(10_000, RedParams::default()).with_pfc(3000, 1000);
         let mut q = PortQueue::new();
-        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let (mut pool, mut blocks, mut r) = (PacketPool::new(), BlockPool::new(), rng());
         assert!(prof.pfc_enabled());
         assert!(!q.should_assert_pause(&prof));
         for _ in 0..3 {
             let p = pkt(&mut pool, 1000);
-            assert!(q.try_enqueue(&prof, p, &mut pool, 0, &mut r).is_enqueued());
+            assert!(q
+                .try_enqueue(&prof, p, &mut pool, &mut blocks, 0, &mut r)
+                .is_enqueued());
         }
         assert!(q.should_assert_pause(&prof), "occupancy 3000 >= xoff 3000");
         q.note_pause();
         assert!(!q.should_assert_pause(&prof), "already asserted");
         assert!(!q.should_release_pause(&prof), "still above xon");
-        q.dequeue();
-        q.dequeue();
+        q.dequeue(&mut blocks);
+        q.dequeue(&mut blocks);
         assert!(q.should_release_pause(&prof), "occupancy 1000 <= xon 1000");
         q.note_resume();
         assert!(!q.should_release_pause(&prof));
@@ -454,7 +544,7 @@ mod tests {
         for _ in 0..5 {
             let p = pkt(&mut pool, 1000);
             assert!(lossy
-                .try_enqueue(&off, p, &mut pool, 0, &mut r)
+                .try_enqueue(&off, p, &mut pool, &mut blocks, 0, &mut r)
                 .is_enqueued());
         }
         assert!(!lossy.should_assert_pause(&off) && !lossy.should_release_pause(&off));
@@ -464,17 +554,19 @@ mod tests {
     fn fifo_order_and_byte_accounting() {
         let prof = QueueProfile::new(10_000, RedParams::default());
         let mut q = PortQueue::new();
-        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let (mut pool, mut blocks, mut r) = (PacketPool::new(), BlockPool::new(), rng());
         for i in 0..3 {
             let p = pkt(&mut pool, 1000);
             pool.get_mut(p).seq = i;
-            assert!(q.try_enqueue(&prof, p, &mut pool, 0, &mut r).is_enqueued());
+            assert!(q
+                .try_enqueue(&prof, p, &mut pool, &mut blocks, 0, &mut r)
+                .is_enqueued());
         }
         assert_eq!(q.bytes(), 3000);
         assert_eq!(q.len(), 3);
-        let (head, size) = q.dequeue().unwrap();
+        let (head, size) = q.dequeue(&mut blocks).unwrap();
         assert_eq!((pool.get(head).seq, size), (0, 1000));
-        assert_eq!(pool.get(q.dequeue().unwrap().0).seq, 1);
+        assert_eq!(pool.get(q.dequeue(&mut blocks).unwrap().0).seq, 1);
         assert_eq!(q.bytes(), 1000);
     }
 
@@ -482,14 +574,14 @@ mod tests {
     fn drop_tail_when_full() {
         let prof = QueueProfile::new(2048, RedParams::default());
         let mut q = PortQueue::new();
-        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let (mut pool, mut blocks, mut r) = (PacketPool::new(), BlockPool::new(), rng());
         let full = pkt(&mut pool, 2048);
         assert!(q
-            .try_enqueue(&prof, full, &mut pool, 0, &mut r)
+            .try_enqueue(&prof, full, &mut pool, &mut blocks, 0, &mut r)
             .is_enqueued());
         let extra = pkt(&mut pool, 1);
         assert_eq!(
-            q.try_enqueue(&prof, extra, &mut pool, 0, &mut r),
+            q.try_enqueue(&prof, extra, &mut pool, &mut blocks, 0, &mut r),
             EnqueueOutcome::Dropped
         );
         assert_eq!(q.drops, 1);
@@ -500,26 +592,26 @@ mod tests {
     fn marks_above_max_threshold() {
         let prof = QueueProfile::new(1000, RedParams::default());
         let mut q = PortQueue::new();
-        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let (mut pool, mut blocks, mut r) = (PacketPool::new(), BlockPool::new(), rng());
         // Fill past 75%: subsequent packets must be marked.
         let (a, b) = (pkt(&mut pool, 800), pkt(&mut pool, 100));
         assert_eq!(
-            q.try_enqueue(&prof, a, &mut pool, 0, &mut r),
+            q.try_enqueue(&prof, a, &mut pool, &mut blocks, 0, &mut r),
             EnqueueOutcome::Enqueued {
                 marked: false,
                 phantom: false
             }
         );
         assert_eq!(
-            q.try_enqueue(&prof, b, &mut pool, 0, &mut r),
+            q.try_enqueue(&prof, b, &mut pool, &mut blocks, 0, &mut r),
             EnqueueOutcome::Enqueued {
                 marked: true,
                 phantom: false
             }
         );
-        let (marked, _) = q.dequeue().unwrap(); // first packet: queue was empty, unmarked
+        let (marked, _) = q.dequeue(&mut blocks).unwrap(); // first packet: queue was empty, unmarked
         assert!(!pool.get(marked).ecn);
-        let (second, _) = q.dequeue().unwrap();
+        let (second, _) = q.dequeue(&mut blocks).unwrap();
         assert!(
             pool.get(second).ecn,
             "occupancy 800/1000 > max_frac must mark"
@@ -531,16 +623,16 @@ mod tests {
     fn control_packets_never_marked() {
         let prof = QueueProfile::new(1000, RedParams::default());
         let mut q = PortQueue::new();
-        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let (mut pool, mut blocks, mut r) = (PacketPool::new(), BlockPool::new(), rng());
         let fill = pkt(&mut pool, 900);
-        let _ = q.try_enqueue(&prof, fill, &mut pool, 0, &mut r);
+        let _ = q.try_enqueue(&prof, fill, &mut pool, &mut blocks, 0, &mut r);
         let data = Packet::data(FlowId(0), 0, 50, NodeId(1));
         let ack = Packet::ack_for(&data, NodeId(0), 50, 0);
         assert!(!ack.ecn);
         let ack = pool.alloc(ack);
-        let _ = q.try_enqueue(&prof, ack, &mut pool, 0, &mut r);
-        q.dequeue();
-        assert!(!pool.get(q.dequeue().unwrap().0).ecn);
+        let _ = q.try_enqueue(&prof, ack, &mut pool, &mut blocks, 0, &mut r);
+        q.dequeue(&mut blocks);
+        assert!(!pool.get(q.dequeue(&mut blocks).unwrap().0).ecn);
     }
 
     #[test]
@@ -594,10 +686,10 @@ mod tests {
             PhantomProfile::new(100_000_000_000, 0.9, 1000, RedParams::default()),
         );
         let mut q = PortQueue::new();
-        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let (mut pool, mut blocks, mut r) = (PacketPool::new(), BlockPool::new(), rng());
         let (a, b) = (pkt(&mut pool, 900), pkt(&mut pool, 900));
-        let _ = q.try_enqueue(&prof, a, &mut pool, 0, &mut r); // phantom occ 0 -> no mark
-        let out = q.try_enqueue(&prof, b, &mut pool, 0, &mut r); // phantom occ 900/1000 -> mark
+        let _ = q.try_enqueue(&prof, a, &mut pool, &mut blocks, 0, &mut r); // phantom occ 0 -> no mark
+        let out = q.try_enqueue(&prof, b, &mut pool, &mut blocks, 0, &mut r); // phantom occ 900/1000 -> mark
         assert_eq!(
             out,
             EnqueueOutcome::Enqueued {
@@ -607,24 +699,26 @@ mod tests {
         );
         assert_eq!(q.marks, 1);
         assert_eq!(q.phantom_marks, 1, "mark must be attributed to the phantom");
-        q.dequeue();
-        assert!(pool.get(q.dequeue().unwrap().0).ecn);
+        q.dequeue(&mut blocks);
+        assert!(pool.get(q.dequeue(&mut blocks).unwrap().0).ecn);
     }
 
     #[test]
     fn clear_counts_drops() {
         let prof = QueueProfile::new(10_000, RedParams::default());
         let mut q = PortQueue::new();
-        let (mut pool, mut r) = (PacketPool::new(), rng());
+        let (mut pool, mut blocks, mut r) = (PacketPool::new(), BlockPool::new(), rng());
         let mut queued = Vec::new();
         for _ in 0..4 {
             let p = pkt(&mut pool, 100);
-            assert!(q.try_enqueue(&prof, p, &mut pool, 0, &mut r).is_enqueued());
+            assert!(q
+                .try_enqueue(&prof, p, &mut pool, &mut blocks, 0, &mut r)
+                .is_enqueued());
             queued.push(p);
         }
-        let purged = q.clear();
-        assert_eq!(purged.len(), 4);
-        assert_eq!(purged.collect::<Vec<_>>(), queued, "every handle, in order");
+        let mut purged = Vec::new();
+        assert_eq!(q.clear(&mut blocks, |p| purged.push(p)), 4);
+        assert_eq!(purged, queued, "every handle, in order");
         assert_eq!(q.drops, 4);
         assert!(q.is_empty());
         assert_eq!(q.bytes(), 0);

@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::blocks::BlockPool;
 use crate::engine::{FlowLogic, FlowMeta, FlowOutcome};
 use crate::fault::LinkHealth;
 use crate::ids::{LinkId, NodeId};
@@ -253,12 +254,13 @@ impl LinkTable {
         l: LinkId,
         pkt: PacketRef,
         packets: &mut PacketPool,
+        blocks: &mut BlockPool,
         now: Time,
         rng: &mut SmallRng,
     ) -> EnqueueOutcome {
         let i = l.index();
         let profile = &self.profiles[self.profile[i] as usize].queue;
-        self.queue[i].try_enqueue(profile, pkt, packets, now, rng)
+        self.queue[i].try_enqueue(profile, pkt, packets, blocks, now, rng)
     }
 
     /// True when the link's port crossed XOFF with no PAUSE outstanding.

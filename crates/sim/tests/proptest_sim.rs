@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use uno_sim::{
-    ecmp_pick, EnqueueOutcome, Packet, PacketPool, PortQueue, QueueProfile, RedParams, Topology,
-    TopologyParams,
+    ecmp_pick, BlockPool, EnqueueOutcome, Packet, PacketPool, PortQueue, QueueProfile, RedParams,
+    Topology, TopologyParams,
 };
 
 proptest! {
@@ -47,42 +47,58 @@ proptest! {
         prop_assert_eq!(a, ecmp_pick(flow, e, salt, n));
     }
 
-    /// Queue byte accounting: after arbitrary enqueue/dequeue interleavings
-    /// the tracked byte count equals the sum of queued packet sizes, and
-    /// accepted packets never exceed capacity. Handles come out in FIFO
-    /// order carrying their packet's size, and `clear` hands back every
-    /// handle still queued.
+    /// Queue byte accounting, with several ports sharing one block pool:
+    /// after arbitrary enqueue/dequeue interleavings across the ports, each
+    /// port's tracked byte count equals the sum of its queued packet sizes,
+    /// and accepted packets never exceed capacity. Each op picks a port, so
+    /// pushes and pops cross block boundaries and the inline slots while
+    /// other ports hold blocks (two ops in three enqueue, so backlogs grow
+    /// past a block). Handles come out of each port in FIFO order
+    /// carrying their packet's size, and `clear` hands back every handle
+    /// still queued, in order, and every block.
     #[test]
-    fn queue_conserves_bytes(ops in proptest::collection::vec((any::<bool>(), 64u32..9000), 1..200)) {
+    fn queue_conserves_bytes(
+        ops in proptest::collection::vec((0usize..4, 0u8..3, 64u32..9000), 1..400),
+    ) {
         use rand::SeedableRng;
+        const CAP: u64 = 256 << 10;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
         let mut pool = PacketPool::new();
-        let prof = QueueProfile::new(64 << 10, RedParams::default());
-        let mut q = PortQueue::new();
-        let mut model = std::collections::VecDeque::new();
-        for (i, (enq, size)) in ops.into_iter().enumerate() {
-            if enq {
+        let mut blocks = BlockPool::new();
+        let prof = QueueProfile::new(CAP, RedParams::default());
+        let mut ports: Vec<PortQueue> = (0..4).map(|_| PortQueue::new()).collect();
+        let mut models = vec![std::collections::VecDeque::new(); 4];
+        for (i, (port, op, size)) in ops.into_iter().enumerate() {
+            let (q, model) = (&mut ports[port], &mut models[port]);
+            if op > 0 {
                 let pkt = pool.alloc(Packet::data(uno_sim::FlowId(0), i as u32, size, uno_sim::NodeId(1)));
-                match q.try_enqueue(&prof, pkt, &mut pool, 0, &mut rng) {
+                match q.try_enqueue(&prof, pkt, &mut pool, &mut blocks, 0, &mut rng) {
                     EnqueueOutcome::Enqueued { .. } => model.push_back((pkt, size)),
                     EnqueueOutcome::Dropped => {
-                        prop_assert!(q.bytes() + size as u64 > 64 << 10, "drop only when full");
+                        prop_assert!(q.bytes() + size as u64 > CAP, "drop only when full");
                         pool.release(pkt);
                     }
                 }
-            } else if let Some((pkt, size)) = q.dequeue() {
+            } else if let Some((pkt, size)) = q.dequeue(&mut blocks) {
                 let expect = model.pop_front().expect("model tracks the queue");
                 prop_assert_eq!((pkt, size), expect, "FIFO order");
-                prop_assert_eq!(pool.take(pkt).size, size, "the ring carries the packet's size");
+                prop_assert_eq!(pool.take(pkt).size, size, "the FIFO carries the packet's size");
+            } else {
+                prop_assert!(model.is_empty(), "dequeue finds every queued packet");
             }
             let sum: u64 = model.iter().map(|&(_, s)| s as u64).sum();
             prop_assert_eq!(q.bytes(), sum);
-            prop_assert!(q.bytes() <= 64 << 10);
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert!(q.bytes() <= CAP);
         }
-        let purged: Vec<_> = q.clear().collect();
-        let queued: Vec<_> = model.iter().map(|&(pkt, _)| pkt).collect();
-        prop_assert_eq!(purged, queued, "clear returns every queued handle");
-        prop_assert_eq!(q.bytes(), 0);
+        for (q, model) in ports.iter_mut().zip(&models) {
+            let mut purged = Vec::new();
+            let n = q.clear(&mut blocks, |pkt| purged.push(pkt));
+            let queued: Vec<_> = model.iter().map(|&(pkt, _)| pkt).collect();
+            prop_assert_eq!(n, queued.len());
+            prop_assert_eq!(purged, queued, "clear returns every queued handle, in order");
+            prop_assert_eq!((q.bytes(), q.len()), (0, 0));
+        }
     }
 
     /// RED probability is monotone in occupancy and clamped to [0, 1].

@@ -1189,13 +1189,36 @@ impl InvariantSuite {
     }
 }
 
-/// An [`InvariantSuite`] armed on a live simulator via a tracer callback.
+/// An [`InvariantSuite`] armed on a live simulator via a tracer callback:
+/// install [`ArmedChecker::tracer`] with `Simulator::set_tracer`, run, and
+/// read [`ArmedChecker::finish`]'s report. Here two events emitted by hand
+/// stand in for a run: a packet enters link 0's queue, and one that never
+/// entered it leaves.
 ///
-/// ```ignore
+/// ```
+/// use uno_sim::TraceEvent;
+/// use uno_testkit::{ArmedChecker, NetSpec};
+///
+/// let spec = NetSpec {
+///     queue_capacity: vec![64 << 10],
+///     flows: Vec::new(),
+///     liveness_grace: 1_000_000,
+///     max_nacks_per_block: 8,
+///     require_outcome: false,
+///     stall_horizon: 0,
+///     pfc_storm_window: 0,
+///     pfc_storm_duty: 1.0,
+///     pause_grace: 0,
+/// };
 /// let armed = ArmedChecker::new(spec);
-/// sim.set_tracer(armed.tracer());
-/// sim.run_until(horizon);
-/// let report = armed.finish(sim.now());
+/// let mut tracer = armed.tracer();
+/// tracer.emit(TraceEvent::Enqueue { t: 10, link: 0, flow: 0, seq: 0, size: 4096, qlen: 4096 });
+/// tracer.emit(TraceEvent::Dequeue { t: 20, link: 0, flow: 0, seq: 1 });
+/// let report = armed.finish(20);
+/// assert_eq!(report.events_seen, 2);
+/// assert!(report.failed());
+/// assert_eq!(report.violations.len(), 1);
+/// assert_eq!(report.violations[0].invariant, "queue-conservation");
 /// ```
 pub struct ArmedChecker {
     suite: Arc<Mutex<InvariantSuite>>,

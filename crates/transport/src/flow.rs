@@ -19,6 +19,7 @@
 use std::collections::VecDeque;
 
 use uno_erasure::EcParams;
+use uno_sim::pool::shrunk_capacity;
 use uno_sim::{
     Counters, Ctx, FlowClass, FlowLogic, FlowOutcome, FlowSample, NodeId, Packet, PacketKind,
     StallCause, Time, Topology, TraceEvent, MILLIS,
@@ -168,19 +169,12 @@ pub fn wire_packets(size: u64, mtu: u32, ec: Option<EcParams>) -> u64 {
     }
 }
 
-/// The storage rule of the per-flow sender deques (the send ring, the
-/// fast-retransmit log and the retransmission queue): once the live length falls to
-/// 1/`SHRINK_AT` of a capacity above `SHRINK_ABOVE` entries, the capacity
-/// drops to twice the live length. A shrink leaves the deque half full, so
-/// its length must change by a quarter of its capacity before the storage
-/// moves again, and copying stays amortised O(1) per push or pop.
-const SHRINK_ABOVE: usize = 64;
-const SHRINK_AT: usize = 4;
-
-/// Apply the storage rule to `q`; called after every run of pops.
+/// Apply the storage rule of drained buffers ([`shrunk_capacity`]) to one
+/// of the per-flow sender deques (the send ring, the fast-retransmit log
+/// and the retransmission queue); called after every run of pops.
 fn shrink<T>(q: &mut VecDeque<T>) {
-    if q.capacity() > SHRINK_ABOVE && q.len() * SHRINK_AT <= q.capacity() {
-        q.shrink_to(2 * q.len());
+    if let Some(capacity) = shrunk_capacity(q.len(), q.capacity()) {
+        q.shrink_to(capacity);
     }
 }
 
